@@ -11,10 +11,24 @@ which for theta = +/-pi/4 is (+/-i)P*P' and for pi/2 is -P'.  The sign
 convention (the earlier operation conjugates the later axis) is pinned
 by the dense-oracle equivalence test, not by prose.
 
-Moved Cliffords accumulate in time order into a trace; the equivalent
-tableau maps each generator g in {X_i, Z_i} to V^dag g V where V is the
-trace unitary, so measuring Z_q after the full circuit is the same as
-measuring its tableau image after just the pi/8 prefix.
+Moved Cliffords accumulate in time order into a trace C_1 ... C_k.  A
+later axis crosses all of them, latest first, so it becomes F_k(P') with
+F_k = f_1 o ... o f_k, where f_j is the crossing rule of C_j.  F_k is
+kept as a running tableau: the 2n images F_k(X_q), F_k(Z_q), from which
+any Pauli's image is the phase-exact product of the images over its
+support.  Appending C_{k+1} with axis A gives F_{k+1} = F_k o f_{k+1},
+and since F_k is an automorphism, F_k(i*A*g) = i*F_k(A)*F_k(g): the new
+image of a generator g that anticommutes with A is the old image
+crossed by a rotation about F_k(A) with the same angle, and every other
+image is unchanged.  That is the stabilizer-tableau update of Aaronson
+and Gottesman (quant-ph/0406196).  A weight-w axis touches at most 2w
+images, so canonicalizing T pi/8 rotations and a trace of length |trace|
+costs O(T*w + |trace|*w) Pauli products, independent of how long the
+trace already is.
+
+The final tableau maps each generator g in {X_i, Z_i} to V^dag g V where
+V is the trace unitary, so measuring Z_q after the full circuit is the
+same as measuring its tableau image after just the pi/8 prefix.
 """
 
 from __future__ import annotations
@@ -109,67 +123,92 @@ def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
     return merged if mover.num % 4 == 1 else merged.negated()
 
 
-def _conjugate_through_trace(
-    trace: list[PauliRotation], p: PauliString
-) -> PauliString:
-    # Crossing earlier in time means conjugating by the latest mover first.
-    for mover in reversed(trace):
-        p = conjugate_axis(mover, p)
-    return p
+def _bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _image(xs, zs, p: PauliString) -> PauliString:
+    """Image of p given the images xs[q], zs[q] of X_q and Z_q.
+
+    Decomposes p per qubit as i^{x*z} X^x Z^z, substitutes the generator
+    images, and multiplies with exact phase bookkeeping.  Only p's
+    support is visited.
+    """
+    extra = (p.phase + (p.x & p.z).bit_count()) % 4
+    acc = PauliString(p.n, 0, 0, extra)
+    for q in _bits(p.x | p.z):
+        if p.x >> q & 1:
+            acc = acc * xs[q]
+        if p.z >> q & 1:
+            acc = acc * zs[q]
+    return acc
 
 
 def tableau_conjugate(t: CliffordTableau, p: PauliString) -> PauliString:
-    """Image of an arbitrary Hermitian Pauli under the tableau.
-
-    Decomposes p per qubit as i^{x*z} X^x Z^z, substitutes the generator
-    images, and multiplies with exact phase bookkeeping.
-    """
+    """Image of an arbitrary Hermitian Pauli under the tableau."""
     if p.n != t.n:
         raise ValueError(f"qubit count mismatch: {p.n} vs {t.n}")
     if not p.is_hermitian():
         raise ValueError("tableau conjugation expects a Hermitian operator")
-    acc = PauliString.identity(t.n)
-    for q in range(t.n):
-        if p.x >> q & 1:
-            acc = acc * t.x_images[q]
-        if p.z >> q & 1:
-            acc = acc * t.z_images[q]
-    extra = (p.phase + (p.x & p.z).bit_count()) % 4
-    result = PauliString(acc.n, acc.x, acc.z, (acc.phase + extra) % 4)
+    result = _image(t.x_images, t.z_images, p)
     assert result.is_hermitian(), "Clifford image of a Hermitian Pauli must be Hermitian"
     return result
+
+
+def _identity_images(n: int) -> tuple[list[PauliString], list[PauliString]]:
+    t = CliffordTableau.identity(n)
+    return list(t.x_images), list(t.z_images)
+
+
+def _append_clifford(xs, zs, mover: PauliRotation) -> None:
+    """Update the running images in place from F to F o f_mover.
+
+    X_q anticommutes with the mover's axis iff the axis has a z bit on
+    q, Z_q iff it has an x bit there; only those images change.
+    """
+    axis = mover.axis
+    image = PauliRotation(_image(xs, zs, axis), mover.num, mover.den)
+    for q in _bits(axis.z):
+        xs[q] = conjugate_axis(image, xs[q])
+    for q in _bits(axis.x):
+        zs[q] = conjugate_axis(image, zs[q])
 
 
 def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
     """Sweep all Clifford rotations to the end of the circuit.
 
-    Walks the rotations in time order.  Cliffords join the trace; each
-    arriving pi/8 rotation is conjugated through the Cliffords already
-    behind it.  The pi/8 count is preserved exactly.
+    Walks the rotations in time order with a running tableau of the
+    Cliffords seen so far.  Each arriving pi/8 axis is mapped through
+    that tableau (one product per letter of the axis); each Clifford
+    joins the trace and rewrites the at most 2w generator images its
+    weight-w axis anticommutes with.  Total cost O(T*w + |trace|*w).
+    The pi/8 count is preserved exactly.
     """
+    xs, zs = _identity_images(rc.n)
     pi8: list[PauliRotation] = []
     trace: list[PauliRotation] = []
     for rot in rc.rotations:
         if rot.is_pi8:
-            axis = _conjugate_through_trace(trace, rot.axis)
-            pi8.append(PauliRotation(axis, rot.num, 8))
+            pi8.append(PauliRotation(_image(xs, zs, rot.axis), rot.num, 8))
         else:
+            _append_clifford(xs, zs, rot)
             trace.append(rot)
-    tableau = tableau_from_trace(rc.n, trace)
+    tableau = CliffordTableau(rc.n, tuple(xs), tuple(zs))
     bases = tuple(tableau.z_images)
     return CanonicalForm(rc.n, tuple(pi8), tuple(trace), tableau, bases)
 
 
 def tableau_from_trace(n: int, trace: list[PauliRotation]) -> CliffordTableau:
-    xs = tuple(
-        _conjugate_through_trace(trace, PauliString.single(n, q, "X"))
-        for q in range(n)
-    )
-    zs = tuple(
-        _conjugate_through_trace(trace, PauliString.single(n, q, "Z"))
-        for q in range(n)
-    )
-    return CliffordTableau(n, xs, zs)
+    """Tableau of a Clifford trace, built with the same running update
+    as `push_cliffords`: O(|trace|*w) for weight-w axes."""
+    xs, zs = _identity_images(n)
+    for mover in trace:
+        _append_clifford(xs, zs, mover)
+    return CliffordTableau(n, tuple(xs), tuple(zs))
 
 
 def canonicalize(gc: GateCircuit) -> CanonicalForm:

@@ -427,6 +427,8 @@ def monte_carlo(
         raise ValueError("shots must be >= 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     dec_arrays = _decoder_arrays(dec)
     shard_sizes = []
     remaining = shots

@@ -66,17 +66,35 @@ class Layering:
         return self._commute_rows
 
     def validate(self):
-        """Check the partition and within-layer commutation invariants."""
+        """Check the partition, within-layer commutation and order invariants.
+
+        The order rule: for anticommuting rotations i < j, the layer of i
+        comes strictly before the layer of j.  Commuting rotations may be
+        reordered freely; anticommuting ones may not.
+        """
         seen = sorted(i for layer in self.layers for i in layer)
         if seen != list(range(len(self.rotations))):
             raise ValueError("layers do not partition the rotation indices")
+        rows = self.commute_rows()
+        earlier = 0  # bitmask of the indices placed in earlier layers
         for layer in self.layers:
-            for a_pos, a in enumerate(layer):
-                for b in layer[a_pos + 1:]:
-                    if not self.rotations[a].axis.commutes(self.rotations[b].axis):
+            here = sum(1 << j for j in layer)
+            for j in layer:
+                # anticommuting partners that share j's layer, or that
+                # precede j in the input but not in the layering
+                bad = ~rows[j] & ~earlier & (here | ((1 << j) - 1))
+                if bad:
+                    i = bad.bit_length() - 1
+                    if here >> i & 1:
                         raise ValueError(
-                            f"rotations {a} and {b} share a layer but anticommute"
+                            f"rotations {min(i, j)} and {max(i, j)} share a "
+                            "layer but anticommute"
                         )
+                    raise ValueError(
+                        f"rotation {j} anticommutes with earlier rotation {i} "
+                        "but is not in a later layer"
+                    )
+            earlier |= here
 
     def _derived(self, new_layers: tuple[tuple[int, ...], ...]) -> "Layering":
         return Layering(self.n, self.rotations, new_layers, self._commute_rows)

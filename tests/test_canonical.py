@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pauliflow.canonical import (
     CanonicalForm,
@@ -10,6 +11,7 @@ from pauliflow.canonical import (
     canonical_from_json,
     canonical_to_json,
     canonicalize,
+    conjugate_axis,
     push_cliffords,
     tableau_conjugate,
     to_rotation_circuit,
@@ -32,6 +34,93 @@ def random_circuit(n, n_gates, rng):
         else:
             gates.append(Gate(rng.choice(ONE_QUBIT), (rng.randrange(n),)))
     return GateCircuit(n, tuple(gates))
+
+
+def sweep_through_trace(trace, p):
+    """Reference crossing rule: conjugate p by every Clifford in the trace,
+    latest first.  O(|trace|) per axis; the canonicalizer must agree."""
+    for mover in reversed(trace):
+        p = conjugate_axis(mover, p)
+    return p
+
+
+def reference_push(rc):
+    """Per-axis sweep: (pi8 rotations, X images, Z images)."""
+    pi8, trace = [], []
+    for rot in rc.rotations:
+        if rot.is_pi8:
+            pi8.append(PauliRotation(sweep_through_trace(trace, rot.axis), rot.num, 8))
+        else:
+            trace.append(rot)
+    xs = tuple(
+        sweep_through_trace(trace, PauliString.single(rc.n, q, "X"))
+        for q in range(rc.n)
+    )
+    zs = tuple(
+        sweep_through_trace(trace, PauliString.single(rc.n, q, "Z"))
+        for q in range(rc.n)
+    )
+    return tuple(pi8), xs, zs
+
+
+@st.composite
+def clifford_t_circuits(draw, max_qubits=24, max_gates=120):
+    """Gate circuits over all 10 gate kinds on 1..max_qubits qubits."""
+    n = draw(st.integers(1, max_qubits))
+    kinds = ONE_QUBIT + (TWO_QUBIT if n >= 2 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
+        a = draw(st.integers(0, n - 1))
+        if kind in TWO_QUBIT:
+            b = draw(st.integers(0, n - 2))
+            gates.append(Gate(kind, (a, b + (b >= a))))
+        else:
+            gates.append(Gate(kind, (a,)))
+    return GateCircuit(n, tuple(gates))
+
+
+@st.composite
+def rotation_circuits(draw, max_qubits=12, max_rotations=60):
+    """Arbitrary-weight axes with every pi/8, pi/4 and pi/2 angle."""
+    n = draw(st.integers(1, max_qubits))
+    axis = st.tuples(
+        st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)
+    ).filter(lambda xz: xz != (0, 0))
+    angle = st.sampled_from(
+        [(k, 8) for k in (1, -1, 3, -3)] + [(k, 4) for k in (1, -1, 3, -3)] + [(1, 2)]
+    )
+    rotations = tuple(
+        PauliRotation(PauliString(n, x, z, sign), num, den)
+        for (x, z), sign, (num, den) in draw(
+            st.lists(st.tuples(axis, st.sampled_from((0, 2)), angle),
+                     max_size=max_rotations)
+        )
+    )
+    return RotationCircuit(n, rotations)
+
+
+class TestRunningTableauMatchesSweep:
+    @given(clifford_t_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_gate_circuits(self, gc):
+        cf = canonicalize(gc)
+        pi8, xs, zs = reference_push(to_rotation_circuit(gc))
+        # PauliRotation equality compares the signed axis and the angle
+        assert cf.pi8 == pi8
+        assert cf.tableau == CliffordTableau(gc.n, xs, zs)
+        assert cf.measurement_bases == zs
+        assert canonical_from_json(canonical_to_json(cf)) == cf
+        if gc.n >= 16:
+            cf.tableau.validate()
+
+    @given(rotation_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_circuits(self, rc):
+        cf = push_cliffords(rc)
+        pi8, xs, zs = reference_push(rc)
+        assert cf.pi8 == pi8
+        assert cf.tableau == CliffordTableau(rc.n, xs, zs)
+        assert canonical_from_json(canonical_to_json(cf)) == cf
 
 
 class TestToRotationCircuit:

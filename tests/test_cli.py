@@ -173,6 +173,22 @@ class TestDecode:
     def test_missing_noise_is_usage(self, capsys):
         assert main(["decode", "--code", "rep3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--workers", "0", "workers must be >= 1"),
+            ("--workers", "-3", "workers must be >= 1"),
+            ("--shots", "0", "shots must be >= 1"),
+        ],
+    )
+    def test_count_below_one_is_usage(self, capsys, flag, value, message):
+        code = main([
+            "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",
+            "--shots", "1000", flag, value,
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 
 class TestConfig:
     def test_empty_file_is_defaults(self, tmp_path):

@@ -263,6 +263,15 @@ class TestMonteCarlo:
             again = monte_carlo(rep3, dec, noise, 150_000, seed=11, workers=workers)
             assert again.counts == baseline.counts
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, rep3, workers):
+        dec = build_lookup(rep3, 1)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            monte_carlo(
+                rep3, dec, NoiseModel("bitflip", 0.08), 1000, seed=1,
+                workers=workers,
+            )
+
     def test_seed_changes_samples(self, rep3):
         dec = build_lookup(rep3, 1)
         noise = NoiseModel("bitflip", 0.08)

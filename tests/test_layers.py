@@ -170,6 +170,44 @@ class TestApplyMerges:
             MergeSet(frozenset({(0, 1), (1, 2)}))
 
 
+class TestValidate:
+    @pytest.mark.parametrize(
+        "labels, layers, message",
+        [
+            # X then Z, laid out as Z's layer first: a different unitary
+            (("X", "Z"), ((1,), (0,)), "rotation 1 anticommutes with earlier rotation 0"),
+            (("XI", "IZ", "ZI"), ((2,), (1,), (0,)),
+             "rotation 2 anticommutes with earlier rotation 0"),
+            (("X", "Z"), ((0, 1),), "share a layer"),
+            (("X", "Z"), ((0,),), "partition"),
+        ],
+    )
+    def test_invalid_layerings_rejected(self, labels, layers, message):
+        l = Layering(len(labels[0]), tuple(rot(s) for s in labels), layers)
+        with pytest.raises(ValueError, match=message):
+            l.validate()
+
+    def test_swapped_commuting_layers_accepted(self):
+        Layering(2, (rot("ZI"), rot("IZ")), ((1,), (0,))).validate()
+
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 24))
+    @settings(max_examples=25, deadline=None)
+    def test_optimizer_outputs_keep_the_order_rule(self, seed, n, count):
+        rotations = random_rotations(n, count, seed)
+        cfg = GAConfig(population_size=8, elite_k=2, max_generations=10,
+                       stagnation_limit=4, seed=seed)
+        asap = build_layers(rotations)
+        outputs = [
+            asap,
+            ga_optimize(singleton_layering(rotations), cfg).layering,
+            greedy_collapse(singleton_layering(rotations)).layering,
+            split_dense_layers(asap, 0.3),
+        ]
+        for l in outputs:
+            l.validate()
+            assert l.t_depth >= asap.t_depth
+
+
 class TestSplitDenseLayers:
     def test_split_by_support(self):
         l = Layering(2, (rot("ZI"), rot("IZ")), ((0, 1),))
