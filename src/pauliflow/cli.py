@@ -287,21 +287,31 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _verify_input(obj: dict, path: str) -> canonical.CanonicalForm:
+    """Canonical form from `transpile` JSON, or from `optimize` JSON whose
+    layers, taken in order, are the pi/8 list (layers only reorder
+    commuting rotations, so the product is unchanged)."""
+    expects = "verify expects the JSON written by transpile or optimize"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: not a JSON object; {expects}")
+    if "pi8" not in obj and "layers" in obj:
+        obj = {**obj, "pi8": [rot for layer in obj["layers"] for rot in layer]}
+    try:
+        return canonical.canonical_from_json(obj)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}; {expects}") from None
+
+
 def cmd_verify(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
     tol = args.tol if args.tol is not None else cfg_file.get("tolerance", 1e-9)
     gc = circuits.parse_circuit(Path(args.circuit).read_text())
-    cf = canonical.canonical_from_json(json.loads(Path(args.canonical).read_text()))
+    cf = _verify_input(json.loads(Path(args.canonical).read_text()), args.canonical)
     from . import oracle
 
-    original = oracle.unitary_of_gates(gc)
-    rebuilt = oracle.unitary_of_rotations(
-        list(cf.pi8) + list(cf.clifford_trace), cf.n
-    )
-    fidelity = oracle.trace_overlap(original, rebuilt)
-    ok = oracle.verify_canonical_form(gc, cf, tol)
-    print(f"fidelity={fidelity:.12f} {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    verdict = oracle.verify_canonical_form(gc, cf, tol)
+    print(f"fidelity={verdict.fidelity:.12f} {'PASS' if verdict.ok else 'FAIL'}")
+    return EXIT_OK if verdict.ok else EXIT_VERIFY_FAILED
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -378,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("verify", help="oracle check: circuit vs canonical JSON")
+    p = sub.add_parser(
+        "verify", help="oracle check: circuit vs canonical or layered JSON"
+    )
     p.add_argument("circuit")
     p.add_argument("canonical")
     p.add_argument("--tol", type=float)

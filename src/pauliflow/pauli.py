@@ -29,6 +29,11 @@ from typing import Iterable, Iterator, Sequence
 _LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR_LETTER = {v: k for k, v in _LETTER_FOR_BITS.items()}
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+# Whole-label rendering and parsing: a qubit's letter is "IXZY"[x + 2z].
+_LETTER_FOR_DIGIT = str.maketrans("0123", "IXZY")
+_X_BIT_FOR_LETTER = str.maketrans("IXZY", "0101")
+_Z_BIT_FOR_LETTER = str.maketrans("IXZY", "0011")
+_DROP_LETTERS = str.maketrans("", "", "IXZY")
 
 
 @dataclass(frozen=True)
@@ -75,13 +80,14 @@ class PauliString:
             text = text[1:]
         if not text:
             raise ValueError(f"empty Pauli label {label!r}")
-        x = z = 0
-        for q, ch in enumerate(text):
-            if ch.upper() not in _BITS_FOR_LETTER:
-                raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}")
-            xb, zb = _BITS_FOR_LETTER[ch.upper()]
-            x |= xb << q
-            z |= zb << q
+        letters = text.upper()
+        if letters.translate(_DROP_LETTERS):
+            ch = next(ch for ch in text if ch.upper() not in _BITS_FOR_LETTER)
+            raise ValueError(f"invalid Pauli letter {ch!r} in {label!r}")
+        # qubit 0 is the leftmost letter and bit 0 of the masks
+        letters = letters[::-1]
+        x = int(letters.translate(_X_BIT_FOR_LETTER), 2)
+        z = int(letters.translate(_Z_BIT_FOR_LETTER), 2)
         return cls(len(text), x, z, phase)
 
     # -- rendering -----------------------------------------------------
@@ -90,7 +96,10 @@ class PauliString:
         return _LETTER_FOR_BITS[(self.x >> qubit & 1, self.z >> qubit & 1)]
 
     def label(self) -> str:
-        body = "".join(self.letter_at(q) for q in range(self.n))
+        # read as hex, the binary digits of x and z put qubit q's bits in
+        # hex digit q, so x + 2z has one digit x_q + 2 z_q per qubit
+        digits = int(f"{self.x:b}", 16) + 2 * int(f"{self.z:b}", 16)
+        body = f"{digits:0{self.n}x}"[::-1].translate(_LETTER_FOR_DIGIT)
         return _PHASE_PREFIX[self.phase] + body
 
     def __str__(self) -> str:

@@ -30,6 +30,36 @@ def dense_pauli(p) -> np.ndarray:
     )
 
 
+GATE_1Q = {
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "s": np.diag([1, 1j]),
+    "sdg": np.diag([1, -1j]),
+    "t": np.diag([1, np.exp(1j * np.pi / 4)]),
+    "tdg": np.diag([1, np.exp(-1j * np.pi / 4)]),
+    "x": SINGLE_QUBIT["X"],
+    "y": SINGLE_QUBIT["Y"],
+    "z": SINGLE_QUBIT["Z"],
+}
+
+
+def kron_on(n: int, factors: dict) -> np.ndarray:
+    """Tensor product with factors[q] on qubit q, identity elsewhere."""
+    m = np.array([[1]], dtype=complex)
+    for q in range(n):
+        m = np.kron(m, factors.get(q, SINGLE_QUBIT["I"]))
+    return m
+
+
+def dense_gate(gate, n: int) -> np.ndarray:
+    """Matrix of a Gate on n qubits, from Kronecker products only."""
+    if gate.kind in GATE_1Q:
+        return kron_on(n, {gate.qubits[0]: GATE_1Q[gate.kind]})
+    a, b = gate.qubits
+    target = SINGLE_QUBIT["X" if gate.kind == "cnot" else "Z"]
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    return kron_on(n, {a: p0}) + kron_on(n, {a: p1, b: target})
+
+
 @pytest.fixture
 def rep3():
     from pauliflow.codes import repetition_code

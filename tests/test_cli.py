@@ -67,6 +67,56 @@ class TestVerify:
         assert main(["verify", str(circuit_file), str(out)]) == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 
+    def test_golden_fidelity_lines(self, circuit_file, tmp_path, capsys):
+        # both lines as the matrix-product oracle printed them
+        out = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(out)])
+        capsys.readouterr()
+        assert main(["verify", str(circuit_file), str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "fidelity=1.000000000000 PASS\n"
+        other = tmp_path / "other.qc"
+        other.write_text("qubits 2\nt 0\n")
+        main(["transpile", str(other), "-o", str(out)])
+        capsys.readouterr()
+        assert main(["verify", str(circuit_file), str(out)]) == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().out == "fidelity=0.135299025037 FAIL\n"
+
+    @pytest.mark.parametrize("method", ["ga", "greedy"])
+    def test_accepts_layered_output(self, circuit_file, tmp_path, capsys, method):
+        canonical = tmp_path / "canonical.json"
+        layered = tmp_path / "layered.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        main(["optimize", str(canonical), "--method", method, "-o", str(layered)])
+        capsys.readouterr()
+        assert main(["verify", str(circuit_file), str(layered)]) == EXIT_OK
+        assert capsys.readouterr().out == "fidelity=1.000000000000 PASS\n"
+        # the layers are what is checked: a negated rotation in them fails
+        obj = json.loads(layered.read_text())
+        obj["layers"][0][0]["num"] *= -1
+        layered.write_text(json.dumps(obj))
+        assert main(["verify", str(circuit_file), str(layered)]) == EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"n": 2}, "'pi8'"),
+         ({"n": 2, "layers": [], "clifford_trace": []}, "'measurement_bases'"),
+         ({"pi8": [{"axis": "+ZI", "num": 1}], "clifford_trace": [], "n": 2,
+           "measurement_bases": ["+ZI", "+IZ"]}, "'den'")],
+    )
+    def test_missing_key_named(self, circuit_file, tmp_path, capsys, payload, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["verify", str(circuit_file), str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"missing key {key}" in err
+        assert "transpile or optimize" in err
+
+    def test_non_object_payload(self, circuit_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert main(["verify", str(circuit_file), str(bad)]) == EXIT_USAGE
+        assert "transpile or optimize" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_ga_pipeline(self, circuit_file, tmp_path, capsys):

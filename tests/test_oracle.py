@@ -4,24 +4,114 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pauliflow.canonical import CanonicalForm, canonicalize
+from pauliflow.canonical import CanonicalForm, CliffordTableau, canonicalize
 from pauliflow.circuits import Gate, GateCircuit, PauliRotation
 from pauliflow.oracle import (
+    apply_gate,
+    apply_pauli,
+    apply_rotation,
     equivalent_up_to_phase,
     pauli_matrix,
+    times_pauli,
     unitary_of_gates,
     unitary_of_rotations,
     verify_canonical_form,
 )
 from pauliflow.pauli import PauliString
 
-from test_canonical import random_circuit
+from conftest import dense_gate, dense_pauli
+from test_canonical import ONE_QUBIT, TWO_QUBIT, clifford_t_circuits, random_circuit
+
+ANGLES = [(k, 8) for k in (1, -1, 3, -3)] + [(k, 4) for k in (1, -1, 3, -3)] + [
+    (1, 2), (-1, 2)
+]
+
+
+@st.composite
+def matrices(draw, max_qubits=6):
+    """A random complex 2^n x 2^n matrix (kernels are linear; no need for
+    unitarity) with its qubit count."""
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << n
+    return n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def paulis(n, phases=(0, 1, 2, 3)):
+    return st.builds(
+        PauliString,
+        st.just(n),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1),
+        st.sampled_from(phases),
+    )
 
 
 def assert_unitary(u):
     d = u.shape[0]
     assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-10
+
+
+class TestKernelsMatchKron:
+    """Permutation-and-phase kernels against the Kronecker helpers."""
+
+    @given(matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gate(self, nu, data):
+        n, u = nu
+        kinds = ONE_QUBIT + (TWO_QUBIT if n >= 2 else [])
+        kind = data.draw(st.sampled_from(kinds))
+        a = data.draw(st.integers(0, n - 1))
+        if kind in TWO_QUBIT:
+            b = data.draw(st.integers(0, n - 2))
+            gate = Gate(kind, (a, b + (b >= a)))
+        else:
+            gate = Gate(kind, (a,))
+        np.testing.assert_allclose(
+            apply_gate(gate, u), dense_gate(gate, n) @ u, atol=1e-12
+        )
+
+    @given(matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pauli_left_and_right(self, nu, data):
+        n, u = nu
+        p = data.draw(paulis(n))
+        np.testing.assert_allclose(apply_pauli(p, u), dense_pauli(p) @ u, atol=1e-12)
+        np.testing.assert_allclose(times_pauli(u, p), u @ dense_pauli(p), atol=1e-12)
+        np.testing.assert_array_equal(pauli_matrix(p), dense_pauli(p))
+
+    @given(matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rotation(self, nu, data):
+        n, u = nu
+        axis = data.draw(paulis(n, phases=(0, 2)).filter(lambda p: not p.is_identity()))
+        num, den = data.draw(st.sampled_from(ANGLES))
+        rot = PauliRotation(axis, num, den)
+        phi = num * np.pi / den
+        dense = np.cos(phi) * np.eye(1 << n) - 1j * np.sin(phi) * dense_pauli(axis)
+        np.testing.assert_allclose(apply_rotation(rot, u), dense @ u, atol=1e-12)
+
+    @given(clifford_t_circuits(max_qubits=6, max_gates=25))
+    @settings(max_examples=60, deadline=None)
+    def test_circuit_products(self, gc):
+        expected = np.eye(1 << gc.n, dtype=complex)
+        for gate in gc.gates:
+            expected = dense_gate(gate, gc.n) @ expected
+        np.testing.assert_allclose(unitary_of_gates(gc), expected, atol=1e-10)
+        cf = canonicalize(gc)
+        rotations = list(cf.pi8) + list(cf.clifford_trace)
+        expected = np.eye(1 << gc.n, dtype=complex)
+        for rot in rotations:
+            phi = rot.num * np.pi / rot.den
+            expected = (
+                np.cos(phi) * np.eye(1 << gc.n)
+                - 1j * np.sin(phi) * dense_pauli(rot.axis)
+            ) @ expected
+        np.testing.assert_allclose(
+            unitary_of_rotations(rotations, gc.n), expected, atol=1e-10
+        )
 
 
 class TestUnitaryOfGates:
@@ -116,3 +206,59 @@ class TestVerifyCanonicalForm:
                 cf.measurement_bases,
             )
             assert not verify_canonical_form(gc, corrupted, tol=1e-9)
+
+    @staticmethod
+    def _cases(count):
+        rng = random.Random(17)
+        while count:
+            gc = random_circuit(rng.randint(1, 6), rng.randint(5, 40), rng)
+            cf = canonicalize(gc)
+            if cf.pi8 and cf.clifford_trace:
+                count -= 1
+                yield rng, gc, cf
+
+    def test_passes_and_reports_fidelity(self):
+        for _, gc, cf in self._cases(10):
+            verdict = verify_canonical_form(gc, cf)
+            assert verdict.ok and verdict
+            assert abs(verdict.fidelity - 1) < 1e-12
+
+    def test_negated_pi8_rejected(self):
+        for rng, gc, cf in self._cases(10):
+            bad = list(cf.pi8)
+            k = rng.randrange(len(bad))
+            bad[k] = PauliRotation(bad[k].axis.negated(), bad[k].num, bad[k].den)
+            corrupted = CanonicalForm(
+                cf.n, tuple(bad), cf.clifford_trace, cf.tableau,
+                cf.measurement_bases,
+            )
+            verdict = verify_canonical_form(gc, corrupted)
+            assert not verdict and verdict.fidelity < 1 - 1e-9
+
+    def test_dropped_trace_rotation_rejected(self):
+        for rng, gc, cf in self._cases(10):
+            trace = list(cf.clifford_trace)
+            del trace[rng.randrange(len(trace))]
+            corrupted = CanonicalForm(
+                cf.n, cf.pi8, tuple(trace), cf.tableau, cf.measurement_bases
+            )
+            assert not verify_canonical_form(gc, corrupted)
+
+    def test_flipped_generator_sign_rejected(self):
+        # the unitary still matches, so only the tableau check can object;
+        # every one of the 2n generator images is flipped in turn
+        for _, gc, cf in self._cases(5):
+            t = cf.tableau
+            for q in range(cf.n):
+                for which in ("x", "z"):
+                    xs, zs = list(t.x_images), list(t.z_images)
+                    images = xs if which == "x" else zs
+                    images[q] = images[q].negated()
+                    corrupted = CanonicalForm(
+                        cf.n, cf.pi8, cf.clifford_trace,
+                        CliffordTableau(cf.n, tuple(xs), tuple(zs)),
+                        cf.measurement_bases,
+                    )
+                    verdict = verify_canonical_form(gc, corrupted)
+                    assert not verdict, (q, which)
+                    assert abs(verdict.fidelity - 1) < 1e-12

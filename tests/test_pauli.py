@@ -219,6 +219,25 @@ class TestTextFormat:
         h = PauliString(p.n, p.x, p.z, (p.phase // 2) * 2)
         assert PauliString.from_label(str(h)) == h
 
+    @given(pauli_strings(max_n=70))
+    def test_label_matches_letters(self, p):
+        # whole-string rendering agrees with the per-qubit letters and
+        # with the phase prefix, qubit 0 leftmost
+        prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[p.phase]
+        letters = "".join(p.letter_at(q) for q in range(p.n))
+        assert p.label() == prefix + letters
+        if p.is_hermitian():
+            assert PauliString.from_label(prefix + letters.lower()) == p
+            assert PauliString.from_label(f"  {letters}\n") == p.unsigned()
+
+    @pytest.mark.parametrize(
+        "label, bad",
+        [("XQ", "'Q'"), ("-x z", "' '"), ("ZZ_", "'_'"), ("XY7Q", "'7'")],
+    )
+    def test_invalid_letter_named(self, label, bad):
+        with pytest.raises(ValueError, match=f"invalid Pauli letter {bad} in"):
+            PauliString.from_label(label)
+
 
 class TestRankHelpers:
     def test_rank_counts_pivots(self):
