@@ -26,6 +26,7 @@ from .layers import (
     Layering,
     MergeSet,
     apply_merges,
+    asap_optimize,
     build_layers,
     ga_optimize,
     greedy_collapse,

@@ -99,18 +99,35 @@ def _resolve_catalog(args) -> list[scheduling.Protocol]:
     return scheduling.default_catalog()
 
 
+# optimize's tuning flags and the methods that use them
+_GA_FLAGS = (
+    "seed",
+    "population_size",
+    "elite_k",
+    "crossover_rate",
+    "mutation_rate",
+    "beta",
+    "max_generations",
+    "stagnation_limit",
+)
+_METHOD_FLAGS = {"asap": (), "greedy": ("beta",), "ga": _GA_FLAGS}
+
+
+def _reject_unused_flags(args):
+    """A tuning flag the chosen method ignores is a usage error.
+
+    Config-file keys are not checked: one file serves optimize,
+    schedule and estimate alike.
+    """
+    for key in _GA_FLAGS:
+        if getattr(args, key) is not None and key not in _METHOD_FLAGS[args.method]:
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} is not used by --method {args.method}")
+
+
 def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
     merged = dict(cfg_file)
-    for key in (
-        "seed",
-        "population_size",
-        "elite_k",
-        "crossover_rate",
-        "mutation_rate",
-        "beta",
-        "max_generations",
-        "stagnation_limit",
-    ):
+    for key in _GA_FLAGS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -145,28 +162,33 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _reject_unused_flags(args)
     cfg_file = load_config(args.config) if args.config else {}
     obj = json.loads(Path(args.canonical).read_text())
     cf = canonical.canonical_from_json(obj)
     if cf.pi8:
         layering = layers.singleton_layering(cf.pi8)
-        if args.method == "ga":
+        asap = layers.asap_optimize(layering)
+        if args.method == "asap":
+            result = asap
+        elif args.method == "ga":
             result = layers.ga_optimize(layering, _ga_config(args, cfg_file))
         else:
             beta = cfg_file.get("beta", 0.5) if args.beta is None else args.beta
             result = layers.greedy_collapse(layering, beta)
         final = result.layering
+        final.validate()
         layer_payload = [
             [circuits.rotation_to_json(final.rotations[i]) for i in layer]
             for layer in final.layers
         ]
-        report = result.report()
+        report = {**result.report(), "asap_t_depth": asap.final_t_depth}
     else:
         # Clifford-only circuit: nothing to schedule, T-depth is zero
         layer_payload = []
         report = {
             "initial_t_depth": 0, "final_t_depth": 0,
-            "rounds": 0, "merges_per_round": [],
+            "rounds": 0, "merges_per_round": [], "asap_t_depth": 0,
         }
     payload = {
         "schema_version": circuits.SCHEMA_VERSION,
@@ -333,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="canonical JSON -> layered JSON")
     p.add_argument("canonical")
     p.add_argument("-o", "--output")
-    p.add_argument("--method", choices=("greedy", "ga"), default="ga")
+    p.add_argument(
+        "--method", choices=("asap", "greedy", "ga"), default="asap",
+        help="asap (default): the minimum-depth layering, one placement "
+        "pass; greedy and ga: the paper's merge-based baselines",
+    )
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--population-size", dest="population_size", type=int)

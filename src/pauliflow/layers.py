@@ -2,14 +2,27 @@
 
 A Layering splits an ordered list of pi/8 rotations into layers whose
 members pairwise commute; the layer count is the T-depth of that
-arrangement.  Collapsing a layer pair (i, j) moves the later layer's
-rotations earlier in time past every intermediate layer, so validity
-requires more than the merged pair commuting internally: layer j must
-commute element-wise with every layer k for i <= k < j.  (Checking
-k = i covers the union condition, since within-layer pairs already
-commute.)  The dense-oracle equivalence tests enforce this rule.
+arrangement.  A valid layering only reorders commuting rotations: for
+anticommuting rotations i < j, the layer of i comes strictly before the
+layer of j (`Layering.validate`).
 
-Two optimizers operate on candidate pairs scored by
+The default optimizer is the ASAP layering (`build_layers`,
+`asap_optimize`).  It puts each rotation one layer after its last
+anticommuting predecessor, so its depth is the length of the longest
+chain i1 < i2 < ... < ik of rotations in which each anticommutes with
+the next.  Every valid layering must place such a chain in strictly
+increasing layers, so ASAP is provably optimal under commutation-only
+reordering.
+
+Two merge-based optimizers are kept as baselines from the paper.
+Collapsing a layer pair (i, j) moves the later layer's rotations
+earlier in time past every intermediate layer, so validity requires
+more than the merged pair commuting internally: layer j must commute
+element-wise with every layer k for i <= k < j.  (Checking k = i covers
+the union condition, since within-layer pairs already commute.)  The
+dense-oracle equivalence tests enforce this rule.  Every layering they
+reach is a valid reordering, so neither ends below the ASAP depth.
+Candidate pairs are scored by
 
     score(i, j) = 1 - |D_i - D_j| + beta * (T_max - (T_i + T_j))
 
@@ -27,6 +40,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .circuits import PauliRotation
 from .pauli import PauliString
@@ -51,18 +66,22 @@ class Layering:
         return [len(layer) for layer in self.layers]
 
     def commute_rows(self) -> list[int]:
-        """Bitmask rows: bit j of row i set iff axes i and j commute."""
+        """Bitmask rows: bit j of row i set iff axes i and j commute.
+
+        One symplectic product over GF(2): with X and Z the m x n bit
+        matrices of the axes, (X Z^T + Z X^T) mod 2 is the
+        anticommutation matrix.
+        """
         if self._commute_rows is None:
-            m = len(self.rotations)
-            axes = [r.axis for r in self.rotations]
-            rows = [0] * m
-            for i in range(m):
-                rows[i] |= 1 << i
-                for j in range(i + 1, m):
-                    if axes[i].commutes(axes[j]):
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            self._commute_rows = rows
+            x = _bit_matrix([r.axis.x for r in self.rotations], self.n)
+            z = _bit_matrix([r.axis.z for r in self.rotations], self.n)
+            anti = x @ z.T
+            anti += z @ x.T
+            anti &= 1
+            packed = np.packbits(anti == 0, axis=1, bitorder="little")
+            self._commute_rows = [
+                int.from_bytes(row.tobytes(), "little") for row in packed
+            ]
         return self._commute_rows
 
     def validate(self):
@@ -98,6 +117,15 @@ class Layering:
 
     def _derived(self, new_layers: tuple[tuple[int, ...], ...]) -> "Layering":
         return Layering(self.n, self.rotations, new_layers, self._commute_rows)
+
+
+def _bit_matrix(values: list[int], n: int) -> np.ndarray:
+    """Row i holds the n low bits of values[i], least significant first."""
+    width = max(1, (n + 7) // 8)
+    raw = b"".join(v.to_bytes(width, "little") for v in values)
+    bytes_ = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width)
+    # int64 sums cannot wrap for any n that fits in memory
+    return np.unpackbits(bytes_, axis=1, bitorder="little")[:, :n].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -136,10 +164,11 @@ def singleton_layering(rotations) -> Layering:
 
 
 def build_layers(rotations) -> Layering:
-    """Greedy ASAP layering, deterministic in input order.
+    """ASAP layering, deterministic in input order and of minimum depth.
 
     Each rotation lands in the earliest layer it commutes into, provided
-    it also commutes with everything in all later layers it would cross.
+    it also commutes with everything in all later layers it would cross:
+    one layer after its last anticommuting predecessor.
     """
     rotations = tuple(rotations)
     if not rotations:
@@ -470,6 +499,21 @@ def greedy_collapse(l: Layering, beta: float = 0.5) -> OptimizeResult:
         initial_t_depth=initial_depth,
         final_t_depth=current.t_depth,
         merges_per_round=merges_per_round,
+    )
+
+
+def asap_optimize(l: Layering) -> OptimizeResult:
+    """Default optimizer: the ASAP layering of `l`'s rotations.
+
+    Its depth is the longest anticommutation chain, a lower bound for
+    every valid layering, so no merge rounds are needed.
+    """
+    asap = build_layers(l.rotations)
+    return OptimizeResult(
+        layering=asap,
+        initial_t_depth=l.t_depth,
+        final_t_depth=asap.t_depth,
+        merges_per_round=[],
     )
 
 

@@ -1,9 +1,12 @@
 """End-to-end command-line pipeline: file-based stages and exit codes."""
 
 import json
+import random
 
 import pytest
 
+from pauliflow import layers
+from pauliflow.circuits import render_circuit
 from pauliflow.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -13,6 +16,7 @@ from pauliflow.cli import (
     load_config,
     main,
 )
+from test_canonical import random_circuit
 
 CIRCUIT = """\
 # small Clifford+T example
@@ -81,7 +85,7 @@ class TestVerify:
         assert main(["verify", str(circuit_file), str(out)]) == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out == "fidelity=0.135299025037 FAIL\n"
 
-    @pytest.mark.parametrize("method", ["ga", "greedy"])
+    @pytest.mark.parametrize("method", ["asap", "ga", "greedy"])
     def test_accepts_layered_output(self, circuit_file, tmp_path, capsys, method):
         canonical = tmp_path / "canonical.json"
         layered = tmp_path / "layered.json"
@@ -150,6 +154,70 @@ class TestOptimize:
         obj = json.loads(layered.read_text())
         assert obj["layers"] == []
         assert obj["report"]["final_t_depth"] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_asap_is_default_and_minimal(self, tmp_path, seed):
+        gc = random_circuit(6, 120, random.Random(seed))
+        src = tmp_path / "c.qc"
+        src.write_text(render_circuit(gc))
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(src), "-o", str(canonical)])
+        metrics = json.loads(canonical.read_text())["metrics"]
+        naive = metrics["naive_t_depth"]
+        reports = {}
+        for method in (None, "ga", "greedy"):
+            out = tmp_path / f"{method}.json"
+            argv = ["optimize", str(canonical), "-o", str(out)]
+            assert main(argv + (["--method", method] if method else [])) == EXIT_OK
+            obj = json.loads(out.read_text())
+            assert obj["method"] == (method or "asap")
+            reports[obj["method"]] = obj["report"]
+        asap = reports["asap"]
+        assert asap["rounds"] == 0 and asap["merges_per_round"] == []
+        assert asap["initial_t_depth"] == metrics["t_count"]
+        assert asap["final_t_depth"] == naive
+        for report in reports.values():
+            assert report["asap_t_depth"] == naive <= report["final_t_depth"]
+
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [("asap", "--seed", "3"), ("asap", "--population-size", "8"),
+         ("asap", "--beta", "0.2"), ("greedy", "--max-generations", "5"),
+         ("greedy", "--stagnation-limit", "2")],
+    )
+    def test_unused_flag_rejected(self, circuit_file, tmp_path, capsys,
+                                  method, flag, value):
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        argv = ["optimize", str(canonical), flag, value]
+        if method != "asap":
+            argv += ["--method", method]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {flag} is not used by --method {method}" in capsys.readouterr().err
+
+    def test_greedy_takes_beta(self, circuit_file, tmp_path):
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        assert main([
+            "optimize", str(canonical), "--method", "greedy", "--beta", "0.2",
+        ]) == EXIT_OK
+
+    def test_invalid_layering_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        canonical = tmp_path / "canonical.json"
+        layered = tmp_path / "layered.json"
+        src = tmp_path / "anti.qc"
+        src.write_text("qubits 1\nt 0\nh 0\nt 0\n")
+        main(["transpile", str(src), "-o", str(canonical)])
+        real = layers.build_layers
+
+        def reversed_layers(rotations):
+            l = real(rotations)
+            return layers.Layering(l.n, l.rotations, l.layers[::-1])
+
+        monkeypatch.setattr(layers, "build_layers", reversed_layers)
+        assert main(["optimize", str(canonical), "-o", str(layered)]) == EXIT_USAGE
+        assert "anticommutes with earlier rotation" in capsys.readouterr().err
+        assert not layered.exists()
 
 
 class TestSchedule:
@@ -274,6 +342,7 @@ class TestConfig:
         layered = tmp_path / "layered.json"
         assert main([
             "optimize", str(canonical), "--config", str(cfg), "-o", str(layered),
+            "--method", "ga",
         ]) == EXIT_OK
         assert json.loads(layered.read_text())["report"]["seed"] == 5
 
@@ -295,7 +364,7 @@ class TestDeterminism:
         for name in ("a.json", "b.json"):
             path = tmp_path / name
             main([
-                "optimize", str(canonical), "-o", str(path),
+                "optimize", str(canonical), "-o", str(path), "--method", "ga",
                 "--seed", "7", "--population-size", "8", "--elite-k", "1",
                 "--max-generations", "10", "--stagnation-limit", "3",
             ])

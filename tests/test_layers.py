@@ -12,6 +12,7 @@ from pauliflow.layers import (
     MergeSet,
     all_mergeable_pairs,
     apply_merges,
+    asap_optimize,
     build_layers,
     dense_random_rotations,
     ga_optimize,
@@ -70,6 +71,57 @@ class TestBuildLayers:
         # only rawer arrangements (e.g. singleton layers) leave slack
         rotations = random_rotations(4, 16, seed)
         assert all_mergeable_pairs(build_layers(rotations)) == []
+
+
+def pairwise_commute_rows(rotations):
+    """Reference: the O(m^2) loop of PauliString.commutes calls."""
+    axes = [r.axis for r in rotations]
+    rows = [1 << i for i in range(len(axes))]
+    for i in range(len(axes)):
+        for j in range(i + 1, len(axes)):
+            if axes[i].commutes(axes[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+@st.composite
+def rotation_lists(draw):
+    n = draw(st.integers(1, 80))
+    m = draw(st.integers(1, 60))
+    out = []
+    for _ in range(m):
+        x = draw(st.integers(0, (1 << n) - 1))
+        z = draw(st.integers(0, (1 << n) - 1))
+        out.append(PauliRotation(PauliString(n, x, z or (0 if x else 1)), 1, 8))
+    return out
+
+
+class TestCommuteRows:
+    @given(rotation_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_commutes(self, rotations):
+        l = singleton_layering(rotations)
+        assert l.commute_rows() == pairwise_commute_rows(rotations)
+
+    @pytest.mark.parametrize("n", [5, 16, 20, 64, 65, 70])
+    def test_random_axes(self, n):
+        rotations = random_rotations(n, 40, seed=n)
+        l = singleton_layering(rotations)
+        assert l.commute_rows() == pairwise_commute_rows(rotations)
+
+
+class TestAsapOptimize:
+    def test_report_shape(self):
+        rotations = [rot("XI"), rot("ZI"), rot("IZ"), rot("ZZ")]
+        result = asap_optimize(singleton_layering(rotations))
+        assert result.layering == build_layers(rotations)
+        assert result.report() == {
+            "initial_t_depth": 4,
+            "final_t_depth": 2,
+            "rounds": 0,
+            "merges_per_round": [],
+        }
 
 
 class TestMergeable:
