@@ -1,7 +1,7 @@
 """pauliflow: Clifford+T canonicalization, T-depth optimization,
 distillation scheduling, and surface-code resource estimation."""
 
-from .pauli import PauliString, commutes, independent, merged_rotation_axis, multiply, weight
+from .pauli import PauliString, independent, merged_rotation_axis
 from .circuits import (
     Gate,
     GateCircuit,
@@ -16,7 +16,6 @@ from .canonical import (
     CanonicalForm,
     CliffordTableau,
     canonicalize,
-    measurement_bases,
     push_cliffords,
     tableau_conjugate,
     to_rotation_circuit,

@@ -215,11 +215,6 @@ def canonicalize(gc: GateCircuit) -> CanonicalForm:
     return push_cliffords(to_rotation_circuit(gc))
 
 
-def measurement_bases(cf: CanonicalForm) -> list[PauliString]:
-    """Per-qubit operator equivalent to a final Z_q measurement."""
-    return list(cf.measurement_bases)
-
-
 # -- JSON ----------------------------------------------------------------
 
 

@@ -16,7 +16,12 @@ generator is "uncorrected", membership in the generator span is
 Monte Carlo campaigns sample i.i.d. per-qubit errors in fixed-size
 shard blocks whose RNG streams derive from (seed, shard index), so
 counts are bit-identical regardless of how many workers the shards are
-spread across.
+spread across.  A shot is one uint64 symplectic_vector row (x << n) | z,
+so campaigns need n <= 32.  Syndrome bit i is the parity of the row
+ANDed with generator i's mask (z << n) | x.  The residual a table hit
+leaves commutes with every generator; for a code that passes
+validate_code it is a logical_error iff it anticommutes with one of the
+2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .pauli import (
 )
 
 LOOKUP_GUARD_M = 24
+MONTE_CARLO_MAX_N = 32  # 2n bits per uint64 row
 _SHARD_SHOTS = 65536
 
 SUCCESS = "success"
@@ -332,81 +338,68 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _int_to_row(value: int, width: int) -> np.ndarray:
-    return np.array([value >> b & 1 for b in range(width)], dtype=np.uint8)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of a (count, w) 0/1 array, w <= 64, as uint64: column b is bit b."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8")[:, 0]
+
+
+def _parities(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Entry (r, j) is the parity of rows[r] & masks[j]; with the mask
+    (z << n) | x of a Pauli, 1 iff row r anticommutes with it."""
+    return np.bitwise_count(rows[:, None] & masks) & 1
 
 
 def _decoder_arrays(dec: LookupDecoder):
-    """Vectorized companions: syndrome map, correction table, span basis.
-
-    All 2n-column arrays use the symplectic bit layout (z << 0 | x << n),
-    i.e. column b mirrors bit b of symplectic_vector().
-    """
+    """Vectorized companions over symplectic_vector rows: n, generator
+    masks, the table as sorted syndrome keys (bit i = syndrome bit i)
+    with their correction rows, and the 2k logical-operator masks."""
     code = dec.code
-    n, m = code.n, code.m
-    # syndrome s = E . A^T mod 2: error row [z_e | x_e], A row [x_g | z_g]
-    a = np.zeros((m, 2 * n), dtype=np.int64)
-    for i, g in enumerate(code.generators):
-        a[i, :n] = _int_to_row(g.x, n)
-        a[i, n:] = _int_to_row(g.z, n)
-    powers = 1 << np.arange(m, dtype=np.int64)
-    corrections: dict[int, np.ndarray] = {}
-    for synd, corr in dec.table.items():
-        key = int(np.dot(np.array(synd, dtype=np.int64), powers))
-        corrections[key] = _int_to_row(symplectic_vector(corr), 2 * n)
-    pivots = gf2_pivots(symplectic_vector(g) for g in code.generators)
-    # ascending pivot order makes one elimination pass per row sufficient
-    basis = [
-        _int_to_row(row, 2 * n) for _, row in sorted(pivots.items())
-    ]
-    return a, powers, corrections, basis
+
+    def masks(paulis):
+        return np.array([(p.z << code.n) | p.x for p in paulis], dtype=np.uint64)
+
+    keys, corrections = np.array(sorted(
+        (sum(bit << i for i, bit in enumerate(s)), symplectic_vector(corr))
+        for s, corr in dec.table.items()
+    ), dtype=np.uint64).T
+    logicals = masks(code.logical_x + code.logical_z)
+    return code.n, masks(code.generators), keys, corrections, logicals
 
 
 def _sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarray:
-    """Error rows in [z bits | x bits] layout as uint8."""
-    out = np.zeros((count, 2 * n), dtype=np.uint8)
+    """One symplectic_vector row (x << n) | z per shot, as uint64."""
     if noise.p == 0:
-        return out
-    if noise.kind == "bitflip":
-        out[:, n:] = rng.random((count, n)) < noise.p
-        return out
+        return np.zeros(count, dtype=np.uint64)
     u = rng.random((count, n))
     p = noise.p
-    out[:, n:] = u < 2 * p / 3  # X component (letters X and Y)
-    out[:, :n] = (u >= p / 3) & (u < p)  # Z component (letters Y and Z)
-    return out
+    if noise.kind == "bitflip":
+        return _pack(u < p) << n
+    x = _pack(u < 2 * p / 3)  # letters X and Y
+    z = _pack((u >= p / 3) & (u < p))  # letters Y and Z
+    return x << n | z
 
 
 def _run_shard(args):
     (dec_arrays, noise, count, seed, shard_index) = args
-    a, powers, corrections, basis = dec_arrays
+    n, gen_masks, keys, corrections, logical_masks = dec_arrays
     rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
-    n2 = a.shape[1]
-    errors = _sample_errors(rng, count, n2 // 2, noise)
-    synd = (errors.astype(np.int64) @ a.T) % 2
-    keys = synd @ powers
-    counts = {SUCCESS: 0, LOGICAL_ERROR: 0, DETECTED_UNCORRECTABLE: 0}
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    corr_rows = np.zeros((len(unique_keys), n2), dtype=np.uint8)
-    miss = np.zeros(len(unique_keys), dtype=bool)
-    for pos, key in enumerate(unique_keys):
-        vec = corrections.get(int(key))
-        if vec is None:
-            miss[pos] = True
-        else:
-            corr_rows[pos] = vec
-    miss_mask = miss[inverse]
-    counts[DETECTED_UNCORRECTABLE] = int(miss_mask.sum())
-    residual = errors[~miss_mask] ^ corr_rows[inverse[~miss_mask]]
-    for vec in basis:
-        pivot_col = int(np.argmax(vec))
-        active = residual[:, pivot_col] == 1
-        residual[active] ^= vec
-    counts[LOGICAL_ERROR] = int(residual.any(axis=1).sum())
-    counts[SUCCESS] = int(
-        count - counts[DETECTED_UNCORRECTABLE] - counts[LOGICAL_ERROR]
-    )
-    return counts
+    errors = _sample_errors(rng, count, n, noise)
+    synd = _pack(_parities(errors, gen_masks))
+    pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
+    hit = keys[pos] == synd
+    # a hit leaves a residual with zero syndrome; it lies in the generator
+    # span iff it also commutes with every logical operator
+    residual = errors[hit] ^ corrections[pos[hit]]
+    logical = int(_parities(residual, logical_masks).any(axis=1).sum())
+    hits = int(hit.sum())
+    return {
+        SUCCESS: hits - logical,
+        LOGICAL_ERROR: logical,
+        DETECTED_UNCORRECTABLE: count - hits,
+    }
 
 
 def monte_carlo(
@@ -420,6 +413,9 @@ def monte_carlo(
     """Sample errors, decode, classify; logical failure counts both the
     logical_error class and detected-uncorrectable table misses.
 
+    The code must pass validate_code and have n <= MONTE_CARLO_MAX_N
+    qubits; otherwise ValueError names the first failure or the limit.
+
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
     """
@@ -429,16 +425,18 @@ def monte_carlo(
         raise ValueError("seed must be non-negative")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if code.n > MONTE_CARLO_MAX_N:
+        raise ValueError(
+            f"monte_carlo needs n <= {MONTE_CARLO_MAX_N} qubits (2n bits per "
+            f"uint64 row), got n = {code.n}"
+        )
+    report = validate_code(code)
+    if not report.ok:
+        raise ValueError(f"invalid code: {report.failures[0]}")
     dec_arrays = _decoder_arrays(dec)
-    shard_sizes = []
-    remaining = shots
-    while remaining > 0:
-        take = min(_SHARD_SHOTS, remaining)
-        shard_sizes.append(take)
-        remaining -= take
     jobs = [
-        (dec_arrays, noise, size, seed, idx)
-        for idx, size in enumerate(shard_sizes)
+        (dec_arrays, noise, min(_SHARD_SHOTS, shots - start), seed, idx)
+        for idx, start in enumerate(range(0, shots, _SHARD_SHOTS))
     ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -164,19 +164,6 @@ class PauliString:
                 yield q
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product a*b with exact phase tracking."""
-    return a * b
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes(b)
-
-
-def weight(p: PauliString) -> int:
-    return p.weight()
-
-
 def merged_rotation_axis(p: PauliString, q: PauliString) -> PauliString:
     """The Hermitian Pauli i*p*q for anticommuting Hermitian p, q.
 

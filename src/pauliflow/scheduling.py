@@ -145,7 +145,7 @@ def evaluate(
     )
 
 
-def _objective_key(objective: str, weight: float):
+def _objective_key(objective: str):
     if objective == "tiles":
         return lambda s: (s.tile_time, s.total_steps, s.rounds)
     if objective == "latency":
@@ -193,7 +193,7 @@ def brute_force(
         )
     if objective == "balanced":
         return min(feasible, key=_balanced_key(feasible, weight))
-    return min(feasible, key=_objective_key(objective, weight))
+    return min(feasible, key=_objective_key(objective))
 
 
 def _balanced_key(feasible: list[Schedule], weight: float):
@@ -286,12 +286,7 @@ def greedy_schedule(catalog: Iterable[Protocol], demand: Demand) -> Schedule:
     chosen = min(
         protos.values(), key=lambda p: (p.tiles / p.outputs + p.steps, p.name)
     )
-    rounds: list[str] = []
-    delivered = 0
-    while delivered < demand.states_required:
-        rounds.append(chosen.name)
-        delivered += chosen.outputs
-    return evaluate(rounds, protos.values(), demand)
+    return _repeat_until_feasible(chosen, protos, demand)
 
 
 def random_baseline(
@@ -303,12 +298,15 @@ def random_baseline(
     protos = _by_name(catalog)
     rng = random.Random(seed)
     chosen = protos[rng.choice(sorted(protos))]
-    rounds: list[str] = []
-    delivered = 0
-    while delivered < demand.states_required:
-        rounds.append(chosen.name)
-        delivered += chosen.outputs
-    return evaluate(rounds, protos.values(), demand)
+    return _repeat_until_feasible(chosen, protos, demand)
+
+
+def _repeat_until_feasible(
+    chosen: Protocol, protos: dict[str, Protocol], demand: Demand
+) -> Schedule:
+    """Run `chosen` in as many rounds as it takes to meet the demand."""
+    rounds = -(-demand.states_required // chosen.outputs)
+    return evaluate([chosen.name] * rounds, protos.values(), demand)
 
 
 # -- catalog files ---------------------------------------------------------

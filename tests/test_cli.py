@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from pauliflow import layers
+from pauliflow import cli, codes, layers
 from pauliflow.circuits import render_circuit
+from pauliflow.pauli import PauliString
 from pauliflow.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -306,6 +307,37 @@ class TestDecode:
         ])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_invalid_code_is_usage(self, capsys, monkeypatch):
+        rep3 = codes.repetition_code(3)
+        bad = codes.StabilizerCode(
+            n=3, k=1, generators=rep3.generators, logical_x=rep3.logical_x,
+            logical_z=(PauliString.from_label("IXI"),), distance=3,
+        )
+        monkeypatch.setitem(cli._CODES, "rep3", (lambda: bad, 1))
+        code = main([
+            "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",
+            "--shots", "1000",
+        ])
+        assert code == EXIT_USAGE
+        assert (
+            "invalid code: logical Z[0] anticommutes with generator 0"
+            in capsys.readouterr().err
+        )
+
+    def test_more_than_32_qubits_is_usage(self, capsys, monkeypatch):
+        # lift the lookup guard (m = 32 here) so the campaign's own
+        # qubit limit is what refuses the code
+        monkeypatch.setattr(codes, "LOOKUP_GUARD_M", 32)
+        monkeypatch.setitem(
+            cli._CODES, "rep3", (lambda: codes.repetition_code(33), 0)
+        )
+        code = main([
+            "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",
+            "--shots", "1000",
+        ])
+        assert code == EXIT_USAGE
+        assert "n <= 32 qubits" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -1,10 +1,13 @@
 """Stabilizer codes, syndromes, lookup decoding, and Monte Carlo campaigns."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from pauliflow import codes
 from pauliflow.codes import (
     DETECTED_UNCORRECTABLE,
     LOGICAL_ERROR,
@@ -24,7 +27,7 @@ from pauliflow.codes import (
     wilson_interval,
     StabilizerCode,
 )
-from pauliflow.pauli import PauliString
+from pauliflow.pauli import PauliString, symplectic_vector
 
 
 def weight_one_errors(n):
@@ -342,3 +345,163 @@ class TestCodeJson:
         obj = rep3.to_json()
         assert obj["generators"] == ["+ZZI", "+IZZ"]
         assert obj["n"] == 3 and obj["k"] == 1
+
+
+class TestMonteCarloGuards:
+    def test_invalid_code_rejected_naming_first_failure(self, rep3):
+        # the logical class is read off the logical operators, so a code
+        # whose logical Z anticommutes with a generator must be refused
+        bad = StabilizerCode(
+            n=3, k=1, generators=rep3.generators,
+            logical_x=rep3.logical_x,
+            logical_z=(PauliString.from_label("IXI"),),
+            distance=3,
+        )
+        dec = build_lookup(bad, 1)
+        with pytest.raises(
+            ValueError,
+            match=r"invalid code: logical Z\[0\] anticommutes with generator 0",
+        ):
+            monte_carlo(bad, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+
+    def test_more_than_32_qubits_rejected(self):
+        code = repetition_code(33)
+        dec = LookupDecoder(
+            code=code, table={(0,) * code.m: PauliString.identity(33)},
+            max_weight=0,
+        )
+        with pytest.raises(ValueError, match="n <= 32 qubits"):
+            monte_carlo(code, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+
+
+_BUILDERS = {
+    "rep3": (lambda: repetition_code(3), 1),
+    "rep5": (lambda: repetition_code(5), 2),
+    "surface3": (lambda: rotated_surface_code(3), 1),
+    "surface5": (lambda: rotated_surface_code(5), 2),
+}
+
+
+@functools.cache
+def _code_and_decoder(name):
+    builder, max_weight = _BUILDERS[name]
+    code = builder()
+    return code, build_lookup(code, max_weight)
+
+
+def draw_errors(seed, shard, count, n, noise):
+    """Redraw one shard's errors from its (seed, shard) stream, one
+    PauliString per shot, with the sampler's per-qubit thresholds."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
+    u = rng.random((count, n))
+    p = noise.p
+    if noise.kind == "bitflip":
+        xs, zs = u < p, np.zeros_like(u, dtype=bool)
+    else:
+        xs, zs = u < 2 * p / 3, (u >= p / 3) & (u < p)
+
+    def mask(bits):
+        return sum(1 << int(q) for q in np.flatnonzero(bits))
+
+    return [PauliString(n, mask(x), mask(z)) for x, z in zip(xs, zs)]
+
+
+# (success, logical_error, detected_uncorrectable) at 2^17 shots, as
+# recorded with the earlier classifier, which eliminated each residual
+# against the generator rows over GF(2)
+GOLDEN_COUNTS = [
+    ("surface5", "depolarizing", 0.01, 1, (130810, 1, 261)),
+    ("surface5", "depolarizing", 0.01, 2, (130837, 1, 234)),
+    ("surface5", "depolarizing", 0.01, 3, (130847, 5, 220)),
+    ("surface5", "bitflip", 0.05, 1, (115712, 1676, 13684)),
+    ("surface5", "bitflip", 0.05, 2, (115616, 1667, 13789)),
+    ("surface5", "bitflip", 0.05, 3, (115956, 1692, 13424)),
+    ("surface3", "depolarizing", 0.15, 1, (81801, 7299, 41972)),
+    ("surface3", "depolarizing", 0.15, 2, (81713, 7231, 42128)),
+    ("surface3", "depolarizing", 0.15, 3, (81809, 7346, 41917)),
+    ("rep5", "bitflip", 0.1, 1, (129984, 1088, 0)),
+    ("rep5", "bitflip", 0.1, 2, (129947, 1125, 0)),
+    ("rep5", "bitflip", 0.1, 3, (129947, 1125, 0)),
+    ("rep3", "depolarizing", 0.1, 1, (107452, 23620, 0)),
+    ("rep3", "depolarizing", 0.1, 2, (107553, 23519, 0)),
+    ("rep3", "depolarizing", 0.1, 3, (107362, 23710, 0)),
+]
+
+
+class TestPackedDecodePath:
+    @pytest.mark.parametrize("name, kind, p, seed, expected", GOLDEN_COUNTS)
+    def test_golden_counts(self, name, kind, p, seed, expected):
+        code, dec = _code_and_decoder(name)
+        for workers in (1, 3):
+            result = monte_carlo(
+                code, dec, NoiseModel(kind, p), 1 << 17, seed, workers=workers
+            )
+            got = tuple(
+                result.counts[c]
+                for c in (SUCCESS, LOGICAL_ERROR, DETECTED_UNCORRECTABLE)
+            )
+            assert got == expected, workers
+
+    @pytest.mark.parametrize(
+        "name, kind, p, seed, shard",
+        [
+            ("surface3", "depolarizing", 0.15, 1, 0),
+            ("surface5", "bitflip", 0.05, 2, 1),
+            ("surface5", "depolarizing", 0.05, 3, 7),
+            ("rep5", "bitflip", 0.1, 1, 1),
+            ("rep3", "depolarizing", 0.1, 3, 0),
+        ],
+    )
+    def test_shard_matches_scalar_path(self, name, kind, p, seed, shard):
+        code, dec = _code_and_decoder(name)
+        noise = NoiseModel(kind, p)
+        count = 2000
+        expected = {SUCCESS: 0, LOGICAL_ERROR: 0, DETECTED_UNCORRECTABLE: 0}
+        for error in draw_errors(seed, shard, count, code.n, noise):
+            corr = decode(dec, syndrome(code, error))
+            if corr is None:
+                expected[DETECTED_UNCORRECTABLE] += 1
+            else:
+                expected[residual_class(code, error, corr)] += 1
+        assert expected[LOGICAL_ERROR] > 0
+        shard_args = (codes._decoder_arrays(dec), noise, count, seed, shard)
+        assert codes._run_shard(shard_args) == expected
+
+    @given(
+        n=st.integers(1, 32),
+        count=st.integers(1, 40),
+        kind=st.sampled_from(["bitflip", "depolarizing"]),
+        p=st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+        shard=st.integers(0, 50),
+    )
+    def test_sampled_rows_are_symplectic_vectors(
+        self, n, count, kind, p, seed, shard
+    ):
+        noise = NoiseModel(kind, p)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
+        rows = codes._sample_errors(rng, count, n, noise)
+        assert rows.dtype == np.uint64 and rows.shape == (count,)
+        assert [int(r) for r in rows] == [
+            symplectic_vector(e) for e in draw_errors(seed, shard, count, n, noise)
+        ]
+
+    @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
+                 min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
+                 max_size=8),
+    )))
+    def test_parities_are_anticommutation(self, case):
+        n, row_bits, mask_bits = case
+        rows = [PauliString(n, x, z) for x, z in row_bits]
+        ops = [PauliString(n, x, z) for x, z in mask_bits]
+        parities = codes._parities(
+            np.array([symplectic_vector(r) for r in rows], dtype=np.uint64),
+            np.array([(o.z << n) | o.x for o in ops], dtype=np.uint64),
+        )
+        assert parities.shape == (len(rows), len(ops))
+        assert parities.tolist() == [
+            [int(r.anticommutes(o)) for o in ops] for r in rows
+        ]

@@ -224,6 +224,25 @@ class TestRandomBaseline:
             Demand(0)
 
 
+def test_repeat_planners_match_round_loop():
+    # reference: add rounds of the chosen protocol until the delivered
+    # states meet the demand
+    catalog = [P15, P20, SYNTH]
+    by_name = {p.name: p for p in catalog}
+    for m in range(1, 41):
+        demand = Demand(m, 0.01)
+        plans = [greedy_schedule(catalog, demand)] + [
+            random_baseline(catalog, demand, seed) for seed in range(6)
+        ]
+        for plan in plans:
+            chosen = by_name[plan.rounds[0]]
+            rounds, delivered = [], 0
+            while delivered < m:
+                rounds.append(chosen.name)
+                delivered += chosen.outputs
+            assert plan == evaluate(rounds, catalog, demand)
+
+
 class TestCatalogFiles:
     def test_default_catalog(self):
         catalog = {p.name: p for p in default_catalog()}
