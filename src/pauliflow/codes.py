@@ -259,11 +259,23 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
         )
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    n = code.n
+    errors = _errors_by_weight(n, max_weight)
     table: dict[tuple[int, ...], PauliString] = {}
-    for error in _errors_by_weight(code.n, max_weight):
-        s = syndrome(code, error)
-        if s not in table:
-            table[s] = error
+    if n > MONTE_CARLO_MAX_N:  # 2n-bit rows do not fit a uint64
+        for error in errors:
+            table.setdefault(syndrome(code, error), error)
+        return LookupDecoder(code=code, table=table, max_weight=max_weight)
+    rows = np.fromiter(map(symplectic_vector, errors), dtype=np.uint64)
+    gen_masks = np.array(
+        [(g.z << n) | g.x for g in code.generators], dtype=np.uint64
+    )
+    bits = _parities(rows, gen_masks)
+    _, first = np.unique(_pack(bits), return_index=True)
+    low = (1 << n) - 1
+    for i in sorted(first.tolist()):
+        row = int(rows[i])
+        table[tuple(bits[i].tolist())] = PauliString(n, row >> n, row & low)
     return LookupDecoder(code=code, table=table, max_weight=max_weight)
 
 

@@ -195,30 +195,38 @@ def _layer_masks(l: Layering) -> list[int]:
     return [sum(1 << i for i in layer) for layer in l.layers]
 
 
-def _layer_commutes_with_mask(l: Layering, layer: tuple[int, ...], mask: int) -> bool:
-    rows = l.commute_rows()
+def _layer_commutes_with_mask(
+    rows: list[int], layer: tuple[int, ...], mask: int
+) -> bool:
     return all(rows[r] & mask == mask for r in layer)
+
+
+def _mergeable(
+    l: Layering, masks: list[int], rows: list[int], i: int, j: int
+) -> bool:
+    """mergeable(l, i, j), given l's _layer_masks and commute_rows."""
+    if not (0 <= i < j < len(l.layers)):
+        raise IndexError(f"layer pair ({i}, {j}) out of range")
+    layer_j = l.layers[j]
+    return all(
+        _layer_commutes_with_mask(rows, layer_j, masks[k]) for k in range(i, j)
+    )
 
 
 def mergeable(l: Layering, i: int, j: int) -> bool:
     """True iff layers i < j can be collapsed into one layer at position i."""
-    if not (0 <= i < j < len(l.layers)):
-        raise IndexError(f"layer pair ({i}, {j}) out of range")
-    masks = _layer_masks(l)
-    layer_j = l.layers[j]
-    return all(
-        _layer_commutes_with_mask(l, layer_j, masks[k]) for k in range(i, j)
-    )
+    return _mergeable(l, _layer_masks(l), l.commute_rows(), i, j)
 
 
 def all_mergeable_pairs(l: Layering) -> list[tuple[int, int]]:
     """Every valid (i, j); walks i backward from j until commutation fails."""
     masks = _layer_masks(l)
+    rows = l.commute_rows()
     pairs: list[tuple[int, int]] = []
     for j in range(1, len(l.layers)):
         layer_j = l.layers[j]
         for i in range(j - 1, -1, -1):
-            if not _layer_commutes_with_mask(l, layer_j, masks[i]):
+            if not _layer_commutes_with_mask(rows, layer_j, masks[i]):
                 break
             pairs.append((i, j))
     return pairs
@@ -258,8 +266,9 @@ def greedy_matching(l: Layering, beta: float = 0.5) -> MergeSet:
 
 def apply_merges(l: Layering, ms: MergeSet) -> Layering:
     """Union each pair into the earlier index; drop the emptied layers."""
+    masks, rows = _layer_masks(l), l.commute_rows()
     for i, j in ms.pairs:
-        if not mergeable(l, i, j):
+        if not _mergeable(l, masks, rows, i, j):
             raise ValueError(f"pair ({i}, {j}) is not mergeable in this layering")
     absorbed = {j: i for i, j in ms.pairs}
     content = {i: list(layer) for i, layer in enumerate(l.layers)}

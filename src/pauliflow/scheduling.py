@@ -14,6 +14,18 @@ enumeration up to a round budget, an exact tile-minimal dynamic program
 that reproduces the enumeration optimum, a static greedy rule
 argmin(D/k + S), and a seeded random baseline that commits to one
 protocol.
+
+The dynamic program is an unbounded min-cost knapsack over states
+delivered (Martello & Toth, Knapsack Problems, 1990, ch. 3), in
+O(M * |P|) for demand M: best[s] = min over p of
+best[max(0, s - k_p)] + (D_p * S_p, 1), keyed lexicographically on
+(tile cost, rounds), names in sorted order, a choice replaced only by
+a strictly smaller key.  That picks, at every step, the parent the
+bounded (rounds, states) table picks, since a cheaper or shorter
+prefix would give a better schedule within the bound.  Only when the
+unbounded optimum needs more rounds than the bound does the
+(L+1) x (M+1) x |P| table run, and only it can hit the tractability
+guard.
 """
 
 from __future__ import annotations
@@ -222,11 +234,33 @@ def dp_schedule(
     objective: str = "tiles",
     max_rounds: int | None = None,
 ) -> Schedule:
-    """Exact tile-minimal schedule via dynamic programming.
+    """Exact tile-minimal schedule via dynamic programming in O(M * |P|).
 
-    State is (rounds used, states delivered, capped at the demand);
-    C(i, s) = min over p of C(i-1, max(0, s - k_p)) + D_p * S_p.  With
-    the same round bound this matches brute_force("tiles") exactly.
+    The main path is a 1-D min-cost knapsack over s = 0..M states
+    delivered (capped at the demand M).  best[s] is the least key
+    (tile cost, rounds) of any round list that delivers at least s:
+    best[0] = (0, 0) and
+
+        best[s] = min over p of best[max(0, s - k_p)] + (D_p * S_p, 1),
+
+    with names visited in sorted order and only a strictly smaller key
+    replacing the current choice.  If best[M] needs at most max_rounds
+    rounds (default M), its rounds are rebuilt from the stored choices.
+
+    This is the schedule of the bounded 2-D table (_dp_table), which
+    takes the fewest rounds i among the minimum-cost entries C(i, M).
+    Any key best[s] below the 2-D path's (cost, rounds) at one of its
+    cells, followed by the rest of that path, would be a round list
+    within the bound of lower cost, or equal cost in fewer rounds:
+    so the 2-D path runs through best[s] at every cell.  At such a
+    cell (i, s) of cost C, protocol p attains the 2-D minimum iff
+    best[max(0, s - k_p)] = (C - D_p * S_p, i - 1), by the same
+    argument, which is the 1-D tie set.  Both walks take the first
+    name of equal sets, hence the same parent at every step.
+
+    When best[M] needs more rounds than the bound, the 2-D table
+    decides; only that path can raise EnumerationGuardError.  With the
+    same round bound this matches brute_force("tiles") exactly.
     """
     if objective != "tiles":
         raise ValueError("the dynamic program supports only the tiles objective")
@@ -236,6 +270,41 @@ def dp_schedule(
     bound = max_rounds if max_rounds is not None else m
     if bound < 1:
         raise ValueError("round bound must be >= 1")
+    moves = [
+        (protos[name].outputs, protos[name].tiles * protos[name].steps, name)
+        for name in names
+    ]
+    best = [(0, 0)] * (m + 1)
+    choice = [""] * (m + 1)
+    for s in range(1, m + 1):
+        key = None
+        for outputs, cost, name in moves:
+            prev_cost, prev_rounds = best[max(0, s - outputs)]
+            candidate = (prev_cost + cost, prev_rounds + 1)
+            if key is None or candidate < key:
+                key = candidate
+                choice[s] = name
+        best[s] = key
+    if best[m][1] > bound:
+        return _dp_table(protos, names, demand, bound)
+    rounds: list[str] = []
+    s = m
+    while s > 0:
+        rounds.append(choice[s])
+        s = max(0, s - protos[choice[s]].outputs)
+    rounds.reverse()
+    return evaluate(rounds, protos.values(), demand)
+
+
+def _dp_table(
+    protos: dict[str, Protocol], names: list[str], demand: Demand, bound: int
+) -> Schedule:
+    """The bounded 2-D table over (rounds used, states delivered).
+
+    C(i, s) = min over p of C(i-1, max(0, s - k_p)) + D_p * S_p; the
+    result takes the fewest rounds among the minimum-cost C(i, M).
+    """
+    m = demand.states_required
     if (bound + 1) * (m + 1) * len(names) > 50_000_000:
         raise EnumerationGuardError(
             f"DP table of {(bound + 1) * (m + 1)} states over {len(names)} "

@@ -228,6 +228,15 @@ class TestSchedule:
         assert obj["rounds"] == ["20-to-4"]
         assert obj["metrics"]["tile_time"] == 238
 
+    def test_dp_large_round_bound(self, capsys):
+        # the unbounded optimum fits the bound, so no (L+1)(M+1)|P| table
+        # is built and its tractability guard does not apply
+        code = main([
+            "schedule", "--algo", "dp", "-M", "10000", "-L", "10000", "-o", "-",
+        ])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["metrics"]["states_delivered"] >= 10000
+
     def test_brute_latency(self, capsys):
         code = main([
             "schedule", "--algo", "brute", "-M", "4",

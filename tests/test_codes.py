@@ -115,6 +115,28 @@ class TestSyndrome:
             syndrome(rep3, PauliString.from_label("XX"))
 
 
+def _wide_code():
+    """n = 34 > MONTE_CARLO_MAX_N with one ZZ check: its rows do not fit
+    a uint64, so build_lookup takes syndromes one error at a time."""
+    n = 34
+    zz = PauliString(n, 0, 0b11)
+    return StabilizerCode(
+        n=n, k=n - 1, generators=(zz,),
+        logical_x=tuple(PauliString.single(n, q, "X") for q in range(1, n)),
+        logical_z=tuple(PauliString.single(n, q, "Z") for q in range(1, n)),
+        distance=1,
+    )
+
+
+_LOOKUP_CODES = {
+    "rep3": lambda: repetition_code(3),
+    "rep5": lambda: repetition_code(5),
+    "surface3": lambda: rotated_surface_code(3),
+    "surface5": lambda: rotated_surface_code(5),
+    "wide": _wide_code,
+}
+
+
 class TestBuildLookup:
     def test_rep3_reproduces_parity_table(self, rep3):
         dec = build_lookup(rep3, max_weight=1)
@@ -145,6 +167,17 @@ class TestBuildLookup:
             dec = build_lookup(code, max_weight=2)
             for s, corr in dec.table.items():
                 assert syndrome(code, corr) == s
+
+    @pytest.mark.parametrize("max_weight", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["rep3", "rep5", "surface3", "surface5", "wide"])
+    def test_matches_scalar_syndrome_table(self, name, max_weight):
+        code = _LOOKUP_CODES[name]()
+        expected = {}
+        for error in codes._errors_by_weight(code.n, max_weight):
+            expected.setdefault(syndrome(code, error), error)
+        table = build_lookup(code, max_weight).table
+        # same keys, same corrections, same first-seen order
+        assert list(table.items()) == list(expected.items())
 
     def test_guard(self):
         code = rotated_surface_code(7)  # m = 48

@@ -217,6 +217,17 @@ class TestApplyMerges:
         with pytest.raises(ValueError):
             apply_merges(l, MergeSet(frozenset({(0, 1)})))
 
+    def test_blocked_by_middle_layer_rejected(self):
+        # layer 2 commutes with layer 0 but not with layer 1 between them
+        l = singleton_layering([rot("ZI"), rot("XI"), rot("ZI")])
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not mergeable"):
+            apply_merges(l, MergeSet(frozenset({(0, 2)})))
+
+    def test_one_bad_pair_among_good_rejected(self):
+        l = singleton_layering([rot("ZI"), rot("IZ"), rot("XI"), rot("ZI")])
+        with pytest.raises(ValueError, match=r"\(2, 3\) is not mergeable"):
+            apply_merges(l, MergeSet(frozenset({(0, 1), (2, 3)})))
+
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
             MergeSet(frozenset({(0, 1), (1, 2)}))

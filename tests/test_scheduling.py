@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pauliflow.scheduling import (
     Demand,
@@ -180,6 +185,109 @@ class TestDpSchedule:
     def test_round_bound_respected(self):
         with pytest.raises(InfeasibleScheduleError):
             dp_schedule([P15], Demand(5), max_rounds=2)
+
+
+def _dp_table_reference(catalog, demand, max_rounds=None):
+    """The (rounds, states) table dp_schedule filled before its 1-D pass.
+
+    cost[i][s] is the least D*S sum of exactly i rounds delivering at
+    least s states; the schedule takes the fewest rounds among the
+    minimum-cost cost[i][M], names visited in sorted order.
+    """
+    protos = {p.name: p for p in catalog}
+    names = sorted(protos)
+    m = demand.states_required
+    bound = max_rounds if max_rounds is not None else m
+    inf = float("inf")
+    cost = [[inf] * (m + 1) for _ in range(bound + 1)]
+    parent = {}
+    cost[0][0] = 0.0
+    for i in range(1, bound + 1):
+        for s in range(m + 1):
+            best = inf
+            best_choice = None
+            for name in names:
+                p = protos[name]
+                prev_s = max(0, s - p.outputs)
+                c = cost[i - 1][prev_s] + p.tiles * p.steps
+                if c < best:
+                    best = c
+                    best_choice = (prev_s, name)
+            cost[i][s] = best
+            if best_choice is not None and best < inf:
+                parent[(i, s)] = best_choice
+    best_i = None
+    best_cost = inf
+    for i in range(1, bound + 1):
+        if cost[i][m] < best_cost:
+            best_cost = cost[i][m]
+            best_i = i
+    if best_i is None:
+        raise InfeasibleScheduleError("no feasible schedule")
+    rounds = []
+    i, s = best_i, m
+    while i > 0:
+        prev_s, name = parent[(i, s)]
+        rounds.append(name)
+        i, s = i - 1, prev_s
+    rounds.reverse()
+    return evaluate(rounds, catalog, demand)
+
+
+_small = st.integers(1, 5)
+_catalogs = st.lists(
+    st.tuples(st.sampled_from("abcdefgh"), _small, _small, _small),
+    min_size=1, max_size=4, unique_by=lambda t: t[0],
+).map(lambda specs: [
+    Protocol(name, tiles=d, steps=s, outputs=k, raw_inputs=1,
+             error_coeff=1.0, error_exp=1)
+    for name, d, s, k in specs
+])
+
+
+class TestDpAgainstTable:
+    """dp_schedule against the 2-D table it replaced as its main path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_catalogs, st.integers(1, 40), st.sampled_from([1, 2, 3, 6, "M", None]))
+    def test_matches_table(self, catalog, m, bound):
+        demand = Demand(m)
+        max_rounds = m if bound == "M" else bound
+        try:
+            expected = _dp_table_reference(catalog, demand, max_rounds)
+        except InfeasibleScheduleError:
+            with pytest.raises(InfeasibleScheduleError):
+                dp_schedule(catalog, demand, max_rounds=max_rounds)
+            return
+        assert dp_schedule(catalog, demand, max_rounds=max_rounds) == expected
+
+    def test_default_catalog_compile_deep_shape(self):
+        catalog = default_catalog()
+        demand = Demand(400)
+        assert dp_schedule(catalog, demand, max_rounds=400) == (
+            _dp_table_reference(catalog, demand, 400)
+        )
+
+    def test_guard_still_fires_on_fallback(self):
+        # the unbounded optimum needs 10 000 rounds, one more than the
+        # bound, so the bounded table decides and it is too large
+        with pytest.raises(EnumerationGuardError):
+            dp_schedule([P15], Demand(10_000), max_rounds=9_999)
+
+
+def test_scheduler_comparison_script_dp_is_exact():
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "scheduler_comparison.py"),
+         "--max-demand", "6"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    dp_row = next(line for line in out.splitlines() if line.split()[:1] == ["dp"])
+    assert dp_row.split()[1:] == ["0.0%", "(max", "0.0%)"] * 2
 
 
 class TestGreedy:
