@@ -33,7 +33,6 @@ same as measuring its tableau image after just the pi/8 prefix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .circuits import (
@@ -45,7 +44,7 @@ from .circuits import (
     rotation_from_json,
     rotation_to_json,
 )
-from .pauli import PauliString, merged_rotation_axis
+from .pauli import PauliString, merged_rotation_axis, set_bits
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,6 @@ def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
     return merged if mover.num % 4 == 1 else merged.negated()
 
 
-def _bits(v: int):
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
-
-
 def _image(xs, zs, p: PauliString) -> PauliString:
     """Image of p given the images xs[q], zs[q] of X_q and Z_q.
 
@@ -140,7 +131,7 @@ def _image(xs, zs, p: PauliString) -> PauliString:
     """
     extra = (p.phase + (p.x & p.z).bit_count()) % 4
     acc = PauliString(p.n, 0, 0, extra)
-    for q in _bits(p.x | p.z):
+    for q in set_bits(p.x | p.z):
         if p.x >> q & 1:
             acc = acc * xs[q]
         if p.z >> q & 1:
@@ -172,9 +163,9 @@ def _append_clifford(xs, zs, mover: PauliRotation) -> None:
     """
     axis = mover.axis
     image = PauliRotation(_image(xs, zs, axis), mover.num, mover.den)
-    for q in _bits(axis.z):
+    for q in set_bits(axis.z):
         xs[q] = conjugate_axis(image, xs[q])
-    for q in _bits(axis.x):
+    for q in set_bits(axis.x):
         zs[q] = conjugate_axis(image, zs[q])
 
 
@@ -237,7 +228,3 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
     if bases != tuple(tableau.z_images):
         raise ValueError("measurement bases inconsistent with Clifford trace")
     return CanonicalForm(n, pi8, tuple(trace), tableau, bases)
-
-
-def dump_canonical(cf: CanonicalForm) -> str:
-    return json.dumps(canonical_to_json(cf), indent=2)

@@ -13,7 +13,6 @@ than special-cased.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .pauli import PauliString
@@ -209,7 +208,7 @@ def parse_circuit(text: str) -> GateCircuit:
                 raise CircuitParseError(
                     'expected header "qubits N" before any gate', lineno
                 )
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise CircuitParseError("malformed qubit count", lineno)
             n = int(tokens[1])
             continue
@@ -251,7 +250,8 @@ def render_circuit(circuit: GateCircuit) -> str:
 
 
 def circuit_metrics(rc: RotationCircuit) -> dict:
-    """T-count plus the greedy-layering upper bound on T-depth."""
+    """T-count plus the T-depth of the ASAP layering, the minimum over
+    commutation-only reorderings (reported as `naive_t_depth`)."""
     from .layers import build_layers
 
     pi8 = [r for r in rc.rotations if r.is_pi8]
@@ -269,6 +269,12 @@ def rotation_to_json(rot: PauliRotation) -> dict:
 
 
 def rotation_from_json(obj: dict) -> PauliRotation:
+    if not isinstance(obj, dict):
+        raise ValueError(f"rotation must be a JSON object, got {obj!r}")
+    for key, kind in (("axis", str), ("num", int), ("den", int)):
+        if type(obj[key]) is not kind:  # type(), not isinstance: bool is no int
+            raise ValueError(f"rotation field {key!r} must be of type {kind.__name__}, "
+                             f"got {obj[key]!r}")
     return PauliRotation(PauliString.from_label(obj["axis"]), obj["num"], obj["den"])
 
 
@@ -284,7 +290,3 @@ def rotation_circuit_from_json(obj: dict) -> RotationCircuit:
     return RotationCircuit(
         obj["n"], tuple(rotation_from_json(r) for r in obj["rotations"])
     )
-
-
-def dump_rotation_circuit(rc: RotationCircuit) -> str:
-    return json.dumps(rotation_circuit_to_json(rc), indent=2)

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import canonical, circuits, codes, layers, resources, scheduling
@@ -237,10 +238,13 @@ def cmd_schedule(args) -> int:
     payload["algorithm"] = args.algo
     payload["objective"] = objective
     payload["seed"] = seed
+    counts = sorted(Counter(sched.rounds).items())
+    per_protocol = ", ".join(f"{name} x{count}" for name, count in counts)
     _emit(
         payload,
         args.output,
-        f"{args.algo}: rounds={list(sched.rounds)} tile_time={sched.tile_time} "
+        f"{args.algo}: rounds={len(sched.rounds)} ({per_protocol}) "
+        f"tile_time={sched.tile_time} "
         f"latency={sched.expected_latency:.2f} delivered={sched.states_delivered}",
     )
     return EXIT_OK

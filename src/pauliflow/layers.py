@@ -6,6 +6,10 @@ arrangement.  A valid layering only reorders commuting rotations: for
 anticommuting rotations i < j, the layer of i comes strictly before the
 layer of j (`Layering.validate`).
 
+Every commutation question reads one matrix, `Layering.commute_rows`
+(bit j of the int row i set iff axes i and j commute), cached on the
+layering and on every layering derived from it.
+
 The default optimizer is the ASAP layering (`build_layers`,
 `asap_optimize`).  It puts each rotation one layer after its last
 anticommuting predecessor, so its depth is the length of the longest
@@ -41,10 +45,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circuits import PauliRotation
-from .pauli import PauliString
+from .pauli import PauliString, set_bits
 
 
 @dataclass
@@ -68,20 +70,29 @@ class Layering:
     def commute_rows(self) -> list[int]:
         """Bitmask rows: bit j of row i set iff axes i and j commute.
 
-        One symplectic product over GF(2): with X and Z the m x n bit
-        matrices of the axes, (X Z^T + Z X^T) mod 2 is the
-        anticommutation matrix.
+        The symplectic product over GF(2) on column bitsets: bit j of
+        xcol[q] (zcol[q]) is set iff axis j has an x (z) bit on qubit q,
+        and axis i anticommutes with the XOR of zcol[q] over its x bits
+        and xcol[q] over its z bits.
         """
         if self._commute_rows is None:
-            x = _bit_matrix([r.axis.x for r in self.rotations], self.n)
-            z = _bit_matrix([r.axis.z for r in self.rotations], self.n)
-            anti = x @ z.T
-            anti += z @ x.T
-            anti &= 1
-            packed = np.packbits(anti == 0, axis=1, bitorder="little")
-            self._commute_rows = [
-                int.from_bytes(row.tobytes(), "little") for row in packed
-            ]
+            xcol, zcol = [0] * self.n, [0] * self.n
+            for j, r in enumerate(self.rotations):
+                bit = 1 << j
+                for q in set_bits(r.axis.x):
+                    xcol[q] |= bit
+                for q in set_bits(r.axis.z):
+                    zcol[q] |= bit
+            full = (1 << len(self.rotations)) - 1
+            rows = []
+            for r in self.rotations:
+                anti = 0
+                for q in set_bits(r.axis.x):
+                    anti ^= zcol[q]
+                for q in set_bits(r.axis.z):
+                    anti ^= xcol[q]
+                rows.append(full ^ anti)
+            self._commute_rows = rows
         return self._commute_rows
 
     def validate(self):
@@ -119,15 +130,6 @@ class Layering:
         return Layering(self.n, self.rotations, new_layers, self._commute_rows)
 
 
-def _bit_matrix(values: list[int], n: int) -> np.ndarray:
-    """Row i holds the n low bits of values[i], least significant first."""
-    width = max(1, (n + 7) // 8)
-    raw = b"".join(v.to_bytes(width, "little") for v in values)
-    bytes_ = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width)
-    # int64 sums cannot wrap for any n that fits in memory
-    return np.unpackbits(bytes_, axis=1, bitorder="little")[:, :n].astype(np.int64)
-
-
 @dataclass(frozen=True)
 class MergeSet:
     """Disjoint set of mergeable layer-index pairs (i, j), i < j."""
@@ -147,19 +149,17 @@ class MergeSet:
         return len(self.pairs)
 
 
-def _check_pi8(rotations) -> None:
-    for r in rotations:
-        if not r.is_pi8:
-            raise ValueError(f"layer optimizer only accepts pi/8 rotations, got {r}")
-
-
 def singleton_layering(rotations) -> Layering:
     """One layer per rotation, in circuit order (the raw T-depth)."""
     rotations = tuple(rotations)
     if not rotations:
         raise ValueError("cannot layer an empty rotation list")
-    _check_pi8(rotations)
     n = rotations[0].axis.n
+    for r in rotations:
+        if not r.is_pi8:
+            raise ValueError(f"layer optimizer only accepts pi/8 rotations, got {r}")
+        if r.axis.n != n:
+            raise ValueError(f"qubit count mismatch: {r.axis.n} vs {n}")
     return Layering(n, rotations, tuple((i,) for i in range(len(rotations))))
 
 
@@ -168,27 +168,21 @@ def build_layers(rotations) -> Layering:
 
     Each rotation lands in the earliest layer it commutes into, provided
     it also commutes with everything in all later layers it would cross:
-    one layer after its last anticommuting predecessor.
+    one layer after the highest layer that holds an anticommuting
+    predecessor, read from the bitmask rows of `commute_rows`.  The
+    rows stay cached on the result.
     """
-    rotations = tuple(rotations)
-    if not rotations:
-        raise ValueError("cannot layer an empty rotation list")
-    _check_pi8(rotations)
-    n = rotations[0].axis.n
-    layers: list[list[int]] = []
-    axes = [r.axis for r in rotations]
-    for idx, axis in enumerate(axes):
-        placement = len(layers)
-        for pos in range(len(layers) - 1, -1, -1):
-            if all(axis.commutes(axes[m]) for m in layers[pos]):
-                placement = pos
-            else:
-                break
-        if placement == len(layers):
-            layers.append([idx])
-        else:
-            layers[placement].append(idx)
-    return Layering(n, rotations, tuple(tuple(layer) for layer in layers))
+    l = singleton_layering(rotations)
+    masks: list[int] = []  # masks[p]: bitmask of the indices in layer p
+    for j, row in enumerate(l.commute_rows()):
+        blockers = ~row & ((1 << j) - 1)
+        p = len(masks)
+        while p and not masks[p - 1] & blockers:
+            p -= 1
+        if p == len(masks):
+            masks.append(0)
+        masks[p] |= 1 << j
+    return l._derived(tuple(tuple(set_bits(mask)) for mask in masks))
 
 
 def _layer_masks(l: Layering) -> list[int]:

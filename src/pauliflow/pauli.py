@@ -164,6 +164,14 @@ class PauliString:
                 yield q
 
 
+def set_bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
 def merged_rotation_axis(p: PauliString, q: PauliString) -> PauliString:
     """The Hermitian Pauli i*p*q for anticommuting Hermitian p, q.
 

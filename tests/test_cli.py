@@ -56,6 +56,13 @@ class TestTranspile:
         bad.write_text("qubits 1\nfrobnicate 0\n")
         assert main(["transpile", str(bad)]) == EXIT_USAGE
 
+    def test_non_decimal_qubit_count_is_usage(self, tmp_path, capsys):
+        # "²" is a digit to str.isdigit but not a number int() can read
+        bad = tmp_path / "bad.qc"
+        bad.write_text("qubits \u00b2\nt 0\n")
+        assert main(["transpile", str(bad)]) == EXIT_USAGE
+        assert "line 1: malformed qubit count" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_matching_pair(self, circuit_file, tmp_path, capsys):
@@ -221,7 +228,64 @@ class TestOptimize:
         assert not layered.exists()
 
 
+class TestMalformedRotation:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("num", 1.5, "'num' must be of type int"),
+         ("num", "1", "'num' must be of type int"),
+         ("num", True, "'num' must be of type int"),
+         ("den", 8.0, "'den' must be of type int"),
+         ("axis", 5, "'axis' must be of type str")],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_wrong_field_type_is_usage(self, circuit_file, tmp_path, capsys,
+                                       field, value, message, command):
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        obj = json.loads(canonical.read_text())
+        obj["pi8"][0][field] = value
+        canonical.write_text(json.dumps(obj))
+        layered = tmp_path / "layered.json"
+        argv = (["optimize", str(canonical), "-o", str(layered)]
+                if command == "optimize"
+                else ["verify", str(circuit_file), str(canonical)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert f"rotation field {message}" in capsys.readouterr().err
+        assert not layered.exists()
+
+    def test_axis_of_another_length_is_usage(self, circuit_file, tmp_path, capsys):
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        obj = json.loads(canonical.read_text())
+        obj["pi8"][1]["axis"] = "+ZZZ"
+        canonical.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["optimize", str(canonical)]) == EXIT_USAGE
+        assert "qubit count mismatch: 3 vs 2" in capsys.readouterr().err
+
+    def test_non_object_entry_is_usage(self, circuit_file, tmp_path, capsys):
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        obj = json.loads(canonical.read_text())
+        obj["clifford_trace"][0] = "+ZI"
+        canonical.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["optimize", str(canonical)]) == EXIT_USAGE
+        assert "rotation must be a JSON object" in capsys.readouterr().err
+
+
 class TestSchedule:
+    def test_summary_counts_rounds_per_protocol(self, capsys):
+        assert main(["schedule", "--algo", "dp", "-M", "9"]) == EXIT_OK
+        summary = capsys.readouterr().out
+        assert summary.startswith("dp: rounds=3 (15-to-1 x1, 20-to-4 x2) ")
+        # a long schedule still prints one short line
+        assert main(["schedule", "--algo", "dp", "-M", "10000", "-L", "10000"]) == EXIT_OK
+        summary = capsys.readouterr().out
+        assert "rounds=2500 (20-to-4 x2500) " in summary
+        assert len(summary) < 200
+
     def test_dp_default_catalog(self, capsys):
         assert main(["schedule", "--algo", "dp", "-M", "4", "-o", "-"]) == EXIT_OK
         obj = json.loads(capsys.readouterr().out)

@@ -1,10 +1,16 @@
 """Layering invariants, merge validity, greedy matching, and the GA."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pauliflow.canonical import canonicalize
 from pauliflow.circuits import PauliRotation
 from pauliflow.layers import (
     GAConfig,
@@ -26,6 +32,7 @@ from pauliflow.layers import (
 )
 from pauliflow.oracle import equivalent_up_to_phase, unitary_of_rotations
 from pauliflow.pauli import PauliString
+from test_canonical import random_circuit
 
 
 def rot(label, num=1, den=8):
@@ -54,6 +61,11 @@ class TestBuildLayers:
     def test_rejects_clifford(self):
         with pytest.raises(ValueError):
             build_layers([rot("Z", den=4)])
+
+    @pytest.mark.parametrize("labels", [("Z", "ZZ"), ("ZZ", "IZ", "X")])
+    def test_rejects_mixed_qubit_counts(self, labels):
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            build_layers([rot(label) for label in labels])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30)
@@ -97,6 +109,9 @@ def rotation_lists(draw):
     return out
 
 
+RANDOM_AXES_N = [1, 5, 16, 20, 64, 65, 70, 200]
+
+
 class TestCommuteRows:
     @given(rotation_lists())
     @settings(max_examples=200, deadline=None)
@@ -104,11 +119,62 @@ class TestCommuteRows:
         l = singleton_layering(rotations)
         assert l.commute_rows() == pairwise_commute_rows(rotations)
 
-    @pytest.mark.parametrize("n", [5, 16, 20, 64, 65, 70])
+    @pytest.mark.parametrize("n", RANDOM_AXES_N)
     def test_random_axes(self, n):
         rotations = random_rotations(n, 40, seed=n)
         l = singleton_layering(rotations)
         assert l.commute_rows() == pairwise_commute_rows(rotations)
+
+    # the same checks on the rows build_layers computed and left cached
+
+    @given(rotation_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_build_layers_caches_pairwise_rows(self, rotations):
+        l = build_layers(rotations)
+        assert l._commute_rows == pairwise_commute_rows(rotations)
+
+    @pytest.mark.parametrize("n", RANDOM_AXES_N)
+    def test_build_layers_random_axes(self, n):
+        rotations = random_rotations(n, 40, seed=n)
+        l = build_layers(rotations)
+        assert l._commute_rows == pairwise_commute_rows(rotations)
+
+
+def pairwise_asap_layers(rotations):
+    """Reference: ASAP placement by pairwise PauliString.commutes calls.
+
+    Scans the layers from the top down and stops at the first one that
+    holds an anticommuting rotation.
+    """
+    layers = []
+    axes = [r.axis for r in rotations]
+    for idx, axis in enumerate(axes):
+        placement = len(layers)
+        for pos in range(len(layers) - 1, -1, -1):
+            if all(axis.commutes(axes[m]) for m in layers[pos]):
+                placement = pos
+            else:
+                break
+        if placement == len(layers):
+            layers.append([idx])
+        else:
+            layers[placement].append(idx)
+    return tuple(tuple(layer) for layer in layers)
+
+
+class TestBuildLayersMatchesPairwise:
+    @given(rotation_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_same_layers(self, rotations):
+        assert build_layers(rotations).layers == pairwise_asap_layers(rotations)
+
+    def test_canonical_pi8_of_a_deep_circuit(self):
+        gc = random_circuit(16, 2000, random.Random(11))
+        pi8 = canonicalize(gc).pi8
+        l = build_layers(pi8)
+        assert l.layers == pairwise_asap_layers(pi8)
+        assert 1 < l.t_depth < len(pi8)
+        l.validate()
 
 
 class TestAsapOptimize:
@@ -374,3 +440,23 @@ class TestGAConfig:
             GAConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             GAConfig(beta=1.0)
+
+
+def test_ga_tdepth_benchmark_script_asap_is_minimal(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")])
+    )
+    rows_path = tmp_path / "rows.json"
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "ga_tdepth_benchmark.py"),
+         "--qubits", "8", "--depth", "24", "--seeds", "3",
+         "--population-size", "8", "--max-generations", "5",
+         "--json", str(rows_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    rows = json.loads(rows_path.read_text())
+    assert [row["seed"] for row in rows] == [0, 1, 2]
+    for row in rows:
+        assert row["asap"] <= min(row["ga"], row["greedy_iter"], row["greedy_1pass"])
