@@ -220,11 +220,30 @@ def canonical_to_json(cf: CanonicalForm) -> dict:
 
 
 def canonical_from_json(obj: dict) -> CanonicalForm:
+    """Inverse of canonical_to_json; ValueError names the first field
+    that is malformed or disagrees with `n`."""
     n = obj["n"]
+    if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
+        raise ValueError(f"field 'n' must be an integer >= 1, got {n!r}")
     pi8 = tuple(rotation_from_json(r) for r in obj["pi8"])
     trace = list(rotation_from_json(r) for r in obj["clifford_trace"])
+    labels = obj["measurement_bases"]
+    if not isinstance(labels, list) or len(labels) != n or not all(
+        isinstance(b, str) for b in labels
+    ):
+        raise ValueError(f"field 'measurement_bases' must be {n} Pauli labels")
+    bases = tuple(PauliString.from_label(b) for b in labels)
+    for name, paulis in (
+        ("pi8", [r.axis for r in pi8]),
+        ("clifford_trace", [r.axis for r in trace]),
+        ("measurement_bases", bases),
+    ):
+        for i, p in enumerate(paulis):
+            if p.n != n:
+                raise ValueError(
+                    f"field '{name}' entry {i}: qubit count mismatch: {p.n} vs {n}"
+                )
     tableau = tableau_from_trace(n, trace)
-    bases = tuple(PauliString.from_label(b) for b in obj["measurement_bases"])
     if bases != tuple(tableau.z_images):
         raise ValueError("measurement bases inconsistent with Clifford trace")
     return CanonicalForm(n, pi8, tuple(trace), tableau, bases)

@@ -189,6 +189,11 @@ def gate_to_rotations(gate: Gate, n: int) -> list[PauliRotation]:
 # -- text format ---------------------------------------------------------
 
 
+def _is_ascii_number(token: str) -> bool:
+    """Only 0-9: int() would also read "1_0", "+3" and non-ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_circuit(text: str) -> GateCircuit:
     """Parse the line format: header "qubits N", then one gate per line.
 
@@ -208,7 +213,8 @@ def parse_circuit(text: str) -> GateCircuit:
                 raise CircuitParseError(
                     'expected header "qubits N" before any gate', lineno
                 )
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            if (len(tokens) != 2 or not _is_ascii_number(tokens[1])
+                    or int(tokens[1]) < 1):
                 raise CircuitParseError("malformed qubit count", lineno)
             n = int(tokens[1])
             continue
@@ -223,10 +229,9 @@ def parse_circuit(text: str) -> GateCircuit:
             raise CircuitParseError(
                 f"{mnemonic} expects {arity} index(es), got {len(args)}", lineno
             )
-        try:
-            qubits = tuple(int(a) for a in args)
-        except ValueError:
+        if not _is_ascii_number("".join(args)):
             raise CircuitParseError(f"non-integer qubit index in {line!r}", lineno)
+        qubits = tuple(map(int, args))
         if len(set(qubits)) != len(qubits):
             raise CircuitParseError(f"duplicate indices in {mnemonic} gate", lineno)
         if any(q < 0 or q >= n for q in qubits):

@@ -22,6 +22,14 @@ ANDed with generator i's mask (z << n) | x.  The residual a table hit
 leaves commutes with every generator; for a code that passes
 validate_code it is a logical_error iff it anticommutes with one of the
 2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
+
+A shard draws every shot's uniforms but builds rows only for the shots
+that drew an error, and classifies only those.  At low noise most shots
+draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all fall in the
+class of the zero row, which each shard classifies once against the
+decoder's own table, so even a hand-built table that maps the zero
+syndrome to a logical operator is counted exactly.  Sparse handling of
+low-rate Pauli noise follows Stim (Gidney, arXiv:2103.02202).
 """
 
 from __future__ import annotations
@@ -381,37 +389,59 @@ def _decoder_arrays(dec: LookupDecoder):
     return code.n, masks(code.generators), keys, corrections, logicals
 
 
-def _sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarray:
-    """One symplectic_vector row (x << n) | z per shot, as uint64."""
+def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
+    """The shots that drew a non-identity error, as increasing shot
+    indices and their symplectic_vector rows (x << n) | z as uint64.
+
+    Every shot draws u = rng.random((count, n)); qubit q of a shot takes
+    X from u < p (bitflip), or X and Y from u < 2p/3 and Y and Z from
+    p/3 <= u < p (depolarizing).  Only the entries with u < p are read.
+    """
     if noise.p == 0:
-        return np.zeros(count, dtype=np.uint64)
-    u = rng.random((count, n))
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
+    u = rng.random((count, n)).ravel()
     p = noise.p
+    # depolarizing: u < p is exactly the union of the X letters u < 2p/3
+    # and the Z letters p/3 <= u < p, as p/3 <= 2p/3 <= p after rounding
+    flat = np.flatnonzero(u < p)
+    shot = flat // n
+    bit = np.uint64(1) << (flat % n).astype(np.uint64)
     if noise.kind == "bitflip":
-        return _pack(u < p) << n
-    x = _pack(u < 2 * p / 3)  # letters X and Y
-    z = _pack((u >= p / 3) & (u < p))  # letters Y and Z
-    return x << n | z
+        letters = bit << np.uint64(n)
+    else:
+        v = u[flat]
+        letters = np.where(v < 2 * p / 3, bit << np.uint64(n), 0)
+        letters |= np.where(v >= p / 3, bit, 0)
+    starts = np.flatnonzero(np.diff(shot, prepend=-1))
+    return shot[starts], np.bitwise_or.reduceat(letters, starts)
+
+
+def _classify(rows, gen_masks, keys, corrections, logical_masks):
+    """Class index per row: 0 success, 1 logical_error, 2 detected-
+    uncorrectable (its syndrome is not a table key)."""
+    synd = _pack(_parities(rows, gen_masks))
+    pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
+    # a hit leaves a residual with zero syndrome; it lies in the generator
+    # span iff it also commutes with every logical operator
+    logical = _parities(rows ^ corrections[pos], logical_masks).any(axis=1)
+    return np.where(keys[pos] == synd, logical, 2)
+
+
+_CLASSES = (SUCCESS, LOGICAL_ERROR, DETECTED_UNCORRECTABLE)
 
 
 def _run_shard(args):
     (dec_arrays, noise, count, seed, shard_index) = args
-    n, gen_masks, keys, corrections, logical_masks = dec_arrays
+    n, *arrays = dec_arrays
     rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
-    errors = _sample_errors(rng, count, n, noise)
-    synd = _pack(_parities(errors, gen_masks))
-    pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
-    hit = keys[pos] == synd
-    # a hit leaves a residual with zero syndrome; it lies in the generator
-    # span iff it also commutes with every logical operator
-    residual = errors[hit] ^ corrections[pos[hit]]
-    logical = int(_parities(residual, logical_masks).any(axis=1).sum())
-    hits = int(hit.sum())
-    return {
-        SUCCESS: hits - logical,
-        LOGICAL_ERROR: logical,
-        DETECTED_UNCORRECTABLE: count - hits,
-    }
+    _, rows = _sample_errors(rng, count, n, noise)
+    # row 0 is the identity: every shot that drew no error falls in its
+    # class, which the table decides (a hand-built one may not map the
+    # zero syndrome to a stabilizer)
+    classes = _classify(np.insert(rows, 0, 0), *arrays)
+    counts = np.bincount(classes[1:], minlength=3)
+    counts[classes[0]] += count - len(rows)
+    return dict(zip(_CLASSES, counts.tolist()))
 
 
 def monte_carlo(
@@ -430,6 +460,8 @@ def monte_carlo(
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
+    Within a shard only the shots that drew an error are built and
+    classified; the rest take the identity row's class, found once.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

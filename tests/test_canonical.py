@@ -315,3 +315,44 @@ class TestJson:
         obj["measurement_bases"] = ["+Z"]
         with pytest.raises(ValueError, match="inconsistent"):
             canonical_from_json(obj)
+
+    @pytest.mark.parametrize("n", ["2", 2.0, True, 0, -1, None])
+    def test_n_must_be_a_positive_int(self, n):
+        obj = canonical_to_json(canonicalize(
+            GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
+        ))
+        obj["n"] = n
+        with pytest.raises(ValueError, match="field 'n' must be an integer >= 1"):
+            canonical_from_json(obj)
+
+    @pytest.mark.parametrize("field", ["pi8", "clifford_trace"])
+    @pytest.mark.parametrize("letters", ["Z", "ZZZ"])
+    def test_axes_must_have_n_letters(self, field, letters):
+        obj = canonical_to_json(canonicalize(
+            GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
+        ))
+        obj[field][0]["axis"] = "+" + letters
+        with pytest.raises(
+            ValueError,
+            match=f"field '{field}' entry 0: qubit count mismatch: {len(letters)} vs 2",
+        ):
+            canonical_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "bases, message",
+        [
+            (["+ZI", "+ZZ", "+II"], "must be 2 Pauli labels"),
+            (["+ZI"], "must be 2 Pauli labels"),
+            (["+ZI", 5], "must be 2 Pauli labels"),
+            ("+ZI", "must be 2 Pauli labels"),
+            (["+ZI", "+ZZI"],
+             "field 'measurement_bases' entry 1: qubit count mismatch: 3 vs 2"),
+        ],
+    )
+    def test_bases_must_be_n_labels_of_n_letters(self, bases, message):
+        obj = canonical_to_json(canonicalize(
+            GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
+        ))
+        obj["measurement_bases"] = bases
+        with pytest.raises(ValueError, match=message):
+            canonical_from_json(obj)

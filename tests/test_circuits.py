@@ -78,6 +78,21 @@ class TestParser:
         with pytest.raises(CircuitParseError, match="out of range"):
             parse_circuit("qubits 2\nt 2\n")
 
+    # int() reads every one of these; only ASCII digits name a qubit
+    @pytest.mark.parametrize(
+        "index", ["1_0", "+3", "-1", "\u0663", "\uff13", "\u00b2", "1.0", "0x1"]
+    )
+    def test_non_ascii_digit_index_rejected(self, index):
+        with pytest.raises(CircuitParseError, match="line 2: non-integer qubit index"):
+            parse_circuit(f"qubits 11\nh {index}\n")
+        with pytest.raises(CircuitParseError, match="line 3: non-integer qubit index"):
+            parse_circuit(f"qubits 11\nh 0\ncnot 0 {index}\n")
+
+    @pytest.mark.parametrize("count", ["1_0", "+3", "\u0663", "\uff13", "3.0"])
+    def test_non_ascii_digit_qubit_count_rejected(self, count):
+        with pytest.raises(CircuitParseError, match="line 1: malformed qubit count"):
+            parse_circuit(f"qubits {count}\nt 0\n")
+
 
 @st.composite
 def gate_circuits(draw, max_n=4, max_gates=12):

@@ -63,6 +63,13 @@ class TestTranspile:
         assert main(["transpile", str(bad)]) == EXIT_USAGE
         assert "line 1: malformed qubit count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["h 1_0", "t +3", "t \u0663"])
+    def test_non_integer_qubit_index_is_usage(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.qc"
+        bad.write_text(f"qubits 11\n{line}\n")
+        assert main(["transpile", str(bad)]) == EXIT_USAGE
+        assert "line 2: non-integer qubit index" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_matching_pair(self, circuit_file, tmp_path, capsys):
@@ -264,6 +271,30 @@ class TestMalformedRotation:
         assert main(["optimize", str(canonical)]) == EXIT_USAGE
         assert "qubit count mismatch: 3 vs 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["n", "pi8", "clifford_trace"])
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_disagreement_with_n_is_usage(self, circuit_file, tmp_path, capsys,
+                                          field, command):
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        obj = json.loads(canonical.read_text())
+        if field == "n":
+            obj["n"] = "2"
+            message = "field 'n' must be an integer >= 1, got '2'"
+        else:  # every axis of the field gets a third letter
+            for rot in obj[field]:
+                rot["axis"] += "Z"
+            message = f"field '{field}' entry 0: qubit count mismatch: 3 vs 2"
+        canonical.write_text(json.dumps(obj))
+        layered = tmp_path / "layered.json"
+        argv = (["optimize", str(canonical), "-o", str(layered)]
+                if command == "optimize"
+                else ["verify", str(circuit_file), str(canonical)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not layered.exists()
+
     def test_non_object_entry_is_usage(self, circuit_file, tmp_path, capsys):
         canonical = tmp_path / "canonical.json"
         main(["transpile", str(circuit_file), "-o", str(canonical)])
@@ -339,7 +370,43 @@ class TestEstimate:
         assert obj["recommended_protocol"]["name"] == "15-to-1"
 
 
+# `decode -o` output for surface5, depolarizing 0.01, 2^17 shots, seed 7,
+# as written before sampling went sparse; the bytes must not move
+DECODE_GOLDEN_JSON = """\
+{
+  "schema_version": 1,
+  "shots": 131072,
+  "seed": 7,
+  "counts": {
+    "success": 130812,
+    "logical_error": 4,
+    "detected_uncorrectable": 256
+  },
+  "p_logical_estimate": 0.001983642578125,
+  "wilson_95_interval": [
+    0.0017569236764762792,
+    0.0022395523559531312
+  ],
+  "code": "surface5",
+  "noise": "depolarizing",
+  "p": 0.01,
+  "max_weight": 2
+}
+"""
+
+
 class TestDecode:
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_golden_json(self, tmp_path, workers):
+        out = tmp_path / "surface5.decode.json"
+        code = main([
+            "decode", "--code", "surface5", "--noise", "depolarizing",
+            "--p", "0.01", "--shots", str(1 << 17), "--seed", "7",
+            "--workers", workers, "-o", str(out),
+        ])
+        assert code == EXIT_OK
+        assert out.read_bytes() == DECODE_GOLDEN_JSON.encode()
+
     def test_rep3_json(self, capsys):
         code = main([
             "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",

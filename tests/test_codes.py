@@ -439,6 +439,41 @@ def draw_errors(seed, shard, count, n, noise):
     return [PauliString(n, mask(x), mask(z)) for x, z in zip(xs, zs)]
 
 
+def _dense_sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarray:
+    """One symplectic_vector row (x << n) | z per shot, as uint64."""
+    if noise.p == 0:
+        return np.zeros(count, dtype=np.uint64)
+    u = rng.random((count, n))
+    p = noise.p
+    if noise.kind == "bitflip":
+        return codes._pack(u < p) << n
+    x = codes._pack(u < 2 * p / 3)  # letters X and Y
+    z = codes._pack((u >= p / 3) & (u < p))  # letters Y and Z
+    return x << n | z
+
+
+def _dense_shard_reference(args):
+    """The shard as it was before sampling went sparse: every shot, the
+    identity ones included, is built, looked up and classified."""
+    (dec_arrays, noise, count, seed, shard_index) = args
+    n, gen_masks, keys, corrections, logical_masks = dec_arrays
+    rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
+    errors = _dense_sample_errors(rng, count, n, noise)
+    synd = codes._pack(codes._parities(errors, gen_masks))
+    pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
+    hit = keys[pos] == synd
+    # a hit leaves a residual with zero syndrome; it lies in the generator
+    # span iff it also commutes with every logical operator
+    residual = errors[hit] ^ corrections[pos[hit]]
+    logical = int(codes._parities(residual, logical_masks).any(axis=1).sum())
+    hits = int(hit.sum())
+    return {
+        SUCCESS: hits - logical,
+        LOGICAL_ERROR: logical,
+        DETECTED_UNCORRECTABLE: count - hits,
+    }
+
+
 # (success, logical_error, detected_uncorrectable) at 2^17 shots, as
 # recorded with the earlier classifier, which eliminated each residual
 # against the generator rows over GF(2)
@@ -513,11 +548,85 @@ class TestPackedDecodePath:
     ):
         noise = NoiseModel(kind, p)
         rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
-        rows = codes._sample_errors(rng, count, n, noise)
-        assert rows.dtype == np.uint64 and rows.shape == (count,)
-        assert [int(r) for r in rows] == [
+        shots, rows = codes._sample_errors(rng, count, n, noise)
+        assert rows.dtype == np.uint64 and rows.shape == shots.shape
+        assert all(np.diff(shots) > 0) and all(rows != 0)
+        dense = np.zeros(count, dtype=np.uint64)
+        dense[shots] = rows
+        assert [int(r) for r in dense] == [
             symplectic_vector(e) for e in draw_errors(seed, shard, count, n, noise)
         ]
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    @pytest.mark.parametrize("p", [0.3, 0.01, 1.0, 5e-324])
+    def test_draws_on_the_thresholds(self, kind, p):
+        # draws that sit exactly on p/3, 2p/3 and p, and on either side
+        cuts = [p / 3, 2 * p / 3, p]
+        values = sorted({
+            v for c in cuts for v in (np.nextafter(c, 0), c, np.nextafter(c, 1))
+            if 0 <= v < 1
+        } | {0.0})
+        draws = np.array(values + [0.5] * (-len(values) % 3)).reshape(-1, 3)
+
+        class Fixed:
+            def random(self, shape):
+                assert shape == draws.shape
+                return draws.copy()
+
+        noise = NoiseModel(kind, p)
+        shots, rows = codes._sample_errors(Fixed(), *draws.shape, noise)
+        dense = np.zeros(len(draws), dtype=np.uint64)
+        dense[shots] = rows
+        expected = _dense_sample_errors(Fixed(), *draws.shape, noise)
+        assert dense.tolist() == expected.tolist()
+
+    @given(
+        name=st.sampled_from(sorted(_BUILDERS)),
+        count=st.integers(1, 3000),
+        kind=st.sampled_from(["bitflip", "depolarizing"]),
+        p=st.floats(0, 1) | st.sampled_from([0.0, 1.0, 5e-324]),
+        seed=st.integers(0, 2**32),
+        shard=st.integers(0, 50),
+    )
+    def test_shard_matches_dense_reference(
+        self, name, count, kind, p, seed, shard
+    ):
+        code, dec = _code_and_decoder(name)
+        args = (codes._decoder_arrays(dec), NoiseModel(kind, p), count, seed, shard)
+        assert codes._run_shard(args) == _dense_shard_reference(args)
+
+    @pytest.mark.parametrize(
+        "p, expect_errors", [(0.0, False), (5e-324, False), (0.02, True)]
+    )
+    def test_error_free_shards_match_dense_reference(self, p, expect_errors):
+        code, dec = _code_and_decoder("surface5")
+        noise = NoiseModel("depolarizing", p)
+        args = (codes._decoder_arrays(dec), noise, 3000, 4, 1)
+        drew = any(
+            not e.is_identity() for e in draw_errors(4, 1, 3000, code.n, noise)
+        )
+        assert drew == expect_errors
+        assert codes._run_shard(args) == _dense_shard_reference(args)
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    def test_identity_class_comes_from_the_table(self, kind):
+        # a hand-built table that "corrects" the zero syndrome with the
+        # logical X turns every error-free shot into a logical error
+        code, dec = _code_and_decoder("rep5")
+        table = dict(dec.table)
+        table[(0,) * code.m] = code.logical_x[0]
+        odd = LookupDecoder(code=code, table=table, max_weight=dec.max_weight)
+        noise, count, seed, shard = NoiseModel(kind, 0.05), 3000, 5, 2
+        args = (codes._decoder_arrays(odd), noise, count, seed, shard)
+        got = codes._run_shard(args)
+        assert got == _dense_shard_reference(args)
+        identity_shots = sum(
+            e.is_identity() for e in draw_errors(seed, shard, count, code.n, noise)
+        )
+        assert 0 < identity_shots < count
+        assert got[LOGICAL_ERROR] >= identity_shots
+        normal = codes._run_shard((codes._decoder_arrays(dec), *args[1:]))
+        assert normal[SUCCESS] >= identity_shots
 
     @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
         st.just(n),
