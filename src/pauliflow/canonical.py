@@ -44,7 +44,7 @@ from .circuits import (
     rotation_from_json,
     rotation_to_json,
 )
-from .pauli import PauliString, merged_rotation_axis, set_bits
+from .pauli import PauliString, anticommutation_rows, merged_rotation_axis, set_bits
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,14 @@ class CliffordTableau:
 
     def validate(self):
         """Check that the images preserve the generator commutation structure."""
-        images = list(self.x_images) + list(self.z_images)
-        for a in range(2 * self.n):
-            for b in range(a + 1, 2 * self.n):
-                # X_i and Z_i anticommute; every other generator pair commutes
-                should_anticommute = b == a + self.n
-                if images[a].anticommutes(images[b]) != should_anticommute:
-                    raise ValueError(
-                        f"tableau images {a} and {b} break the commutation "
-                        "structure"
-                    )
+        images = self.x_images + self.z_images
+        for a, row in enumerate(anticommutation_rows(images, images)):
+            # X_i and Z_i anticommute; every other generator pair commutes
+            bad = (row ^ (1 << (a + self.n) % (2 * self.n))) >> (a + 1)
+            if bad:
+                b = a + (bad & -bad).bit_length()
+                raise ValueError(f"tableau images {a} and {b} break the "
+                                 "commutation structure")
 
 
 @dataclass(frozen=True)
@@ -219,31 +217,35 @@ def canonical_to_json(cf: CanonicalForm) -> dict:
     }
 
 
+def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...]:
+    """Rotations whose axes must act on n qubits; errors name `field`."""
+    rotations = tuple(rotation_from_json(r) for r in entries)
+    for i, r in enumerate(rotations):
+        if r.axis.n != n:
+            raise ValueError(f"{field} entry {i}: "
+                             f"qubit count mismatch: {r.axis.n} vs {n}")
+    return rotations
+
+
 def canonical_from_json(obj: dict) -> CanonicalForm:
     """Inverse of canonical_to_json; ValueError names the first field
     that is malformed or disagrees with `n`."""
     n = obj["n"]
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
         raise ValueError(f"field 'n' must be an integer >= 1, got {n!r}")
-    pi8 = tuple(rotation_from_json(r) for r in obj["pi8"])
-    trace = list(rotation_from_json(r) for r in obj["clifford_trace"])
+    pi8 = rotations_from_json(obj["pi8"], n, "field 'pi8'")
+    trace = rotations_from_json(obj["clifford_trace"], n, "field 'clifford_trace'")
     labels = obj["measurement_bases"]
     if not isinstance(labels, list) or len(labels) != n or not all(
         isinstance(b, str) for b in labels
     ):
         raise ValueError(f"field 'measurement_bases' must be {n} Pauli labels")
     bases = tuple(PauliString.from_label(b) for b in labels)
-    for name, paulis in (
-        ("pi8", [r.axis for r in pi8]),
-        ("clifford_trace", [r.axis for r in trace]),
-        ("measurement_bases", bases),
-    ):
-        for i, p in enumerate(paulis):
-            if p.n != n:
-                raise ValueError(
-                    f"field '{name}' entry {i}: qubit count mismatch: {p.n} vs {n}"
-                )
+    for i, p in enumerate(bases):
+        if p.n != n:
+            raise ValueError(f"field 'measurement_bases' entry {i}: "
+                             f"qubit count mismatch: {p.n} vs {n}")
     tableau = tableau_from_trace(n, trace)
     if bases != tuple(tableau.z_images):
         raise ValueError("measurement bases inconsistent with Clifford trace")
-    return CanonicalForm(n, pi8, tuple(trace), tableau, bases)
+    return CanonicalForm(n, pi8, trace, tableau, bases)

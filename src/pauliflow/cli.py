@@ -10,6 +10,8 @@ otherwise a short human summary is printed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -252,9 +254,9 @@ def cmd_schedule(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
-    ratio = args.streaming_ratio or cfg_file.get(
-        "streaming_ratio", resources.DEFAULT_STREAMING_RATIO
-    )
+    ratio = args.streaming_ratio
+    if ratio is None:
+        ratio = cfg_file.get("streaming_ratio", resources.DEFAULT_STREAMING_RATIO)
     params = resources.CodeParams(args.distance, args.variant)
     workload = resources.WorkloadProfile(
         t_count=args.t_count,
@@ -320,10 +322,15 @@ def _verify_input(obj: dict, path: str) -> canonical.CanonicalForm:
     expects = "verify expects the JSON written by transpile or optimize"
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: not a JSON object; {expects}")
-    if "pi8" not in obj and "layers" in obj:
-        obj = {**obj, "pi8": [rot for layer in obj["layers"] for rot in layer]}
+    layered = "pi8" not in obj and "layers" in obj
     try:
-        return canonical.canonical_from_json(obj)
+        cf = canonical.canonical_from_json({**obj, "pi8": []} if layered else obj)
+        if layered:  # errors name the layer and the entry within it
+            per_layer = (
+                canonical.rotations_from_json(layer, cf.n, f"field 'layers' layer {i}")
+                for i, layer in enumerate(obj["layers"]))
+            cf = dataclasses.replace(cf, pi8=tuple(itertools.chain(*per_layer)))
+        return cf
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}; {expects}") from None
 

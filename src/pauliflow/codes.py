@@ -8,10 +8,11 @@ errors, no temporal decoding).
 The lookup decoder enumerates Pauli errors by increasing weight (within
 a weight class: qubit subsets in index order, letters in X < Y < Z
 product order) and keeps the first error seen per syndrome, giving a
-deterministic minimum-weight coset representative.  Residuals are
-classified symplectically, phases ignored: anticommuting with any
-generator is "uncorrected", membership in the generator span is
-"success", and a commuting non-member is a "logical_error".
+deterministic minimum-weight coset representative; the syndromes are
+one `anticommutation_rows` pass, at any n.  Residuals are classified
+symplectically, phases ignored: anticommuting with any generator is
+"uncorrected", membership in the generator span is "success", and a
+commuting non-member is a "logical_error".
 
 Monte Carlo campaigns sample i.i.d. per-qubit errors in fixed-size
 shard blocks whose RNG streams derive from (seed, shard index), so
@@ -42,11 +43,14 @@ from typing import Optional
 
 import numpy as np
 
+from .circuits import SCHEMA_VERSION
 from .pauli import (
     PauliString,
+    anticommutation_rows,
     gf2_pivots,
     gf2_reduce,
     independent,
+    set_bits,
     symplectic_vector,
 )
 
@@ -81,7 +85,7 @@ class StabilizerCode:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "k": self.k,
             "distance": self.distance,
@@ -105,54 +109,37 @@ class CodeValidation:
 
 
 def validate_code(code: StabilizerCode) -> CodeValidation:
-    """Check generator validity rules and the logical-operator relations."""
-    failures: list[str] = []
+    """Check generator validity rules and the logical-operator relations,
+    reading commutation from one `anticommutation_rows` pass.  Operators
+    of the wrong length skip the algebraic checks (their flags False)."""
+    gens, m, k = code.generators, code.m, code.k
+    ops = gens + code.logical_x + code.logical_z
+    failures = [f"{p} is not a Hermitian length-{code.n} Pauli"
+                for p in ops if p.n != code.n or not p.is_hermitian()]
+    if any(p.n != code.n for p in ops):
+        return CodeValidation(False, False, False, False, failures)
 
-    structural = True
-    for p in code.generators + code.logical_x + code.logical_z:
-        if p.n != code.n or not p.is_hermitian():
-            structural = False
-            failures.append(f"{p} is not a Hermitian length-{code.n} Pauli")
-
-    commuting = True
-    gens = code.generators
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if not gens[a].commutes(gens[b]):
-                commuting = False
-                failures.append(f"generators {a} and {b} anticommute")
-
-    indep = independent(list(gens)) if gens else True
-    if not indep:
-        failures.append("generators are not independent over GF(2)")
-
-    logicals = True
-    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
-        for i, op in enumerate(ops):
-            for g_idx, g in enumerate(gens):
-                if not op.commutes(g):
-                    logicals = False
-                    failures.append(
-                        f"logical {label}[{i}] anticommutes with generator {g_idx}"
-                    )
-    for i in range(code.k):
-        if not code.logical_x[i].anticommutes(code.logical_z[i]):
-            logicals = False
-            failures.append(f"logical X[{i}] and Z[{i}] do not anticommute")
-        for j in range(code.k):
-            if j == i:
-                continue
-            if not code.logical_x[i].commutes(code.logical_z[j]):
-                logicals = False
-                failures.append(f"logical X[{i}] and Z[{j}] should commute")
-            if not code.logical_x[i].commutes(code.logical_x[j]):
-                logicals = False
-                failures.append(f"logical X[{i}] and X[{j}] should commute")
-            if not code.logical_z[i].commutes(code.logical_z[j]):
-                logicals = False
-                failures.append(f"logical Z[{i}] and Z[{j}] should commute")
-
-    return CodeValidation(structural, commuting, indep, logicals, failures)
+    rows, gen_bits = anticommutation_rows(ops, ops), (1 << m) - 1
+    anti = [f"generators {a} and {b} anticommute"
+            for a in range(m) for b in set_bits(rows[a] & gen_bits) if b > a]
+    indep = independent(list(gens))
+    dependent = [] if indep else ["generators are not independent over GF(2)"]
+    logical = [f"logical {label}[{i}] anticommutes with generator {g}"
+               for label, start in (("X", m), ("Z", m + k))
+               for i in range(k) for g in set_bits(rows[start + i] & gen_bits)]
+    for i in range(k):
+        # bit j of x_row, z_row: logical X[j]; bit k + j: logical Z[j]
+        x_row, z_row = rows[m + i] >> m, rows[m + k + i] >> m
+        if not x_row >> (k + i) & 1:
+            logical.append(f"logical X[{i}] and Z[{i}] do not anticommute")
+        for j in range(k):
+            for row, bit, pair in ((x_row, k + j, f"X[{i}] and Z[{j}]"),
+                                   (x_row, j, f"X[{i}] and X[{j}]"),
+                                   (z_row, k + j, f"Z[{i}] and Z[{j}]")):
+                if j != i and row >> bit & 1:
+                    logical.append(f"logical {pair} should commute")
+    return CodeValidation(not failures, not anti, indep, not logical,
+                          failures + anti + dependent + logical)
 
 
 # -- code constructors -----------------------------------------------------
@@ -249,13 +236,12 @@ def _errors_by_weight(n: int, max_weight: int):
     yield PauliString.identity(n)
     for w in range(1, max_weight + 1):
         for support in itertools.combinations(range(n), w):
-            for letters in itertools.product("XYZ", repeat=w):
+            # letters X < Y < Z as (x, z) bits
+            for letters in itertools.product(((1, 0), (1, 1), (0, 1)), repeat=w):
                 x = z = 0
-                for qubit, letter in zip(support, letters):
-                    if letter in ("X", "Y"):
-                        x |= 1 << qubit
-                    if letter in ("Y", "Z"):
-                        z |= 1 << qubit
+                for q, (xb, zb) in zip(support, letters):
+                    x |= xb << q
+                    z |= zb << q
                 yield PauliString(n, x, z)
 
 
@@ -267,23 +253,14 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
         )
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    n = code.n
-    errors = _errors_by_weight(n, max_weight)
-    table: dict[tuple[int, ...], PauliString] = {}
-    if n > MONTE_CARLO_MAX_N:  # 2n-bit rows do not fit a uint64
-        for error in errors:
-            table.setdefault(syndrome(code, error), error)
-        return LookupDecoder(code=code, table=table, max_weight=max_weight)
-    rows = np.fromiter(map(symplectic_vector, errors), dtype=np.uint64)
-    gen_masks = np.array(
-        [(g.z << n) | g.x for g in code.generators], dtype=np.uint64
-    )
-    bits = _parities(rows, gen_masks)
-    _, first = np.unique(_pack(bits), return_index=True)
-    low = (1 << n) - 1
-    for i in sorted(first.tolist()):
-        row = int(rows[i])
-        table[tuple(bits[i].tolist())] = PauliString(n, row >> n, row & low)
+    errors = list(_errors_by_weight(code.n, max_weight))
+    first: dict[int, PauliString] = {}
+    for key, error in zip(anticommutation_rows(errors, code.generators), errors):
+        first.setdefault(key, error)
+    # key bit i is syndrome bit i; unpack every key in one pass
+    keys = np.array(list(first), dtype=np.int64)
+    bits = keys[:, None] >> np.arange(code.m) & 1
+    table = dict(zip(map(tuple, bits.tolist()), first.values()))
     return LookupDecoder(code=code, table=table, max_weight=max_weight)
 
 
@@ -334,7 +311,7 @@ class MonteCarloResult:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "shots": self.shots,
             "seed": self.seed,
             "counts": dict(self.counts),

@@ -8,7 +8,8 @@ layer of j (`Layering.validate`).
 
 Every commutation question reads one matrix, `Layering.commute_rows`
 (bit j of the int row i set iff axes i and j commute), cached on the
-layering and on every layering derived from it.
+layering and on every layering derived from it: the complement of the
+package's one commutation kernel, `pauli.anticommutation_rows`.
 
 The default optimizer is the ASAP layering (`build_layers`,
 `asap_optimize`).  It puts each rotation one layer after its last
@@ -46,7 +47,7 @@ import random
 from dataclasses import dataclass, field
 
 from .circuits import PauliRotation
-from .pauli import PauliString, set_bits
+from .pauli import PauliString, anticommutation_rows, set_bits
 
 
 @dataclass
@@ -68,31 +69,12 @@ class Layering:
         return [len(layer) for layer in self.layers]
 
     def commute_rows(self) -> list[int]:
-        """Bitmask rows: bit j of row i set iff axes i and j commute.
-
-        The symplectic product over GF(2) on column bitsets: bit j of
-        xcol[q] (zcol[q]) is set iff axis j has an x (z) bit on qubit q,
-        and axis i anticommutes with the XOR of zcol[q] over its x bits
-        and xcol[q] over its z bits.
-        """
+        """Bitmask rows: bit j of row i set iff axes i and j commute,
+        the complement of `anticommutation_rows` over the axes."""
         if self._commute_rows is None:
-            xcol, zcol = [0] * self.n, [0] * self.n
-            for j, r in enumerate(self.rotations):
-                bit = 1 << j
-                for q in set_bits(r.axis.x):
-                    xcol[q] |= bit
-                for q in set_bits(r.axis.z):
-                    zcol[q] |= bit
-            full = (1 << len(self.rotations)) - 1
-            rows = []
-            for r in self.rotations:
-                anti = 0
-                for q in set_bits(r.axis.x):
-                    anti ^= zcol[q]
-                for q in set_bits(r.axis.z):
-                    anti ^= xcol[q]
-                rows.append(full ^ anti)
-            self._commute_rows = rows
+            axes = [r.axis for r in self.rotations]
+            full = (1 << len(axes)) - 1
+            self._commute_rows = [full ^ a for a in anticommutation_rows(axes, axes)]
         return self._commute_rows
 
     def validate(self):
@@ -530,14 +512,8 @@ def dense_random_rotations(
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        x = z = 0
-        for q in range(n_qubits):
-            letter = rng.choice("XYZ")
-            if letter in ("X", "Y"):
-                x |= 1 << q
-            if letter in ("Y", "Z"):
-                z |= 1 << q
-        out.append(PauliRotation(PauliString(n_qubits, x, z), rng.choice((1, -1)), 8))
+        label = "".join(rng.choice("XYZ") for _ in range(n_qubits))  # qubit 0 first
+        out.append(PauliRotation(PauliString.from_label(label), rng.choice((1, -1)), 8))
     return out
 
 

@@ -172,6 +172,38 @@ def set_bits(v: int) -> Iterator[int]:
         v ^= low
 
 
+def anticommutation_rows(
+    ps: Sequence[PauliString], qs: Sequence[PauliString]
+) -> list[int]:
+    """Bitmask rows: bit j of entry i set iff ps[i] anticommutes with qs[j].
+
+    The symplectic product over GF(2) on column bitsets: bit j of
+    xcol[q] (zcol[q]) is set iff qs[j] has an x (z) bit on qubit q, and
+    ps[i] anticommutes with the XOR of zcol[q] over its x bits and
+    xcol[q] over its z bits.  Either list may be empty.
+    """
+    n = (ps or qs)[0].n if ps or qs else 0
+    for p in (*ps, *qs):
+        if p.n != n:
+            raise ValueError(f"qubit count mismatch: {p.n} vs {n}")
+    xcol, zcol = [0] * n, [0] * n
+    for j, p in enumerate(qs):
+        bit = 1 << j
+        for q in set_bits(p.x):
+            xcol[q] |= bit
+        for q in set_bits(p.z):
+            zcol[q] |= bit
+    rows = []
+    for p in ps:
+        anti = 0
+        for q in set_bits(p.x):
+            anti ^= zcol[q]
+        for q in set_bits(p.z):
+            anti ^= xcol[q]
+        rows.append(anti)
+    return rows
+
+
 def merged_rotation_axis(p: PauliString, q: PauliString) -> PauliString:
     """The Hermitian Pauli i*p*q for anticommuting Hermitian p, q.
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .circuits import SCHEMA_VERSION
+
 LOGICAL_ERROR_PREFACTOR = 0.03
 LOGICAL_ERROR_REFERENCE_P = 0.01
 
@@ -188,7 +190,7 @@ class ResourceReport:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "physical_qubits": self.physical_qubits,
             "logical_error_per_round": self.logical_error_per_round,
             "recommended_distance": self.recommended_distance,

@@ -36,7 +36,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-SCHEMA_VERSION = 1
+from .circuits import SCHEMA_VERSION
 
 OBJECTIVES = ("tiles", "latency", "balanced")
 

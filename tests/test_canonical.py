@@ -281,6 +281,53 @@ class TestTableauConjugate:
             np.testing.assert_allclose(expected, got, atol=1e-10)
 
 
+def _tableau_validate_reference(t):
+    """CliffordTableau.validate as written before the anticommutation
+    kernel, one pairwise check per pair in (a, b) order (kept verbatim)."""
+    images = list(t.x_images) + list(t.z_images)
+    for a in range(2 * t.n):
+        for b in range(a + 1, 2 * t.n):
+            # X_i and Z_i anticommute; every other generator pair commutes
+            should_anticommute = b == a + t.n
+            if images[a].anticommutes(images[b]) != should_anticommute:
+                raise ValueError(
+                    f"tableau images {a} and {b} break the commutation "
+                    "structure"
+                )
+
+
+def _validate_message(validate, t):
+    try:
+        validate(t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestTableauValidate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16, 24])
+    def test_one_changed_image_names_the_reference_pair(self, n):
+        rng = random.Random(n)
+        t = canonicalize(random_circuit(n, 20 * n, rng)).tableau
+        t.validate()
+        images = list(t.x_images + t.z_images)
+        failed = 0
+        for idx, p in enumerate(images):
+            bit = 1 << rng.randrange(n)
+            for changed in (
+                PauliString(n, p.x ^ bit, p.z, p.phase),
+                PauliString(n, p.x, p.z ^ bit, p.phase),
+                PauliString(n, rng.getrandbits(n), rng.getrandbits(n), 2),
+            ):
+                new = images[:idx] + [changed] + images[idx + 1:]
+                bad = CliffordTableau(n, tuple(new[:n]), tuple(new[n:]))
+                expected = _validate_message(_tableau_validate_reference, bad)
+                assert _validate_message(CliffordTableau.validate, bad) == expected
+                failed += expected is not None
+        # most changes break a relation (X -> Y on a qubit is one that need not)
+        assert failed >= 2 * n
+
+
 class TestMeasurementBases:
     def test_identity_bases(self):
         cf = canonicalize(GateCircuit(2, (Gate("t", (0,)),)))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pauliflow import cli, codes, layers
+from pauliflow import circuits, cli, codes, layers
 from pauliflow.circuits import render_circuit
 from pauliflow.pauli import PauliString
 from pauliflow.cli import (
@@ -129,6 +129,27 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"missing key {key}" in err
         assert "transpile or optimize" in err
+
+    @pytest.mark.parametrize("layer, entry", [(0, 1), (1, 0)])
+    def test_layered_axis_of_another_length_names_layer(self, tmp_path, capsys,
+                                                        layer, entry):
+        # three pi/8 rotations in two layers, (0, 2) and (1,); the entry is
+        # counted within its layer, not across the flattened list
+        circuit = tmp_path / "two_layers.qc"
+        circuit.write_text("qubits 2\nt 0\nh 0\nt 0\nt 1\n")
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        main(["transpile", str(circuit), "-o", str(canonical)])
+        main(["optimize", str(canonical), "-o", str(layered)])
+        obj = json.loads(layered.read_text())
+        assert [len(rots) for rots in obj["layers"]] == [2, 1]
+        obj["layers"][layer][entry]["axis"] += "Z"
+        layered.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", str(circuit), str(layered)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"field 'layers' layer {layer} entry {entry}: qubit count "
+                "mismatch: 3 vs 2") in err
+        assert "pi8" not in err
 
     def test_non_object_payload(self, circuit_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -369,6 +390,23 @@ class TestEstimate:
         assert obj["physical_qubits"] == 1457
         assert obj["recommended_protocol"]["name"] == "15-to-1"
 
+    def test_streaming_ratio_zero_flag_matches_config(self, tmp_path, capsys):
+        argv = ["estimate", "--distance", "3", "--p", "1e-4", "--t-count", "10",
+                "--t-depth", "10", "-o", "-"]
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("streaming_ratio = 0\n")
+
+        def protocol(*extra):
+            assert main(argv + list(extra)) == EXIT_OK
+            return json.loads(capsys.readouterr().out)["recommended_protocol"]
+
+        assert protocol("--streaming-ratio", "0") == protocol("--config", str(cfg))
+        assert protocol("--streaming-ratio", "0")["name"] == "20-to-4"
+        assert protocol("--streaming-ratio", "0.5")["name"] == "20-to-4"
+        assert protocol()["name"] == "15-to-1"
+        # the flag wins over the config key, 0 included
+        assert protocol("--config", str(cfg), "--streaming-ratio", "100") == protocol()
+
 
 # `decode -o` output for surface5, depolarizing 0.01, 2^17 shots, seed 7,
 # as written before sampling went sparse; the bytes must not move
@@ -542,3 +580,26 @@ class TestDeterminism:
             ])
             outs.append(path.read_text())
         assert outs[0] == outs[1]
+
+
+class TestSchemaVersion:
+    @pytest.mark.parametrize(
+        "stage",
+        ["transpile", "optimize", "schedule", "estimate", "decode", "dump-code"],
+    )
+    def test_every_payload_carries_it(self, circuit_file, tmp_path, capsys, stage):
+        canonical, out = tmp_path / "canonical.json", tmp_path / "out.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        argv = {
+            "transpile": ["transpile", str(circuit_file), "-o", str(out)],
+            "optimize": ["optimize", str(canonical), "-o", str(out)],
+            "schedule": ["schedule", "--algo", "dp", "-M", "4", "-o", str(out)],
+            "estimate": ["estimate", "--distance", "3", "--p", "1e-4",
+                         "-o", str(out)],
+            "decode": ["decode", "--code", "rep3", "--noise", "bitflip",
+                       "--p", "0.05", "--shots", "1000", "-o", str(out)],
+            "dump-code": ["decode", "--code", "rep3", "--dump-code", str(out)],
+        }[stage]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["schema_version"] == circuits.SCHEMA_VERSION == 1

@@ -25,9 +25,103 @@ from pauliflow.codes import (
     syndrome,
     validate_code,
     wilson_interval,
+    CodeValidation,
     StabilizerCode,
 )
-from pauliflow.pauli import PauliString, symplectic_vector
+from pauliflow.pauli import PauliString, independent, symplectic_vector
+
+
+def _validate_code_reference(code):
+    """validate_code as written before the anticommutation kernel, one
+    pairwise `commutes` call per checked pair (kept verbatim)."""
+    failures: list[str] = []
+
+    structural = True
+    for p in code.generators + code.logical_x + code.logical_z:
+        if p.n != code.n or not p.is_hermitian():
+            structural = False
+            failures.append(f"{p} is not a Hermitian length-{code.n} Pauli")
+
+    commuting = True
+    gens = code.generators
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            if not gens[a].commutes(gens[b]):
+                commuting = False
+                failures.append(f"generators {a} and {b} anticommute")
+
+    indep = independent(list(gens)) if gens else True
+    if not indep:
+        failures.append("generators are not independent over GF(2)")
+
+    logicals = True
+    for label, ops in (("X", code.logical_x), ("Z", code.logical_z)):
+        for i, op in enumerate(ops):
+            for g_idx, g in enumerate(gens):
+                if not op.commutes(g):
+                    logicals = False
+                    failures.append(
+                        f"logical {label}[{i}] anticommutes with generator {g_idx}"
+                    )
+    for i in range(code.k):
+        if not code.logical_x[i].anticommutes(code.logical_z[i]):
+            logicals = False
+            failures.append(f"logical X[{i}] and Z[{i}] do not anticommute")
+        for j in range(code.k):
+            if j == i:
+                continue
+            if not code.logical_x[i].commutes(code.logical_z[j]):
+                logicals = False
+                failures.append(f"logical X[{i}] and Z[{j}] should commute")
+            if not code.logical_x[i].commutes(code.logical_x[j]):
+                logicals = False
+                failures.append(f"logical X[{i}] and X[{j}] should commute")
+            if not code.logical_z[i].commutes(code.logical_z[j]):
+                logicals = False
+                failures.append(f"logical Z[{i}] and Z[{j}] should commute")
+
+    return CodeValidation(structural, commuting, indep, logicals, failures)
+
+
+@st.composite
+def small_codes(draw):
+    """Random same-length codes, k <= 2; mostly Hermitian operators."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(2, n)))
+    pauli = st.builds(
+        PauliString, st.just(n), st.integers(0, 2**n - 1),
+        st.integers(0, 2**n - 1), st.sampled_from((0, 2, 0, 2, 1, 3)),
+    )
+    ops = draw(st.lists(pauli, min_size=n + k, max_size=n + k))
+    return StabilizerCode(n, k, tuple(ops[: n - k]), tuple(ops[n - k: n]),
+                          tuple(ops[n:]), 1)
+
+
+def _code(gens, lx, lz):
+    labels = [PauliString.from_label(p) for p in gens + lx + lz]
+    m, k = len(gens), len(lx)
+    return StabilizerCode(labels[0].n, k, tuple(labels[:m]),
+                          tuple(labels[m: m + k]), tuple(labels[m + k:]), 2)
+
+
+# hand-built codes, good and bad; [[4,2,2]] is the k = 2 case
+_HAND_BUILT = {
+    "rep3": lambda: repetition_code(3),
+    "surface3": lambda: rotated_surface_code(3),
+    "c422": lambda: _code(["XXXX", "ZZZZ"], ["XXII", "XIXI"], ["ZIZI", "ZZII"]),
+    "c422_swapped_z": lambda: _code(["XXXX", "ZZZZ"], ["XXII", "XIXI"],
+                                    ["ZZII", "ZIZI"]),
+    "c422_anticommuting_x": lambda: _code(["XXXX", "ZZZZ"], ["XXII", "ZIZI"],
+                                          ["ZIZI", "ZZII"]),
+    "c422_bad_everything": lambda: _code(["XXXX", "ZZZX"], ["XIII", "XIII"],
+                                         ["YIII", "ZZII"]),
+    "anticommuting_generators": lambda: _code(["XI", "ZI"], [], []),
+    "duplicate_generators": lambda: _code(["ZZI", "ZZI"], ["XXX"], ["ZII"]),
+    "logical_z_anticommutes": lambda: _code(["ZZI", "IZZ"], ["XXX"], ["IXI"]),
+    "non_hermitian": lambda: StabilizerCode(
+        3, 1, (PauliString(3, 0, 0b011, 1), PauliString.from_label("IZZ")),
+        (PauliString.from_label("XXX"),), (PauliString(3, 0, 1, 3),), 3),
+}
 
 
 def weight_one_errors(n):
@@ -60,6 +154,39 @@ class TestValidateCode:
         )
         report = validate_code(code)
         assert not report.independent and not report.ok
+
+    def test_wrong_length_reported_not_raised(self):
+        # the algebraic checks have no meaning for a 2-qubit generator of
+        # a 3-qubit code; only the structural failure is reported
+        zzi, zz = PauliString.from_label("ZZI"), PauliString.from_label("ZZ")
+        code = StabilizerCode(3, 1, (zzi, zz), (PauliString.from_label("XXX"),),
+                              (PauliString.from_label("ZII"),), 3)
+        report = validate_code(code)
+        assert report.failures == ["+ZZ is not a Hermitian length-3 Pauli"]
+        assert not (report.ok or report.structural or report.commuting
+                    or report.independent or report.logicals)
+        dec = build_lookup(repetition_code(3), 1)
+        with pytest.raises(ValueError, match=r"invalid code: \+ZZ is not a "
+                           "Hermitian length-3 Pauli"):
+            monte_carlo(code, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+
+    @pytest.mark.parametrize("name", sorted(_HAND_BUILT))
+    def test_matches_pairwise_reference_hand_built(self, name):
+        code = _HAND_BUILT[name]()
+        assert validate_code(code) == _validate_code_reference(code)
+
+    def test_hand_built_failures(self):
+        assert validate_code(_HAND_BUILT["c422"]()).ok
+        assert validate_code(_HAND_BUILT["c422_swapped_z"]()).failures == [
+            "logical X[0] and Z[0] do not anticommute",
+            "logical X[0] and Z[1] should commute",
+            "logical X[1] and Z[1] do not anticommute",
+            "logical X[1] and Z[0] should commute",
+        ]
+
+    @given(small_codes())
+    def test_matches_pairwise_reference_random(self, code):
+        assert validate_code(code) == _validate_code_reference(code)
 
 
 class TestRepetitionCode:
@@ -116,8 +243,8 @@ class TestSyndrome:
 
 
 def _wide_code():
-    """n = 34 > MONTE_CARLO_MAX_N with one ZZ check: its rows do not fit
-    a uint64, so build_lookup takes syndromes one error at a time."""
+    """n = 34 > MONTE_CARLO_MAX_N with one ZZ check: too wide for a
+    campaign's uint64 rows, yet build_lookup runs the same kernel path."""
     n = 34
     zz = PauliString(n, 0, 0b11)
     return StabilizerCode(

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from pauliflow.pauli import (
     PauliString,
+    anticommutation_rows,
     gf2_rank,
     independent,
     merged_rotation_axis,
@@ -243,3 +244,42 @@ class TestRankHelpers:
     def test_rank_counts_pivots(self):
         assert gf2_rank([0b110, 0b011, 0b101]) == 2
         assert gf2_rank([0b110, 0b011, 0b100]) == 3
+
+
+def pauli_lists(n):
+    """Up to 60 Paulis on n qubits, every phase."""
+    return st.lists(
+        st.builds(PauliString, st.just(n), st.integers(0, 2**n - 1),
+                  st.integers(0, 2**n - 1), st.integers(0, 3)),
+        max_size=60,
+    )
+
+
+class TestAnticommutationRows:
+    @given(st.one_of(st.integers(1, 80), st.just(200)).flatmap(
+        lambda n: st.tuples(pauli_lists(n), pauli_lists(n))))
+    def test_matches_pairwise(self, lists):
+        ps, qs = lists
+        rows = anticommutation_rows(ps, qs)
+        assert len(rows) == len(ps)
+        for p, row in zip(ps, rows):
+            assert row == sum(p.anticommutes(q) << j for j, q in enumerate(qs))
+
+    def test_empty_lists(self):
+        z = PauliString.from_label("Z")
+        assert anticommutation_rows([], []) == []
+        assert anticommutation_rows([], [z]) == []
+        assert anticommutation_rows([z], []) == [0]
+
+    @given(st.integers(1, 80), st.integers(1, 80), st.booleans(), st.data())
+    def test_mixed_qubit_counts_raise(self, n, m, in_qs, data):
+        if n == m:
+            m += 1
+        ps = data.draw(pauli_lists(n).filter(bool))
+        odd = PauliString.identity(m)
+        at = data.draw(st.integers(0, len(ps)))
+        mixed = ps[:at] + [odd] + ps[at:]
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            anticommutation_rows(ps, mixed) if in_qs else anticommutation_rows(mixed, ps)
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            anticommutation_rows(ps, [odd]) if in_qs else anticommutation_rows([odd], ps)
