@@ -219,6 +219,8 @@ def canonical_to_json(cf: CanonicalForm) -> dict:
 
 def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...]:
     """Rotations whose axes must act on n qubits; errors name `field`."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{field} must be a list of rotations, got {entries!r}")
     rotations = tuple(rotation_from_json(r) for r in entries)
     for i, r in enumerate(rotations):
         if r.axis.n != n:

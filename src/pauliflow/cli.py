@@ -27,15 +27,10 @@ EXIT_INFEASIBLE = 3
 
 CATALOG_ENV = "PAULIFLOW_CATALOG"
 
+# every GAConfig field is both an optimize flag and a config key
+_GA_KNOBS = dataclasses.fields(layers.GAConfig)
 _CONFIG_KEYS = {
-    "seed": int,
-    "population_size": int,
-    "elite_k": int,
-    "crossover_rate": float,
-    "mutation_rate": float,
-    "beta": float,
-    "max_generations": int,
-    "stagnation_limit": int,
+    **{f.name: type(f.default) for f in _GA_KNOBS},
     "catalog": str,
     "objective": str,
     "tolerance": float,
@@ -95,51 +90,35 @@ def _emit(payload: dict, out: str | None, summary: str):
         print(summary)
 
 
-def _resolve_catalog(args) -> list[scheduling.Protocol]:
-    path = getattr(args, "catalog", None) or os.environ.get(CATALOG_ENV)
-    if path:
-        return scheduling.load_catalog(path)
-    return scheduling.default_catalog()
+def _setting(args, cfg_file: dict, key: str, default):
+    """The flag if given, else the config key, else the default."""
+    flag = getattr(args, key, None)
+    return cfg_file.get(key, default) if flag is None else flag
 
 
-# optimize's tuning flags and the methods that use them
-_GA_FLAGS = (
-    "seed",
-    "population_size",
-    "elite_k",
-    "crossover_rate",
-    "mutation_rate",
-    "beta",
-    "max_generations",
-    "stagnation_limit",
-)
-_METHOD_FLAGS = {"asap": (), "greedy": ("beta",), "ga": _GA_FLAGS}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# the tuning flags each optimize method uses
+_METHOD_FLAGS = {"asap": (), "greedy": ("beta",), "ga": [f.name for f in _GA_KNOBS]}
 
 
 def _reject_unused_flags(args):
     """A tuning flag the chosen method ignores is a usage error.
 
-    Config-file keys are not checked: one file serves optimize,
-    schedule and estimate alike.
+    Config-file keys are not checked: one file serves every command.
     """
-    for key in _GA_FLAGS:
-        if getattr(args, key) is not None and key not in _METHOD_FLAGS[args.method]:
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} is not used by --method {args.method}")
+    used = _METHOD_FLAGS[args.method]
+    for f in _GA_KNOBS:
+        if getattr(args, f.name) is not None and f.name not in used:
+            raise ConfigError(f"{_flag(f.name)} is not used by --method {args.method}")
 
 
 def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
-    merged = dict(cfg_file)
-    for key in _GA_FLAGS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    allowed = {
-        k: v
-        for k, v in merged.items()
-        if k in layers.GAConfig.__dataclass_fields__
-    }
-    return layers.GAConfig(**allowed)
+    return layers.GAConfig(**{
+        f.name: _setting(args, cfg_file, f.name, f.default) for f in _GA_KNOBS
+    })
 
 
 # -- subcommands -------------------------------------------------------------
@@ -177,8 +156,9 @@ def cmd_optimize(args) -> int:
         elif args.method == "ga":
             result = layers.ga_optimize(layering, _ga_config(args, cfg_file))
         else:
-            beta = cfg_file.get("beta", 0.5) if args.beta is None else args.beta
-            result = layers.greedy_collapse(layering, beta)
+            # greedy uses beta alone, under GAConfig's bound
+            beta = _setting(args, cfg_file, "beta", layers.GAConfig.beta)
+            result = layers.greedy_collapse(layering, layers.GAConfig(beta=beta).beta)
         final = result.layering
         final.validate()
         layer_payload = [
@@ -215,12 +195,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_schedule(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
-    if args.catalog is None and "catalog" in cfg_file:
-        args.catalog = cfg_file["catalog"]
-    catalog = _resolve_catalog(args)
+    path = _setting(args, cfg_file, "catalog", os.environ.get(CATALOG_ENV))
+    catalog = scheduling.load_catalog(path) if path else scheduling.default_catalog()
     demand = scheduling.Demand(args.states, args.p_raw)
-    objective = args.objective or cfg_file.get("objective", "tiles")
-    seed = args.seed if args.seed is not None else cfg_file.get("seed", 0)
+    objective = _setting(args, cfg_file, "objective", "tiles")
+    seed = _setting(args, cfg_file, "seed", 0)
     if args.algo == "brute":
         sched = scheduling.brute_force(
             catalog, demand, args.max_rounds, objective, args.weight
@@ -254,9 +233,9 @@ def cmd_schedule(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
-    ratio = args.streaming_ratio
-    if ratio is None:
-        ratio = cfg_file.get("streaming_ratio", resources.DEFAULT_STREAMING_RATIO)
+    ratio = _setting(
+        args, cfg_file, "streaming_ratio", resources.DEFAULT_STREAMING_RATIO
+    )
     params = resources.CodeParams(args.distance, args.variant)
     workload = resources.WorkloadProfile(
         t_count=args.t_count,
@@ -326,6 +305,9 @@ def _verify_input(obj: dict, path: str) -> canonical.CanonicalForm:
     try:
         cf = canonical.canonical_from_json({**obj, "pi8": []} if layered else obj)
         if layered:  # errors name the layer and the entry within it
+            if not isinstance(obj["layers"], list):
+                raise ValueError(f"field 'layers' must be a list of layers, "
+                                 f"got {obj['layers']!r}")
             per_layer = (
                 canonical.rotations_from_json(layer, cf.n, f"field 'layers' layer {i}")
                 for i, layer in enumerate(obj["layers"]))
@@ -337,7 +319,7 @@ def _verify_input(obj: dict, path: str) -> canonical.CanonicalForm:
 
 def cmd_verify(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
-    tol = args.tol if args.tol is not None else cfg_file.get("tolerance", 1e-9)
+    tol = _setting(args, cfg_file, "tolerance", 1e-9)
     gc = circuits.parse_circuit(Path(args.circuit).read_text())
     cf = _verify_input(json.loads(Path(args.canonical).read_text()), args.canonical)
     from . import oracle
@@ -372,14 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pass; greedy and ga: the paper's merge-based baselines",
     )
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--population-size", dest="population_size", type=int)
-    p.add_argument("--elite-k", dest="elite_k", type=int)
-    p.add_argument("--crossover-rate", dest="crossover_rate", type=float)
-    p.add_argument("--mutation-rate", dest="mutation_rate", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--max-generations", dest="max_generations", type=int)
-    p.add_argument("--stagnation-limit", dest="stagnation_limit", type=int)
+    for f in _GA_KNOBS:
+        p.add_argument(_flag(f.name), dest=f.name, type=type(f.default))
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("schedule", help="plan distillation rounds")
@@ -430,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("circuit")
     p.add_argument("canonical")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", dest="tolerance", type=float)
     p.add_argument("--config")
     p.set_defaults(func=cmd_verify)
 

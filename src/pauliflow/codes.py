@@ -108,14 +108,19 @@ class CodeValidation:
         return self.structural and self.commuting and self.independent and self.logicals
 
 
+def _structural_failures(code: StabilizerCode) -> list[str]:
+    return [f"{p} is not a Hermitian length-{code.n} Pauli"
+            for p in code.generators + code.logical_x + code.logical_z
+            if p.n != code.n or not p.is_hermitian()]
+
+
 def validate_code(code: StabilizerCode) -> CodeValidation:
     """Check generator validity rules and the logical-operator relations,
     reading commutation from one `anticommutation_rows` pass.  Operators
     of the wrong length skip the algebraic checks (their flags False)."""
     gens, m, k = code.generators, code.m, code.k
     ops = gens + code.logical_x + code.logical_z
-    failures = [f"{p} is not a Hermitian length-{code.n} Pauli"
-                for p in ops if p.n != code.n or not p.is_hermitian()]
+    failures = _structural_failures(code)
     if any(p.n != code.n for p in ops):
         return CodeValidation(False, False, False, False, failures)
 
@@ -253,6 +258,9 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
         )
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    failures = _structural_failures(code)  # as monte_carlo words it
+    if failures:
+        raise ValueError(f"invalid code: {failures[0]}")
     errors = list(_errors_by_weight(code.n, max_weight))
     first: dict[int, PauliString] = {}
     for key, error in zip(anticommutation_rows(errors, code.generators), errors):

@@ -372,6 +372,20 @@ def _pop_key(ind: frozenset[tuple[int, int]]):
     return (-len(ind), tuple(sorted(ind)))
 
 
+def _collapse(l: Layering, beta: float, pick) -> tuple[Layering, list[int]]:
+    """Merge rounds: rank the mergeable pairs, apply the merge set
+    `pick(ranked, round)` returns, until no pair remains or it is empty."""
+    current, merges_per_round = l, []
+    for round_idx in range(l.t_depth):
+        ranked = _ranked_pairs(current, beta)
+        chosen = ranked and pick(ranked, round_idx)
+        if not chosen:
+            break
+        merges_per_round.append(len(chosen))
+        current = apply_merges(current, MergeSet(chosen))
+    return current, merges_per_round
+
+
 def ga_optimize(l: Layering, cfg: GAConfig = GAConfig()) -> OptimizeResult:
     """Repeated GA rounds: evolve a high-fitness merge set, apply, rebuild.
 
@@ -379,31 +393,14 @@ def ga_optimize(l: Layering, cfg: GAConfig = GAConfig()) -> OptimizeResult:
     matchings; elitism guarantees the applied merge set is at least as
     large as the greedy one.  Stops when no mergeable pair remains.
     """
-    current = l
-    initial_depth = current.t_depth
-    merges_per_round: list[int] = []
     history: list[list[int]] = []
-    for round_idx in range(initial_depth):
-        ranked = _ranked_pairs(current, cfg.beta)
-        if not ranked:
-            break
-        best = _ga_round(current, ranked, cfg, round_idx, history)
-        if not best:
-            break
-        merges_per_round.append(len(best))
-        current = apply_merges(current, MergeSet(best))
-    return OptimizeResult(
-        layering=current,
-        initial_t_depth=initial_depth,
-        final_t_depth=current.t_depth,
-        merges_per_round=merges_per_round,
-        seed=cfg.seed,
-        fitness_history=history,
+    final, merges = _collapse(
+        l, cfg.beta, lambda ranked, r: _ga_round(ranked, cfg, r, history)
     )
+    return OptimizeResult(final, l.t_depth, final.t_depth, merges, cfg.seed, history)
 
 
 def _ga_round(
-    l: Layering,
     ranked: list[tuple[int, int]],
     cfg: GAConfig,
     round_idx: int,
@@ -416,13 +413,8 @@ def _ga_round(
         return _greedy_from(sorted(pairset, key=rank_of.__getitem__))
 
     def refill(kept: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        used = {endpoint for pair in kept for endpoint in pair}
-        out = list(kept)
-        for i, j in ranked:
-            if i not in used and j not in used:
-                used.update((i, j))
-                out.append((i, j))
-        return frozenset(out)
+        # kept is disjoint, so all of it survives; ranked pairs fill the rest
+        return _greedy_from([*kept, *ranked])
 
     population = [_greedy_from(ranked)]
     for k in range(cfg.population_size - 1):
@@ -470,21 +462,8 @@ def _tournament(population, rng: random.Random, size: int = 3):
 
 def greedy_collapse(l: Layering, beta: float = 0.5) -> OptimizeResult:
     """Baseline: apply greedy matchings until no mergeable pair remains."""
-    current = l
-    initial_depth = current.t_depth
-    merges_per_round: list[int] = []
-    for _ in range(initial_depth):
-        ms = greedy_matching(current, beta)
-        if not ms.pairs:
-            break
-        merges_per_round.append(len(ms))
-        current = apply_merges(current, ms)
-    return OptimizeResult(
-        layering=current,
-        initial_t_depth=initial_depth,
-        final_t_depth=current.t_depth,
-        merges_per_round=merges_per_round,
-    )
+    final, merges = _collapse(l, beta, lambda ranked, _: _greedy_from(ranked))
+    return OptimizeResult(final, l.t_depth, final.t_depth, merges)
 
 
 def asap_optimize(l: Layering) -> OptimizeResult:

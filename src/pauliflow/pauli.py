@@ -143,25 +143,12 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase in (0, 2)
 
-    @property
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian operators."""
-        if not self.is_hermitian():
-            raise ValueError(f"{self} has phase i^{self.phase}, not a sign")
-        return 1 if self.phase == 0 else -1
-
     def negated(self) -> "PauliString":
         return PauliString(self.n, self.x, self.z, (self.phase + 2) % 4)
 
     def unsigned(self) -> "PauliString":
         """Same letters with phase reset to +1."""
         return PauliString(self.n, self.x, self.z, 0)
-
-    def support(self) -> Iterator[int]:
-        busy = self.x | self.z
-        for q in range(self.n):
-            if busy >> q & 1:
-                yield q
 
 
 def set_bits(v: int) -> Iterator[int]:

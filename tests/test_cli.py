@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: file-based stages and exit codes."""
 
+import dataclasses
 import json
 import random
 
@@ -85,6 +86,18 @@ class TestVerify:
         main(["transpile", str(other), "-o", str(out)])
         assert main(["verify", str(circuit_file), str(out)]) == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    def test_tol_flag_beats_tolerance_key(self, circuit_file, tmp_path, capsys):
+        # fidelity 0.135 passes only under a loose tolerance
+        other = tmp_path / "other.qc"
+        other.write_text("qubits 2\nt 0\n")
+        out, cfg = tmp_path / "canonical.json", tmp_path / "loose.cfg"
+        main(["transpile", str(other), "-o", str(out)])
+        cfg.write_text("tolerance = 0.9\n")
+        argv = ["verify", str(circuit_file), str(out), "--config", str(cfg)]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--tol", "1e-9"]) == EXIT_VERIFY_FAILED
+        assert main(argv[:3] + ["--tol", "0.9"]) == EXIT_OK
 
     def test_golden_fidelity_lines(self, circuit_file, tmp_path, capsys):
         # both lines as the matrix-product oracle printed them
@@ -238,6 +251,65 @@ class TestOptimize:
             "optimize", str(canonical), "--method", "greedy", "--beta", "0.2",
         ]) == EXIT_OK
 
+    @pytest.mark.parametrize("method, how", [("greedy", "flag"), ("ga", "flag"),
+                                             ("greedy", "config")])
+    def test_beta_bound_for_every_method(self, circuit_file, tmp_path, capsys,
+                                         method, how):
+        canonical, cfg = tmp_path / "canonical.json", tmp_path / "beta.cfg"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        cfg.write_text("beta = 7\n")
+        argv = ["optimize", str(canonical), "--method", method]
+        argv += ["--beta", "7"] if how == "flag" else ["--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert "beta must be in [0, 1)" in capsys.readouterr().err
+
+    def test_greedy_ignores_ga_only_config_keys(self, circuit_file, tmp_path,
+                                                capsys):
+        # elite_k = 70 is no valid GAConfig (elite_k < population_size),
+        # but greedy reads only beta, so a file tuned for the GA still serves
+        canonical, cfg = tmp_path / "canonical.json", tmp_path / "ga.cfg"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        cfg.write_text("elite_k = 70\n")
+        argv = ["optimize", str(canonical), "--method", "greedy", "-o", "-"]
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+        with_file = capsys.readouterr().out
+        assert main(argv) == EXIT_OK
+        assert with_file == capsys.readouterr().out
+        assert main(argv[:-2] + ["--method", "ga", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "knob", dataclasses.fields(layers.GAConfig), ids=lambda f: f.name
+    )
+    def test_ga_knob_as_flag_or_config_key(self, tmp_path, capsys, monkeypatch,
+                                           knob):
+        gc = random_circuit(4, 60, random.Random(2))
+        src, canonical = tmp_path / "c.qc", tmp_path / "canonical.json"
+        src.write_text(render_circuit(gc))
+        main(["transpile", str(src), "-o", str(canonical)])
+        value = knob.default + 1 if type(knob.default) is int else knob.default / 2
+        flag = "--" + knob.name.replace("_", "-")
+        cfg = tmp_path / "knob.cfg"
+        cfg.write_text(f"{knob.name} = {value}\n")
+        # most knobs leave this small instance's layering as it is, so the
+        # GAConfig that reaches ga_optimize is checked too
+        configs, real = [], layers.ga_optimize
+        monkeypatch.setattr(layers, "ga_optimize",
+                            lambda l, c: configs.append(c) or real(l, c))
+
+        def payload(*extra):
+            capsys.readouterr()
+            argv = ["optimize", str(canonical), "--method", "ga", "-o", "-"]
+            assert main(argv + [str(a) for a in extra]) == EXIT_OK
+            return capsys.readouterr().out, configs[-1]
+
+        tuned = layers.GAConfig(**{knob.name: value})
+        assert payload(flag, value) == payload("--config", cfg)
+        assert configs[-1] == tuned
+        # the flag beats the config key, the key beats the default
+        assert payload("--config", cfg, flag, knob.default) == payload()
+        assert configs[-1] == layers.GAConfig()
+
     def test_invalid_layering_is_usage_error(self, tmp_path, capsys, monkeypatch):
         canonical = tmp_path / "canonical.json"
         layered = tmp_path / "layered.json"
@@ -325,6 +397,36 @@ class TestMalformedRotation:
         capsys.readouterr()
         assert main(["optimize", str(canonical)]) == EXIT_USAGE
         assert "rotation must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [("optimize", lambda obj: obj.update(pi8=5),
+          "field 'pi8' must be a list of rotations, got 5"),
+         ("optimize", lambda obj: obj.update(clifford_trace=None),
+          "field 'clifford_trace' must be a list of rotations, got None"),
+         ("verify", lambda obj: obj["layers"].__setitem__(0, 5),
+          "field 'layers' layer 0 must be a list of rotations, got 5"),
+         ("verify", lambda obj: obj.update(layers=7),
+          "field 'layers' must be a list of layers, got 7")],
+        ids=["pi8", "clifford_trace", "layer", "layers"],
+    )
+    def test_non_list_field_is_usage(self, circuit_file, tmp_path, capsys,
+                                     command, edit, message):
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        main(["optimize", str(canonical), "-o", str(layered)])
+        path = canonical if command == "optimize" else layered
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        argv = (["optimize", str(canonical), "-o", str(out)]
+                if command == "optimize"
+                else ["verify", str(circuit_file), str(layered)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSchedule:

@@ -169,6 +169,10 @@ class TestValidateCode:
         with pytest.raises(ValueError, match=r"invalid code: \+ZZ is not a "
                            "Hermitian length-3 Pauli"):
             monte_carlo(code, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+        # build_lookup names the same operator, not a bare count mismatch
+        with pytest.raises(ValueError, match=r"^invalid code: \+ZZ is not a "
+                           r"Hermitian length-3 Pauli$"):
+            build_lookup(code, 1)
 
     @pytest.mark.parametrize("name", sorted(_HAND_BUILT))
     def test_matches_pairwise_reference_hand_built(self, name):

@@ -406,6 +406,15 @@ class TestGaOptimize:
                 b >= a for a, b in zip(round_history, round_history[1:])
             )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_fitness_history_per_applied_round(self, seed):
+        # the round that finds no mergeable pair runs no GA and records nothing
+        rotations = random_rotations(4, 24, seed)
+        result = ga_optimize(singleton_layering(rotations), self.small_cfg(seed))
+        assert result.rounds >= 1
+        assert len(result.fitness_history) == result.rounds
+        assert [h[-1] for h in result.fitness_history] == result.merges_per_round
+
     @pytest.mark.parametrize("seed", range(12))
     def test_unitary_preserved_and_depth_monotone(self, seed):
         rng = random.Random(seed)
