@@ -33,7 +33,6 @@ from .layers import (
     mergeable,
     score_pair,
     singleton_layering,
-    split_dense_layers,
 )
 from .scheduling import (
     Demand,

@@ -26,6 +26,15 @@ images, so canonicalizing T pi/8 rotations and a trace of length |trace|
 costs O(T*w + |trace|*w) Pauli products, independent of how long the
 trace already is.
 
+The running tableau holds its 2n images as raw (x, z, phase) int
+triples in `PauliString`'s encoding, multiplied by one phase-exact
+product, the formula of `PauliString.__mul__`.  `PauliString` and
+`PauliRotation` objects are built only at the boundary: each pi/8 axis
+as it is mapped, and the 2n final images, which `CliffordTableau`
+checks.  `conjugate_axis` states the same crossing rule for one
+rotation on objects; folded over a trace it is the reference the tests
+hold the running tableau to.
+
 The final tableau maps each generator g in {X_i, Z_i} to V^dag g V where
 V is the trace unitary, so measuring Z_q after the full circuit is the
 same as measuring its tableau image after just the pi/8 prefix.
@@ -41,10 +50,10 @@ from .circuits import (
     PauliRotation,
     RotationCircuit,
     gate_to_rotations,
-    rotation_from_json,
+    rotation_fields,
     rotation_to_json,
 )
-from .pauli import PauliString, anticommutation_rows, merged_rotation_axis, set_bits
+from .pauli import PauliString, anticommutation_rows, merged_rotation_axis
 
 
 @dataclass(frozen=True)
@@ -96,10 +105,17 @@ class CanonicalForm:
 
 
 def to_rotation_circuit(gc: GateCircuit) -> RotationCircuit:
-    """Concatenate the dictionary expansion of every gate, in time order."""
+    """Concatenate the dictionary expansion of every gate, in time order.
+
+    Each distinct gate is expanded once; repeats share its rotations.
+    """
+    expansions: dict = {}
     rotations: list[PauliRotation] = []
     for gate in gc.gates:
-        rotations.extend(gate_to_rotations(gate, gc.n))
+        expansion = expansions.get(gate)
+        if expansion is None:
+            expansion = expansions[gate] = gate_to_rotations(gate, gc.n)
+        rotations.extend(expansion)
     return RotationCircuit(gc.n, tuple(rotations))
 
 
@@ -120,21 +136,73 @@ def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
     return merged if mover.num % 4 == 1 else merged.negated()
 
 
-def _image(xs, zs, p: PauliString) -> PauliString:
-    """Image of p given the images xs[q], zs[q] of X_q and Z_q.
+# -- running tableau on raw (x, z, phase) triples ---------------------------
 
-    Decomposes p per qubit as i^{x*z} X^x Z^z, substitutes the generator
-    images, and multiplies with exact phase bookkeeping.  Only p's
-    support is visited.
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """Phase-exact product of raw (x, z, phase) triples; the formula of
+    `PauliString.__mul__`."""
+    x1, z1, p1 = a
+    x2, z2, p2 = b
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    return x3, z3, (p1 + p2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+                    + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()) % 4
+
+
+def _conjugate(xs: list, zs: list, x: int, z: int, phase: int) -> tuple:
+    """Image of the Pauli (x, z, phase) given the images xs[q], zs[q] of
+    X_q and Z_q.
+
+    Decomposes the Pauli per qubit as i^{x*z} X^x Z^z, substitutes the
+    generator images, and multiplies with exact phase bookkeeping.  Only
+    its support is visited; a single letter costs no product.
     """
-    extra = (p.phase + (p.x & p.z).bit_count()) % 4
-    acc = PauliString(p.n, 0, 0, extra)
-    for q in set_bits(p.x | p.z):
-        if p.x >> q & 1:
-            acc = acc * xs[q]
-        if p.z >> q & 1:
-            acc = acc * zs[q]
-    return acc
+    acc = None
+    support = x | z
+    while support:
+        low = support & -support
+        support ^= low
+        q = low.bit_length() - 1
+        if x & low:
+            acc = xs[q] if acc is None else _product(acc, xs[q])
+        if z & low:
+            acc = zs[q] if acc is None else _product(acc, zs[q])
+    ax, az, ap = acc or (0, 0, 0)
+    return ax, az, (ap + phase + (x & z).bit_count()) % 4
+
+
+def _cross(xs: list, zs: list, mover: PauliRotation) -> None:
+    """Update the running images in place from F to F o f_mover.
+
+    With A = F(mover axis), each image F(g) of a generator g that
+    anticommutes with the mover's axis becomes i*A*F(g) for num = 1 mod 4,
+    -i*A*F(g) for num = 3 mod 4, and -F(g) for den = 2.  X_q anticommutes
+    with the axis iff it has a z bit on q, Z_q iff it has an x bit there;
+    only those images change.
+    """
+    axis = mover.axis
+    if mover.den == 2:
+        a, turn = None, 2
+    else:
+        a = _conjugate(xs, zs, axis.x, axis.z, axis.phase)
+        turn = 1 if mover.num % 4 == 1 else 3
+    for images, bits in ((xs, axis.z), (zs, axis.x)):
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            q = low.bit_length() - 1
+            x, z, phase = images[q] if a is None else _product(a, images[q])
+            images[q] = (x, z, (phase + turn) % 4)
+
+
+def _identity_rows(n: int) -> tuple[list, list]:
+    return [(1 << q, 0, 0) for q in range(n)], [(0, 1 << q, 0) for q in range(n)]
+
+
+def _tableau(n: int, xs: list, zs: list) -> CliffordTableau:
+    """The boundary: running images as a checked CliffordTableau."""
+    return CliffordTableau(n, tuple(PauliString(n, *img) for img in xs),
+                           tuple(PauliString(n, *img) for img in zs))
 
 
 def tableau_conjugate(t: CliffordTableau, p: PauliString) -> PauliString:
@@ -143,28 +211,11 @@ def tableau_conjugate(t: CliffordTableau, p: PauliString) -> PauliString:
         raise ValueError(f"qubit count mismatch: {p.n} vs {t.n}")
     if not p.is_hermitian():
         raise ValueError("tableau conjugation expects a Hermitian operator")
-    result = _image(t.x_images, t.z_images, p)
+    xs = [(g.x, g.z, g.phase) for g in t.x_images]
+    zs = [(g.x, g.z, g.phase) for g in t.z_images]
+    result = PauliString(p.n, *_conjugate(xs, zs, p.x, p.z, p.phase))
     assert result.is_hermitian(), "Clifford image of a Hermitian Pauli must be Hermitian"
     return result
-
-
-def _identity_images(n: int) -> tuple[list[PauliString], list[PauliString]]:
-    t = CliffordTableau.identity(n)
-    return list(t.x_images), list(t.z_images)
-
-
-def _append_clifford(xs, zs, mover: PauliRotation) -> None:
-    """Update the running images in place from F to F o f_mover.
-
-    X_q anticommutes with the mover's axis iff the axis has a z bit on
-    q, Z_q iff it has an x bit there; only those images change.
-    """
-    axis = mover.axis
-    image = PauliRotation(_image(xs, zs, axis), mover.num, mover.den)
-    for q in set_bits(axis.z):
-        xs[q] = conjugate_axis(image, xs[q])
-    for q in set_bits(axis.x):
-        zs[q] = conjugate_axis(image, zs[q])
 
 
 def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
@@ -177,27 +228,34 @@ def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
     weight-w axis anticommutes with.  Total cost O(T*w + |trace|*w).
     The pi/8 count is preserved exactly.
     """
-    xs, zs = _identity_images(rc.n)
+    n = rc.n
+    xs, zs = _identity_rows(n)
     pi8: list[PauliRotation] = []
     trace: list[PauliRotation] = []
     for rot in rc.rotations:
         if rot.is_pi8:
-            pi8.append(PauliRotation(_image(xs, zs, rot.axis), rot.num, 8))
+            axis = rot.axis
+            image = _conjugate(xs, zs, axis.x, axis.z, axis.phase)
+            pi8.append(PauliRotation(PauliString(n, *image), rot.num, 8))
         else:
-            _append_clifford(xs, zs, rot)
+            _cross(xs, zs, rot)
             trace.append(rot)
-    tableau = CliffordTableau(rc.n, tuple(xs), tuple(zs))
+    tableau = _tableau(n, xs, zs)
     bases = tuple(tableau.z_images)
-    return CanonicalForm(rc.n, tuple(pi8), tuple(trace), tableau, bases)
+    return CanonicalForm(n, tuple(pi8), tuple(trace), tableau, bases)
 
 
 def tableau_from_trace(n: int, trace: list[PauliRotation]) -> CliffordTableau:
     """Tableau of a Clifford trace, built with the same running update
     as `push_cliffords`: O(|trace|*w) for weight-w axes."""
-    xs, zs = _identity_images(n)
+    xs, zs = _identity_rows(n)
     for mover in trace:
-        _append_clifford(xs, zs, mover)
-    return CliffordTableau(n, tuple(xs), tuple(zs))
+        if not mover.is_clifford:
+            raise ValueError("only Clifford rotations may be moved across")
+        if mover.axis.n != n:
+            raise ValueError(f"qubit count mismatch: {mover.axis.n} vs {n}")
+        _cross(xs, zs, mover)
+    return _tableau(n, xs, zs)
 
 
 def canonicalize(gc: GateCircuit) -> CanonicalForm:
@@ -221,12 +279,22 @@ def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...
     """Rotations whose axes must act on n qubits; errors name `field`."""
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of rotations, got {entries!r}")
-    rotations = tuple(rotation_from_json(r) for r in entries)
+    # one PauliRotation per distinct entry, looked up only once the
+    # entry's fields have their exact types (True == 1 would hash alike)
+    memo: dict = {}
+    rotations = []
+    for entry in entries:
+        key = rotation_fields(entry)
+        rotation = memo.get(key)
+        if rotation is None:
+            axis, num, den = key
+            rotation = memo[key] = PauliRotation(PauliString.from_label(axis), num, den)
+        rotations.append(rotation)
     for i, r in enumerate(rotations):
         if r.axis.n != n:
             raise ValueError(f"{field} entry {i}: "
                              f"qubit count mismatch: {r.axis.n} vs {n}")
-    return rotations
+    return tuple(rotations)
 
 
 def canonical_from_json(obj: dict) -> CanonicalForm:

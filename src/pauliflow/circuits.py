@@ -273,25 +273,12 @@ def rotation_to_json(rot: PauliRotation) -> dict:
     return {"axis": str(rot.axis), "num": rot.num, "den": rot.den}
 
 
-def rotation_from_json(obj: dict) -> PauliRotation:
+def rotation_fields(obj: dict) -> tuple[str, int, int]:
+    """The (axis, num, den) of a rotation's JSON, each of its exact type."""
     if not isinstance(obj, dict):
         raise ValueError(f"rotation must be a JSON object, got {obj!r}")
     for key, kind in (("axis", str), ("num", int), ("den", int)):
         if type(obj[key]) is not kind:  # type(), not isinstance: bool is no int
             raise ValueError(f"rotation field {key!r} must be of type {kind.__name__}, "
                              f"got {obj[key]!r}")
-    return PauliRotation(PauliString.from_label(obj["axis"]), obj["num"], obj["den"])
-
-
-def rotation_circuit_to_json(rc: RotationCircuit) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": rc.n,
-        "rotations": [rotation_to_json(r) for r in rc.rotations],
-    }
-
-
-def rotation_circuit_from_json(obj: dict) -> RotationCircuit:
-    return RotationCircuit(
-        obj["n"], tuple(rotation_from_json(r) for r in obj["rotations"])
-    )
+    return obj["axis"], obj["num"], obj["den"]

@@ -67,16 +67,12 @@ def load_config(path: str | Path) -> dict:
 
 
 def _validate_config(values: dict, origin: str):
-    for key in ("population_size", "max_generations", "stagnation_limit"):
-        if key in values and values[key] < 1:
-            raise ConfigError(f"{origin}: {key} must be >= 1")
-    if "elite_k" in values and values["elite_k"] < 0:
-        raise ConfigError(f"{origin}: elite_k must be >= 0")
-    for key in ("crossover_rate", "mutation_rate"):
-        if key in values and not 0 <= values[key] <= 1:
-            raise ConfigError(f"{origin}: {key} must be in [0, 1]")
-    if "beta" in values and not 0 <= values["beta"] < 1:
-        raise ConfigError(f"{origin}: beta must be in [0, 1)")
+    """GAConfig states each GA bound; the file's GA keys go over its defaults."""
+    try:
+        layers.GAConfig(**{f.name: values[f.name]
+                           for f in _GA_KNOBS if f.name in values})
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
 
 
 def _emit(payload: dict, out: str | None, summary: str):
@@ -121,6 +117,33 @@ def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
     })
 
 
+def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
+    """Canonical form from the `transpile` JSON at `path`, or from `optimize`
+    JSON whose layers, taken in order, are the pi/8 list (layers only
+    reorder commuting rotations, so the product is unchanged)."""
+    expects = f"{command} expects the JSON written by transpile or optimize"
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON ({exc}); {expects}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: not a JSON object; {expects}")
+    layered = "pi8" not in obj and "layers" in obj
+    try:
+        cf = canonical.canonical_from_json({**obj, "pi8": []} if layered else obj)
+        if layered:  # errors name the layer and the entry within it
+            if not isinstance(obj["layers"], list):
+                raise ValueError(f"field 'layers' must be a list of layers, "
+                                 f"got {obj['layers']!r}")
+            per_layer = (
+                canonical.rotations_from_json(layer, cf.n, f"field 'layers' layer {i}")
+                for i, layer in enumerate(obj["layers"]))
+            cf = dataclasses.replace(cf, pi8=tuple(itertools.chain(*per_layer)))
+        return cf
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}; {expects}") from None
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -146,8 +169,7 @@ def cmd_transpile(args) -> int:
 def cmd_optimize(args) -> int:
     _reject_unused_flags(args)
     cfg_file = load_config(args.config) if args.config else {}
-    obj = json.loads(Path(args.canonical).read_text())
-    cf = canonical.canonical_from_json(obj)
+    cf = _load_canonical(args.canonical, "optimize")
     if cf.pi8:
         layering = layers.singleton_layering(cf.pi8)
         asap = layers.asap_optimize(layering)
@@ -294,34 +316,11 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _verify_input(obj: dict, path: str) -> canonical.CanonicalForm:
-    """Canonical form from `transpile` JSON, or from `optimize` JSON whose
-    layers, taken in order, are the pi/8 list (layers only reorder
-    commuting rotations, so the product is unchanged)."""
-    expects = "verify expects the JSON written by transpile or optimize"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: not a JSON object; {expects}")
-    layered = "pi8" not in obj and "layers" in obj
-    try:
-        cf = canonical.canonical_from_json({**obj, "pi8": []} if layered else obj)
-        if layered:  # errors name the layer and the entry within it
-            if not isinstance(obj["layers"], list):
-                raise ValueError(f"field 'layers' must be a list of layers, "
-                                 f"got {obj['layers']!r}")
-            per_layer = (
-                canonical.rotations_from_json(layer, cf.n, f"field 'layers' layer {i}")
-                for i, layer in enumerate(obj["layers"]))
-            cf = dataclasses.replace(cf, pi8=tuple(itertools.chain(*per_layer)))
-        return cf
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}; {expects}") from None
-
-
 def cmd_verify(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
     tol = _setting(args, cfg_file, "tolerance", 1e-9)
     gc = circuits.parse_circuit(Path(args.circuit).read_text())
-    cf = _verify_input(json.loads(Path(args.canonical).read_text()), args.canonical)
+    cf = _load_canonical(args.canonical, "verify")
     from . import oracle
 
     verdict = oracle.verify_canonical_form(gc, cf, tol)

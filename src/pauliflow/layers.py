@@ -256,43 +256,6 @@ def apply_merges(l: Layering, ms: MergeSet) -> Layering:
     return l._derived(new_layers)
 
 
-def split_dense_layers(l: Layering, threshold: float) -> Layering:
-    """Split layers denser than `threshold` along disjoint qubit-support groups.
-
-    A layer's connected components (rotations linked by shared support)
-    become consecutive sub-layers ordered by smallest member index.
-    """
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
-    new_layers: list[tuple[int, ...]] = []
-    for layer in l.layers:
-        if len(layer) / l.n <= threshold or len(layer) < 2:
-            new_layers.append(layer)
-            continue
-        supports = {
-            i: l.rotations[i].axis.x | l.rotations[i].axis.z for i in layer
-        }
-        parent = {i: i for i in layer}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        members = list(layer)
-        for pos, a in enumerate(members):
-            for b in members[pos + 1:]:
-                if supports[a] & supports[b]:
-                    parent[find(a)] = find(b)
-        groups: dict[int, list[int]] = {}
-        for i in sorted(members):
-            groups.setdefault(find(i), []).append(i)
-        for group in sorted(groups.values(), key=lambda g: g[0]):
-            new_layers.append(tuple(group))
-    return l._derived(tuple(new_layers))
-
-
 # -- genetic optimizer -----------------------------------------------------
 
 
@@ -318,8 +281,10 @@ class GAConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 0 <= self.beta < 1:
             raise ValueError("beta must be in [0, 1)")
-        if self.max_generations < 1 or self.stagnation_limit < 1:
-            raise ValueError("generation limits must be >= 1")
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be >= 1")
+        if self.stagnation_limit < 1:
+            raise ValueError("stagnation_limit must be >= 1")
 
 
 @dataclass

@@ -14,6 +14,7 @@ from pauliflow.canonical import (
     conjugate_axis,
     push_cliffords,
     tableau_conjugate,
+    tableau_from_trace,
     to_rotation_circuit,
 )
 from pauliflow.circuits import Gate, GateCircuit, PauliRotation, RotationCircuit
@@ -121,6 +122,42 @@ class TestRunningTableauMatchesSweep:
         assert cf.pi8 == pi8
         assert cf.tableau == CliffordTableau(rc.n, xs, zs)
         assert canonical_from_json(canonical_to_json(cf)) == cf
+
+
+class TestRunningTableauKernel:
+    """The raw-triple tableau on its own, against the one-rotation rule."""
+
+    @given(rotation_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_tableau_from_trace_folds_conjugate_axis(self, rc):
+        trace = [r for r in rc.rotations if r.is_clifford]
+        expected = CliffordTableau(
+            rc.n,
+            tuple(sweep_through_trace(trace, PauliString.single(rc.n, q, "X"))
+                  for q in range(rc.n)),
+            tuple(sweep_through_trace(trace, PauliString.single(rc.n, q, "Z"))
+                  for q in range(rc.n)),
+        )
+        assert tableau_from_trace(rc.n, trace) == expected
+
+    @given(rotation_circuits(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tableau_conjugate_matches_sweep(self, rc, data):
+        trace = [r for r in rc.rotations if r.is_clifford]
+        t = tableau_from_trace(rc.n, trace)
+        bits = st.integers(0, (1 << rc.n) - 1)
+        for x, z, sign in data.draw(st.lists(
+            st.tuples(bits, bits, st.sampled_from((0, 2))), min_size=1, max_size=8
+        )):
+            p = PauliString(rc.n, x, z, sign)
+            assert tableau_conjugate(t, p) == sweep_through_trace(trace, p)
+
+    def test_trace_entries_must_be_clifford_on_n_qubits(self):
+        z = PauliString.from_label("ZI")
+        with pytest.raises(ValueError, match="only Clifford rotations"):
+            tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(z, 1, 8)])
+        with pytest.raises(ValueError, match="qubit count mismatch: 3 vs 2"):
+            tableau_from_trace(2, [PauliRotation(PauliString.from_label("ZZZ"), 1, 4)])
 
 
 class TestToRotationCircuit:

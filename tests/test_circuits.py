@@ -14,8 +14,6 @@ from pauliflow.circuits import (
     gate_to_rotations,
     parse_circuit,
     render_circuit,
-    rotation_circuit_from_json,
-    rotation_circuit_to_json,
 )
 from pauliflow.pauli import PauliString
 
@@ -213,12 +211,3 @@ class TestMetrics:
 
         rc = to_rotation_circuit(gc)
         assert circuit_metrics(rc)["t_count"] == gc.t_gate_count()
-
-
-class TestJson:
-    @given(gate_circuits())
-    def test_rotation_circuit_roundtrip(self, gc):
-        from pauliflow.canonical import to_rotation_circuit
-
-        rc = to_rotation_circuit(gc)
-        assert rotation_circuit_from_json(rotation_circuit_to_json(rc)) == rc

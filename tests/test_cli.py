@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: file-based stages and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -171,6 +172,64 @@ class TestVerify:
         assert "transpile or optimize" in capsys.readouterr().err
 
 
+class TestLoadCanonical:
+    """optimize and verify read their JSON input through one loader."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "not a JSON object"), ('"x"', "not a JSON object"),
+         ("{}", "missing key 'n'"),
+         ("not json", "not JSON (Expecting value: line 1 column 1 (char 0))")],
+        ids=["list", "string", "empty", "not-json"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_not_a_payload_is_usage(self, circuit_file, tmp_path, capsys,
+                                    command, text, message):
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(text)
+        argv = (["optimize", str(bad), "-o", str(out)] if command == "optimize"
+                else ["verify", str(circuit_file), str(bad)])
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {message}; {command} expects the JSON written " \
+               "by transpile or optimize" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["clifford_trace", "layers"])
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_bool_twin_of_a_valid_entry_is_usage(self, circuit_file, tmp_path,
+                                                 capsys, command, field):
+        # True == 1 and hash(True) == hash(1): the second entry must be
+        # type-checked, not found among the rotations already built
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        main(["optimize", str(canonical), "-o", str(layered)])
+        path = canonical if field == "clifford_trace" else layered
+        obj = json.loads(path.read_text())
+        entries = obj[field] if field == "clifford_trace" else obj[field][0]
+        entries[:] = [{**entries[0], "num": 1}, {**entries[0], "num": True}]
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        argv = (["optimize", str(path), "-o", str(out)] if command == "optimize"
+                else ["verify", str(circuit_file), str(path)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert "rotation field 'num' must be of type int, got True" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optimize_reads_its_own_output(self, circuit_file, tmp_path):
+        # layered input is flattened in layer order, a linear extension of
+        # the anticommutation order, so ASAP finds the same layers again
+        canonical = tmp_path / "canonical.json"
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        assert main(["optimize", str(canonical), "-o", str(once)]) == EXIT_OK
+        assert main(["optimize", str(once), "-o", str(twice)]) == EXIT_OK
+        assert twice.read_bytes() == once.read_bytes()
+
+
 class TestOptimize:
     def test_ga_pipeline(self, circuit_file, tmp_path, capsys):
         canonical = tmp_path / "canonical.json"
@@ -265,18 +324,24 @@ class TestOptimize:
 
     def test_greedy_ignores_ga_only_config_keys(self, circuit_file, tmp_path,
                                                 capsys):
-        # elite_k = 70 is no valid GAConfig (elite_k < population_size),
-        # but greedy reads only beta, so a file tuned for the GA still serves
+        # greedy reads only beta, so a file tuned for the GA still serves;
+        # a file that is no valid GAConfig (elite_k < population_size) is
+        # rejected when it is loaded, whichever method reads it
         canonical, cfg = tmp_path / "canonical.json", tmp_path / "ga.cfg"
         main(["transpile", str(circuit_file), "-o", str(canonical)])
-        cfg.write_text("elite_k = 70\n")
+        cfg.write_text("elite_k = 7\npopulation_size = 8\nmutation_rate = 0.5\n")
         argv = ["optimize", str(canonical), "--method", "greedy", "-o", "-"]
         capsys.readouterr()
         assert main(argv + ["--config", str(cfg)]) == EXIT_OK
         with_file = capsys.readouterr().out
         assert main(argv) == EXIT_OK
         assert with_file == capsys.readouterr().out
-        assert main(argv[:-2] + ["--method", "ga", "--config", str(cfg)]) == EXIT_USAGE
+        cfg.write_text("elite_k = 70\n")
+        for method in ("greedy", "ga"):
+            argv[3] = method
+            assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+            assert (f"{cfg}: elite_k must satisfy 0 <= elite_k < population_size"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "knob", dataclasses.fields(layers.GAConfig), ids=lambda f: f.name
@@ -637,6 +702,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("population_size = 0", "population_size must be >= 1"),
+         ("population_size = 2", "elite_k must satisfy 0 <= elite_k < population_size"),
+         ("elite_k = 64", "elite_k must satisfy 0 <= elite_k < population_size"),
+         ("crossover_rate = 1.5", "crossover_rate must be in [0, 1]"),
+         ("mutation_rate = -0.1", "mutation_rate must be in [0, 1]"),
+         ("beta = 1", "beta must be in [0, 1)"),
+         ("max_generations = 0", "max_generations must be >= 1"),
+         ("stagnation_limit = 0", "stagnation_limit must be >= 1")],
+    )
+    def test_ga_keys_checked_by_gaconfig(self, tmp_path, text, message):
+        # each bound is GAConfig's, over its defaults, prefixed with the path
+        path = tmp_path / "ga.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_population_size_alone_fails_at_load(self, circuit_file, tmp_path,
+                                                 capsys):
+        # elite_k keeps its default 4, which is not below 2
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("population_size = 2\n")
+        assert main(["schedule", "--algo", "dp", "-M", "4", "--config",
+                     str(cfg)]) == EXIT_USAGE
+        assert f"error: {cfg}: elite_k must satisfy" in capsys.readouterr().err
+        cfg.write_text("population_size = 2\nelite_k = 1\n")
+        assert load_config(cfg) == {"population_size": 2, "elite_k": 1}
+
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("seed = 1\nwat = 2\n")
@@ -666,6 +761,27 @@ class TestConfig:
         assert main([
             "optimize", str(canonical), "--config", str(cfg),
         ]) == EXIT_USAGE
+
+
+# sha256 of `transpile -o` and `optimize -o` (asap) output for the seeded
+# n = 16, 300-gate circuit below, as written when the running tableau held
+# PauliString objects; the bytes must not move
+COMPILE_GOLDEN_SHA256 = {
+    "canonical.json": "db5c50279d886db8ce774cd13b82b6817d817cd9f49d40e875673d4b0b74f018",
+    "layered.json": "624f142bb08c386c5c37ad70f3c562827658a3db2ad60c75d949e86f699e8a51",
+}
+
+
+class TestGoldenCompile:
+    def test_transpile_and_optimize_bytes(self, tmp_path, capsys):
+        src = tmp_path / "c.qc"
+        src.write_text(render_circuit(random_circuit(16, 300, random.Random(2024))))
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        assert main(["transpile", str(src), "-o", str(canonical)]) == EXIT_OK
+        assert main(["optimize", str(canonical), "-o", str(layered)]) == EXIT_OK
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (canonical, layered)}
+        assert digests == COMPILE_GOLDEN_SHA256
 
 
 class TestDeterminism:

@@ -28,7 +28,6 @@ from pauliflow.layers import (
     random_rotations,
     score_pair,
     singleton_layering,
-    split_dense_layers,
 )
 from pauliflow.oracle import equivalent_up_to_phase, unitary_of_rotations
 from pauliflow.pauli import PauliString
@@ -330,37 +329,10 @@ class TestValidate:
             asap,
             ga_optimize(singleton_layering(rotations), cfg).layering,
             greedy_collapse(singleton_layering(rotations)).layering,
-            split_dense_layers(asap, 0.3),
         ]
         for l in outputs:
             l.validate()
             assert l.t_depth >= asap.t_depth
-
-
-class TestSplitDenseLayers:
-    def test_split_by_support(self):
-        l = Layering(2, (rot("ZI"), rot("IZ")), ((0, 1),))
-        split = split_dense_layers(l, 0.4)
-        assert split.layers == ((0,), (1,))
-
-    def test_threshold_one_keeps_everything(self):
-        l = Layering(2, (rot("ZI"), rot("IZ")), ((0, 1),))
-        assert split_dense_layers(l, 1.0).layers == l.layers
-
-    def test_overlapping_supports_stay_together(self):
-        l = Layering(2, (rot("ZZ"), rot("ZZ", num=-1)), ((0, 1),))
-        assert split_dense_layers(l, 0.4).layers == ((0, 1),)
-
-    def test_split_preserves_unitary_and_invariants(self):
-        for seed in range(6):
-            rotations = random_rotations(4, 12, seed)
-            l = build_layers(rotations)
-            split = split_dense_layers(l, 0.3)
-            split.validate()
-            assert equivalent_up_to_phase(
-                layering_unitary(l), layering_unitary(split), 1e-9
-            )
-            assert split.t_depth >= l.t_depth
 
 
 class TestGaOptimize:
