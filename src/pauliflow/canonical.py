@@ -27,17 +27,23 @@ costs O(T*w + |trace|*w) Pauli products, independent of how long the
 trace already is.
 
 The running tableau holds its 2n images as raw (x, z, phase) int
-triples in `PauliString`'s encoding, multiplied by one phase-exact
-product, the formula of `PauliString.__mul__`.  `PauliString` and
-`PauliRotation` objects are built only at the boundary: each pi/8 axis
-as it is mapped, and the 2n final images, which `CliffordTableau`
-checks.  `conjugate_axis` states the same crossing rule for one
-rotation on objects; folded over a trace it is the reference the tests
-hold the running tableau to.
+triples in `PauliString`'s encoding, multiplied by `raw_product`, the
+phase-exact product that `PauliString.__mul__` also calls.
+`PauliString` and `PauliRotation` objects are built only at the
+boundary: each pi/8 axis as it is mapped, and the 2n final images,
+which `CliffordTableau` checks.  `conjugate_axis` states the same
+crossing rule for one rotation on objects; folded over a trace it is
+the reference the tests hold the running tableau to.
 
 The final tableau maps each generator g in {X_i, Z_i} to V^dag g V where
 V is the trace unitary, so measuring Z_q after the full circuit is the
-same as measuring its tableau image after just the pi/8 prefix.
+same as measuring its tableau image after just the pi/8 prefix.  The
+measurement bases are therefore the tableau's Z images, not a copy.
+
+This module is also the one codec of the two compile payloads:
+`canonical_to_json` writes the transpile payload (`pi8`) and, given
+layers, the optimize payload (`layers`); `canonical_from_json` reads
+either one back.
 """
 
 from __future__ import annotations
@@ -50,10 +56,8 @@ from .circuits import (
     PauliRotation,
     RotationCircuit,
     gate_to_rotations,
-    rotation_fields,
-    rotation_to_json,
 )
-from .pauli import PauliString, anticommutation_rows, merged_rotation_axis
+from .pauli import PauliString, anticommutation_rows, merged_rotation_axis, raw_product
 
 
 @dataclass(frozen=True)
@@ -95,13 +99,18 @@ class CanonicalForm:
     pi8: tuple[PauliRotation, ...]
     clifford_trace: tuple[PauliRotation, ...]
     tableau: CliffordTableau
-    measurement_bases: tuple[PauliString, ...]
 
     def __post_init__(self):
         if any(not r.is_pi8 for r in self.pi8):
             raise ValueError("pi8 section may only contain pi/8 rotations")
         if any(not r.is_clifford for r in self.clifford_trace):
             raise ValueError("trace may only contain Clifford rotations")
+
+    @property
+    def measurement_bases(self) -> tuple[PauliString, ...]:
+        """Measuring Z_q after the circuit is measuring this q-th basis
+        after the pi/8 prefix: the tableau's image of Z_q."""
+        return self.tableau.z_images
 
 
 def to_rotation_circuit(gc: GateCircuit) -> RotationCircuit:
@@ -139,16 +148,6 @@ def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
 # -- running tableau on raw (x, z, phase) triples ---------------------------
 
 
-def _product(a: tuple, b: tuple) -> tuple:
-    """Phase-exact product of raw (x, z, phase) triples; the formula of
-    `PauliString.__mul__`."""
-    x1, z1, p1 = a
-    x2, z2, p2 = b
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    return x3, z3, (p1 + p2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
-                    + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()) % 4
-
-
 def _conjugate(xs: list, zs: list, x: int, z: int, phase: int) -> tuple:
     """Image of the Pauli (x, z, phase) given the images xs[q], zs[q] of
     X_q and Z_q.
@@ -164,9 +163,9 @@ def _conjugate(xs: list, zs: list, x: int, z: int, phase: int) -> tuple:
         support ^= low
         q = low.bit_length() - 1
         if x & low:
-            acc = xs[q] if acc is None else _product(acc, xs[q])
+            acc = xs[q] if acc is None else raw_product(acc, xs[q])
         if z & low:
-            acc = zs[q] if acc is None else _product(acc, zs[q])
+            acc = zs[q] if acc is None else raw_product(acc, zs[q])
     ax, az, ap = acc or (0, 0, 0)
     return ax, az, (ap + phase + (x & z).bit_count()) % 4
 
@@ -191,7 +190,7 @@ def _cross(xs: list, zs: list, mover: PauliRotation) -> None:
             low = bits & -bits
             bits ^= low
             q = low.bit_length() - 1
-            x, z, phase = images[q] if a is None else _product(a, images[q])
+            x, z, phase = images[q] if a is None else raw_product(a, images[q])
             images[q] = (x, z, (phase + turn) % 4)
 
 
@@ -240,9 +239,7 @@ def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
         else:
             _cross(xs, zs, rot)
             trace.append(rot)
-    tableau = _tableau(n, xs, zs)
-    bases = tuple(tableau.z_images)
-    return CanonicalForm(n, tuple(pi8), tuple(trace), tableau, bases)
+    return CanonicalForm(n, tuple(pi8), tuple(trace), _tableau(n, xs, zs))
 
 
 def tableau_from_trace(n: int, trace: list[PauliRotation]) -> CliffordTableau:
@@ -265,14 +262,37 @@ def canonicalize(gc: GateCircuit) -> CanonicalForm:
 # -- JSON ----------------------------------------------------------------
 
 
-def canonical_to_json(cf: CanonicalForm) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": cf.n,
-        "pi8": [rotation_to_json(r) for r in cf.pi8],
-        "clifford_trace": [rotation_to_json(r) for r in cf.clifford_trace],
-        "measurement_bases": [str(b) for b in cf.measurement_bases],
-    }
+def canonical_to_json(cf: CanonicalForm, layers: list | None = None) -> dict:
+    """The transpile payload, or, given `layers` (lists of rotations), the
+    optimize payload, which holds the pi/8 rotations as those layers."""
+    labels: dict = {}
+
+    def entry(rot: PauliRotation) -> dict:
+        # render each distinct axis once, but give every entry its own dict
+        label = labels.get(rot.axis)
+        if label is None:
+            label = labels[rot.axis] = str(rot.axis)
+        return {"axis": label, "num": rot.num, "den": rot.den}
+
+    payload: dict = {"schema_version": SCHEMA_VERSION, "n": cf.n}
+    if layers is None:
+        payload["pi8"] = [entry(r) for r in cf.pi8]
+    else:
+        payload["layers"] = [[entry(r) for r in layer] for layer in layers]
+    payload["clifford_trace"] = [entry(r) for r in cf.clifford_trace]
+    payload["measurement_bases"] = [str(b) for b in cf.measurement_bases]
+    return payload
+
+
+def rotation_fields(obj: dict) -> tuple[str, int, int]:
+    """The (axis, num, den) of a rotation's JSON, each of its exact type."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"rotation must be a JSON object, got {obj!r}")
+    for key, kind in (("axis", str), ("num", int), ("den", int)):
+        if type(obj[key]) is not kind:  # type(), not isinstance: bool is no int
+            raise ValueError(f"rotation field {key!r} must be of type {kind.__name__}, "
+                             f"got {obj[key]!r}")
+    return obj["axis"], obj["num"], obj["den"]
 
 
 def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...]:
@@ -298,12 +318,18 @@ def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...
 
 
 def canonical_from_json(obj: dict) -> CanonicalForm:
-    """Inverse of canonical_to_json; ValueError names the first field
-    that is malformed or disagrees with `n`."""
+    """Inverse of canonical_to_json for either payload; ValueError names
+    the first field that is malformed or disagrees with `n`.
+
+    A payload with `layers` and no `pi8` gives its layers, in order, as
+    the pi/8 list: layers only reorder commuting rotations, so the
+    product is unchanged.  They are read after the trace and the bases.
+    """
     n = obj["n"]
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
         raise ValueError(f"field 'n' must be an integer >= 1, got {n!r}")
-    pi8 = rotations_from_json(obj["pi8"], n, "field 'pi8'")
+    layered = "pi8" not in obj and "layers" in obj
+    pi8 = () if layered else rotations_from_json(obj["pi8"], n, "field 'pi8'")
     trace = rotations_from_json(obj["clifford_trace"], n, "field 'clifford_trace'")
     labels = obj["measurement_bases"]
     if not isinstance(labels, list) or len(labels) != n or not all(
@@ -316,6 +342,12 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
             raise ValueError(f"field 'measurement_bases' entry {i}: "
                              f"qubit count mismatch: {p.n} vs {n}")
     tableau = tableau_from_trace(n, trace)
-    if bases != tuple(tableau.z_images):
+    if bases != tableau.z_images:
         raise ValueError("measurement bases inconsistent with Clifford trace")
-    return CanonicalForm(n, pi8, trace, tableau, bases)
+    if layered:  # errors name the layer and the entry within it
+        layers = obj["layers"]
+        if not isinstance(layers, list):
+            raise ValueError(f"field 'layers' must be a list of layers, got {layers!r}")
+        pi8 = tuple(rot for i, layer in enumerate(layers) for rot in
+                    rotations_from_json(layer, n, f"field 'layers' layer {i}"))
+    return CanonicalForm(n, pi8, trace, tableau)

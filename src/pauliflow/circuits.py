@@ -267,18 +267,3 @@ def circuit_metrics(rc: RotationCircuit) -> dict:
 # -- JSON ----------------------------------------------------------------
 
 SCHEMA_VERSION = 1
-
-
-def rotation_to_json(rot: PauliRotation) -> dict:
-    return {"axis": str(rot.axis), "num": rot.num, "den": rot.den}
-
-
-def rotation_fields(obj: dict) -> tuple[str, int, int]:
-    """The (axis, num, den) of a rotation's JSON, each of its exact type."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"rotation must be a JSON object, got {obj!r}")
-    for key, kind in (("axis", str), ("num", int), ("den", int)):
-        if type(obj[key]) is not kind:  # type(), not isinstance: bool is no int
-            raise ValueError(f"rotation field {key!r} must be of type {kind.__name__}, "
-                             f"got {obj[key]!r}")
-    return obj["axis"], obj["num"], obj["den"]

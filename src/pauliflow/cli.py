@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -118,9 +117,7 @@ def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
 
 
 def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
-    """Canonical form from the `transpile` JSON at `path`, or from `optimize`
-    JSON whose layers, taken in order, are the pi/8 list (layers only
-    reorder commuting rotations, so the product is unchanged)."""
+    """Canonical form from the `transpile` or `optimize` JSON at `path`."""
     expects = f"{command} expects the JSON written by transpile or optimize"
     try:
         obj = json.loads(Path(path).read_text())
@@ -128,18 +125,8 @@ def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
         raise ConfigError(f"{path}: not JSON ({exc}); {expects}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: not a JSON object; {expects}")
-    layered = "pi8" not in obj and "layers" in obj
     try:
-        cf = canonical.canonical_from_json({**obj, "pi8": []} if layered else obj)
-        if layered:  # errors name the layer and the entry within it
-            if not isinstance(obj["layers"], list):
-                raise ValueError(f"field 'layers' must be a list of layers, "
-                                 f"got {obj['layers']!r}")
-            per_layer = (
-                canonical.rotations_from_json(layer, cf.n, f"field 'layers' layer {i}")
-                for i, layer in enumerate(obj["layers"]))
-            cf = dataclasses.replace(cf, pi8=tuple(itertools.chain(*per_layer)))
-        return cf
+        return canonical.canonical_from_json(obj)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}; {expects}") from None
 
@@ -149,8 +136,7 @@ def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
 
 def cmd_transpile(args) -> int:
     gc = circuits.parse_circuit(Path(args.circuit).read_text())
-    rc = canonical.to_rotation_circuit(gc)
-    cf = canonical.push_cliffords(rc)
+    cf = canonical.canonicalize(gc)
     metrics = circuits.circuit_metrics(
         circuits.RotationCircuit(cf.n, cf.pi8)
     )
@@ -183,29 +169,18 @@ def cmd_optimize(args) -> int:
             result = layers.greedy_collapse(layering, layers.GAConfig(beta=beta).beta)
         final = result.layering
         final.validate()
-        layer_payload = [
-            [circuits.rotation_to_json(final.rotations[i]) for i in layer]
-            for layer in final.layers
-        ]
+        layer_rotations = [[final.rotations[i] for i in layer] for layer in final.layers]
         report = {**result.report(), "asap_t_depth": asap.final_t_depth}
     else:
         # Clifford-only circuit: nothing to schedule, T-depth is zero
-        layer_payload = []
+        layer_rotations = []
         report = {
             "initial_t_depth": 0, "final_t_depth": 0,
             "rounds": 0, "merges_per_round": [], "asap_t_depth": 0,
         }
-    payload = {
-        "schema_version": circuits.SCHEMA_VERSION,
-        "n": cf.n,
-        "layers": layer_payload,
-        "clifford_trace": [
-            circuits.rotation_to_json(r) for r in cf.clifford_trace
-        ],
-        "measurement_bases": [str(b) for b in cf.measurement_bases],
-        "report": report,
-        "method": args.method,
-    }
+    payload = canonical.canonical_to_json(cf, layer_rotations)
+    payload["report"] = report
+    payload["method"] = args.method
     _emit(
         payload,
         args.output,
@@ -232,7 +207,7 @@ def cmd_schedule(args) -> int:
                 "the dp planner only minimizes tiles; use --algo brute for "
                 f"the {objective} objective"
             )
-        sched = scheduling.dp_schedule(catalog, demand, "tiles", args.max_rounds)
+        sched = scheduling.dp_schedule(catalog, demand, max_rounds=args.max_rounds)
     elif args.algo == "greedy":
         sched = scheduling.greedy_schedule(catalog, demand)
     else:

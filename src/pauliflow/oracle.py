@@ -85,12 +85,6 @@ def apply_pauli(p: PauliString, u: np.ndarray) -> np.ndarray:
     return d[perm, None] * u[perm]
 
 
-def times_pauli(u: np.ndarray, p: PauliString) -> np.ndarray:
-    """u @ P for a signed Pauli string, without forming P."""
-    perm, d = _pauli_columns(p)
-    return np.take(u, perm, axis=1) * d
-
-
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of a signed Pauli string (qubit 0 is the leftmost factor)."""
     _check_size(p.n)

@@ -110,19 +110,8 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError(f"qubit count mismatch: {self.n} vs {other.n}")
-        x3 = self.x ^ other.x
-        z3 = self.z ^ other.z
-        # Per-qubit phase of P(x1,z1)*P(x2,z2) = i^g * P(x1^x2, z1^z2)
-        # with g = x1*z1 + x2*z2 + 2*z1*x2 - x3*z3, summed via popcounts.
-        phase = (
-            self.phase
-            + other.phase
-            + (self.x & self.z).bit_count()
-            + (other.x & other.z).bit_count()
-            + 2 * (self.z & other.x).bit_count()
-            - (x3 & z3).bit_count()
-        ) % 4
-        return PauliString(self.n, x3, z3, phase)
+        return PauliString(self.n, *raw_product((self.x, self.z, self.phase),
+                                                (other.x, other.z, other.phase)))
 
     def commutes(self, other: "PauliString") -> bool:
         if self.n != other.n:
@@ -149,6 +138,17 @@ class PauliString:
     def unsigned(self) -> "PauliString":
         """Same letters with phase reset to +1."""
         return PauliString(self.n, self.x, self.z, 0)
+
+
+def raw_product(a: tuple, b: tuple) -> tuple:
+    """Phase-exact product of two Paulis given as raw (x, z, phase) triples."""
+    x1, z1, p1 = a
+    x2, z2, p2 = b
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    # Per-qubit phase of P(x1,z1)*P(x2,z2) = i^g * P(x1^x2, z1^z2)
+    # with g = x1*z1 + x2*z2 + 2*z1*x2 - x3*z3, summed via popcounts.
+    return x3, z3, (p1 + p2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+                    + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count()) % 4
 
 
 def set_bits(v: int) -> Iterator[int]:

@@ -231,7 +231,6 @@ def _balanced_key(feasible: list[Schedule], weight: float):
 def dp_schedule(
     catalog: Iterable[Protocol],
     demand: Demand,
-    objective: str = "tiles",
     max_rounds: int | None = None,
 ) -> Schedule:
     """Exact tile-minimal schedule via dynamic programming in O(M * |P|).
@@ -262,8 +261,6 @@ def dp_schedule(
     decides; only that path can raise EnumerationGuardError.  With the
     same round bound this matches brute_force("tiles") exactly.
     """
-    if objective != "tiles":
-        raise ValueError("the dynamic program supports only the tiles objective")
     protos = _by_name(catalog)
     names = sorted(protos)
     m = demand.states_required

@@ -18,6 +18,7 @@ from pauliflow.canonical import (
     to_rotation_circuit,
 )
 from pauliflow.circuits import Gate, GateCircuit, PauliRotation, RotationCircuit
+from pauliflow.layers import build_layers
 from pauliflow.oracle import verify_canonical_form
 from pauliflow.pauli import PauliString
 
@@ -392,6 +393,35 @@ class TestJson:
         assert restored.pi8 == cf.pi8
         assert restored.clifford_trace == cf.clifford_trace
         assert restored.measurement_bases == cf.measurement_bases
+
+    @given(st.integers(1, 6), st.integers(0, 60), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_layered_roundtrip(self, n, n_gates, seed):
+        # the layered payload reads back with its layers, in order, as pi8
+        cf = canonicalize(random_circuit(n, n_gates, random.Random(seed)))
+        layering = build_layers(cf.pi8) if cf.pi8 else None
+        layers = [[layering.rotations[i] for i in layer]
+                  for layer in layering.layers] if layering else []
+        obj = canonical_to_json(cf, layers)
+        assert "pi8" not in obj
+        assert [len(layer) for layer in obj["layers"]] == [len(layer) for layer in layers]
+        restored = canonical_from_json(obj)
+        assert restored.pi8 == tuple(r for layer in layers for r in layer)
+        assert restored.clifford_trace == cf.clifford_trace
+        assert restored.tableau == cf.tableau
+        assert restored.measurement_bases == cf.tableau.z_images
+
+    def test_equal_entries_are_separate_dicts(self):
+        # labels are rendered once per axis, but editing one entry must not
+        # edit its equal twins
+        cf = canonicalize(GateCircuit(1, (Gate("t", (0,)), Gate("t", (0,)),
+                                          Gate("s", (0,)), Gate("s", (0,)))))
+        for obj in (canonical_to_json(cf), canonical_to_json(cf, [list(cf.pi8)])):
+            entries = obj.get("pi8") or obj["layers"][0]
+            for twins in (entries, obj["clifford_trace"]):
+                assert twins[0] == twins[1]
+                twins[0]["num"] = -twins[0]["num"]
+                assert twins[1]["num"] == -twins[0]["num"]
 
     def test_tampered_bases_rejected(self):
         cf = canonicalize(GateCircuit(1, (Gate("h", (0,)), Gate("t", (0,)))))

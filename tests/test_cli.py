@@ -219,6 +219,22 @@ class TestLoadCanonical:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["asap", "greedy", "ga"])
+    def test_optimize_keeps_trace_and_bases(self, tmp_path, method):
+        # both payloads come from one writer: the Clifford part is the same
+        src = tmp_path / "c.qc"
+        src.write_text(render_circuit(random_circuit(5, 80, random.Random(11))))
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        assert main(["transpile", str(src), "-o", str(canonical)]) == EXIT_OK
+        assert main(["optimize", str(canonical), "--method", method,
+                     "-o", str(layered)]) == EXIT_OK
+        before, after = (json.loads(p.read_text()) for p in (canonical, layered))
+        assert before["clifford_trace"] and before["pi8"]
+        for key in ("schema_version", "n", "clifford_trace", "measurement_bases"):
+            assert after[key] == before[key]
+        assert list(after) == ["schema_version", "n", "layers", "clifford_trace",
+                               "measurement_bases", "report", "method"]
+
     def test_optimize_reads_its_own_output(self, circuit_file, tmp_path):
         # layered input is flattened in layer order, a linear extension of
         # the anticommutation order, so ASAP finds the same layers again

@@ -14,7 +14,6 @@ from pauliflow.oracle import (
     apply_rotation,
     equivalent_up_to_phase,
     pauli_matrix,
-    times_pauli,
     unitary_of_gates,
     unitary_of_rotations,
     verify_canonical_form,
@@ -79,7 +78,6 @@ class TestKernelsMatchKron:
         n, u = nu
         p = data.draw(paulis(n))
         np.testing.assert_allclose(apply_pauli(p, u), dense_pauli(p) @ u, atol=1e-12)
-        np.testing.assert_allclose(times_pauli(u, p), u @ dense_pauli(p), atol=1e-12)
         np.testing.assert_array_equal(pauli_matrix(p), dense_pauli(p))
 
     @given(matrices(), st.data())
@@ -203,7 +201,6 @@ class TestVerifyCanonicalForm:
             bad[idx] = PauliRotation(bad[idx].axis, -bad[idx].num, bad[idx].den)
             corrupted = CanonicalForm(
                 cf.n, tuple(bad), cf.clifford_trace, cf.tableau,
-                cf.measurement_bases,
             )
             assert not verify_canonical_form(gc, corrupted, tol=1e-9)
 
@@ -230,7 +227,6 @@ class TestVerifyCanonicalForm:
             bad[k] = PauliRotation(bad[k].axis.negated(), bad[k].num, bad[k].den)
             corrupted = CanonicalForm(
                 cf.n, tuple(bad), cf.clifford_trace, cf.tableau,
-                cf.measurement_bases,
             )
             verdict = verify_canonical_form(gc, corrupted)
             assert not verdict and verdict.fidelity < 1 - 1e-9
@@ -240,7 +236,7 @@ class TestVerifyCanonicalForm:
             trace = list(cf.clifford_trace)
             del trace[rng.randrange(len(trace))]
             corrupted = CanonicalForm(
-                cf.n, cf.pi8, tuple(trace), cf.tableau, cf.measurement_bases
+                cf.n, cf.pi8, tuple(trace), cf.tableau
             )
             assert not verify_canonical_form(gc, corrupted)
 
@@ -257,7 +253,6 @@ class TestVerifyCanonicalForm:
                     corrupted = CanonicalForm(
                         cf.n, cf.pi8, cf.clifford_trace,
                         CliffordTableau(cf.n, tuple(xs), tuple(zs)),
-                        cf.measurement_bases,
                     )
                     verdict = verify_canonical_form(gc, corrupted)
                     assert not verdict, (q, which)
