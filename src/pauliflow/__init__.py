@@ -1,6 +1,8 @@
 """pauliflow: Clifford+T canonicalization, T-depth optimization,
 distillation scheduling, and surface-code resource estimation."""
 
+import importlib
+
 from .pauli import PauliString, independent, merged_rotation_axis
 from .circuits import (
     Gate,
@@ -58,18 +60,28 @@ from .resources import (
     physical_qubits,
     recommend_protocol,
 )
-from .codes import (
-    LookupDecoder,
-    NoiseModel,
-    StabilizerCode,
-    build_lookup,
-    decode,
-    monte_carlo,
-    repetition_code,
-    residual_class,
-    rotated_surface_code,
-    syndrome,
-    validate_code,
-)
 
 __version__ = "0.1.0"
+
+# codes imports numpy, which no compile command needs: its names (and the
+# submodule itself) are looked up on first use
+_CODES_NAMES = frozenset({
+    "LookupDecoder",
+    "NoiseModel",
+    "StabilizerCode",
+    "build_lookup",
+    "decode",
+    "monte_carlo",
+    "repetition_code",
+    "residual_class",
+    "rotated_surface_code",
+    "syndrome",
+    "validate_code",
+})
+
+
+def __getattr__(name: str):
+    if name == "codes" or name in _CODES_NAMES:
+        codes = importlib.import_module(f"{__name__}.codes")
+        return codes if name == "codes" else getattr(codes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,12 +42,19 @@ measurement bases are therefore the tableau's Z images, not a copy.
 
 This module is also the one codec of the two compile payloads:
 `canonical_to_json` writes the transpile payload (`pi8`) and, given
-layers, the optimize payload (`layers`); `canonical_from_json` reads
-either one back.
+layers, the optimize payload (`layers`), as text; `canonical_from_json`
+reads either one back.  The writer renders the text itself rather than
+building a dict for `json.dumps(payload, indent=2)`: with an indent,
+CPython's json falls back from its C encoder to the pure-Python one,
+which then walks thousands of rotation entries of which only a few
+hundred differ.  It renders each distinct rotation's entry once per
+indent depth and joins the pieces, and its output is byte for byte what
+`json.dumps` of the dict would give.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .circuits import (
@@ -262,26 +269,56 @@ def canonicalize(gc: GateCircuit) -> CanonicalForm:
 # -- JSON ----------------------------------------------------------------
 
 
-def canonical_to_json(cf: CanonicalForm, layers: list | None = None) -> dict:
+def _container_text(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON list (or, with brackets "{}", object) nested `depth` deep,
+    of items already rendered one level deeper, laid out as
+    json.dumps(..., indent=2) lays it out."""
+    if not items:
+        return brackets
+    pad = "  " * depth
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def canonical_to_json(cf: CanonicalForm, layers: list | None = None,
+                      tail: dict | None = None) -> str:
     """The transpile payload, or, given `layers` (lists of rotations), the
-    optimize payload, which holds the pi/8 rotations as those layers."""
-    labels: dict = {}
+    optimize payload, which holds the pi/8 rotations as those layers;
+    `tail`'s keys follow the measurement bases.
 
-    def entry(rot: PauliRotation) -> dict:
-        # render each distinct axis once, but give every entry its own dict
-        label = labels.get(rot.axis)
-        if label is None:
-            label = labels[rot.axis] = str(rot.axis)
-        return {"axis": label, "num": rot.num, "den": rot.den}
+    Returns exactly json.dumps(payload, indent=2) of the payload as a
+    dict, with each distinct rotation's entry rendered once per depth.
+    """
+    memos: dict = {}
 
-    payload: dict = {"schema_version": SCHEMA_VERSION, "n": cf.n}
+    def rotations_text(rotations, depth: int) -> str:
+        memo = memos.setdefault(depth, {})
+        pad = "  " * (depth + 1)
+        entries = []
+        for rot in rotations:
+            axis = rot.axis
+            # the raw fields: hashing and comparing the dataclasses costs
+            # about as much as rendering the entry again
+            key = (axis.n, axis.x, axis.z, axis.phase, rot.num, rot.den)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = (
+                    f'{{\n{pad}  "axis": {json.dumps(str(axis))},\n'
+                    f'{pad}  "num": {rot.num},\n{pad}  "den": {rot.den}\n{pad}}}')
+            entries.append(text)
+        return _container_text(entries, depth)
+
+    texts = {"schema_version": json.dumps(SCHEMA_VERSION), "n": json.dumps(cf.n)}
     if layers is None:
-        payload["pi8"] = [entry(r) for r in cf.pi8]
+        texts["pi8"] = rotations_text(cf.pi8, 1)
     else:
-        payload["layers"] = [[entry(r) for r in layer] for layer in layers]
-    payload["clifford_trace"] = [entry(r) for r in cf.clifford_trace]
-    payload["measurement_bases"] = [str(b) for b in cf.measurement_bases]
-    return payload
+        texts["layers"] = _container_text([rotations_text(layer, 2) for layer in layers], 1)
+    texts["clifford_trace"] = rotations_text(cf.clifford_trace, 1)
+    rest = {"measurement_bases": [str(b) for b in cf.measurement_bases], **(tail or {})}
+    for key, value in rest.items():
+        # one level deeper than json.dumps puts it: a JSON string holds no raw newline
+        texts[key] = json.dumps(value, indent=2).replace("\n", "\n  ")
+    return _container_text([f"{json.dumps(key)}: {text}" for key, text in texts.items()],
+                           0, "{}")
 
 
 def rotation_fields(obj: dict) -> tuple[str, int, int]:
@@ -323,7 +360,8 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
 
     A payload with `layers` and no `pi8` gives its layers, in order, as
     the pi/8 list: layers only reorder commuting rotations, so the
-    product is unchanged.  They are read after the trace and the bases.
+    product is unchanged.  They are read after the trace and the bases,
+    and `schema_version`, which must be exactly SCHEMA_VERSION, last.
     """
     n = obj["n"]
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
@@ -350,4 +388,8 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
             raise ValueError(f"field 'layers' must be a list of layers, got {layers!r}")
         pi8 = tuple(rot for i, layer in enumerate(layers) for rot in
                     rotations_from_json(layer, n, f"field 'layers' layer {i}"))
+    version = obj["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"field 'schema_version' must be the integer "
+                         f"{SCHEMA_VERSION}, got {version!r}")
     return CanonicalForm(n, pi8, trace, tableau)

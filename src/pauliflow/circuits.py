@@ -200,10 +200,18 @@ def parse_circuit(text: str) -> GateCircuit:
     Gate lines are a lowercase mnemonic followed by space-separated
     zero-based qubit indices, e.g. "h 0" or "cnot 0 1".  "#" starts a
     comment; blank lines are ignored.
+
+    Each distinct gate line is checked and parsed once; its repeats
+    share the first one's Gate.
     """
     n = None
     gates: list[Gate] = []
+    parsed: dict[str, Gate] = {}  # raw gate line -> its Gate, after the header
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = parsed.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -238,7 +246,8 @@ def parse_circuit(text: str) -> GateCircuit:
             raise CircuitParseError(
                 f"qubit index out of range 0..{n - 1} in {line!r}", lineno
             )
-        gates.append(Gate(mnemonic, qubits))
+        gate = parsed[raw] = Gate(mnemonic, qubits)
+        gates.append(gate)
     if n is None:
         raise CircuitParseError('missing "qubits N" header', 1)
     return GateCircuit(n, tuple(gates))

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import canonical, circuits, codes, layers, resources, scheduling
+from . import canonical, circuits, layers, resources, scheduling
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -74,8 +74,9 @@ def _validate_config(values: dict, origin: str):
         raise ConfigError(f"{origin}: {exc}") from None
 
 
-def _emit(payload: dict, out: str | None, summary: str):
-    text = json.dumps(payload, indent=2)
+def _emit(payload: dict | str, out: str | None, summary: str):
+    """Write the payload, a dict or its JSON text, to `out`."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if out == "-":
         print(text)
     elif out:
@@ -140,10 +141,8 @@ def cmd_transpile(args) -> int:
     metrics = circuits.circuit_metrics(
         circuits.RotationCircuit(cf.n, cf.pi8)
     )
-    payload = canonical.canonical_to_json(cf)
-    payload["metrics"] = metrics
     _emit(
-        payload,
+        canonical.canonical_to_json(cf, tail={"metrics": metrics}),
         args.output,
         f"canonicalized {args.circuit}: n={cf.n} t_count={metrics['t_count']} "
         f"naive_t_depth={metrics['naive_t_depth']} "
@@ -178,11 +177,9 @@ def cmd_optimize(args) -> int:
             "initial_t_depth": 0, "final_t_depth": 0,
             "rounds": 0, "merges_per_round": [], "asap_t_depth": 0,
         }
-    payload = canonical.canonical_to_json(cf, layer_rotations)
-    payload["report"] = report
-    payload["method"] = args.method
     _emit(
-        payload,
+        canonical.canonical_to_json(
+            cf, layer_rotations, {"report": report, "method": args.method}),
         args.output,
         f"{args.method}: t_depth {report['initial_t_depth']} -> "
         f"{report['final_t_depth']}",
@@ -252,15 +249,24 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _codes():
+    """pauliflow.codes, imported on first use: it imports numpy, which no
+    other command needs."""
+    from . import codes
+
+    return codes
+
+
 _CODES = {
-    "rep3": (lambda: codes.repetition_code(3), 1),
-    "rep5": (lambda: codes.repetition_code(5), 2),
-    "surface3": (lambda: codes.rotated_surface_code(3), 1),
-    "surface5": (lambda: codes.rotated_surface_code(5), 2),
+    "rep3": (lambda: _codes().repetition_code(3), 1),
+    "rep5": (lambda: _codes().repetition_code(5), 2),
+    "surface3": (lambda: _codes().rotated_surface_code(3), 1),
+    "surface5": (lambda: _codes().rotated_surface_code(5), 2),
 }
 
 
 def cmd_decode(args) -> int:
+    codes = _codes()
     builder, default_weight = _CODES[args.code]
     code = builder()
     if args.dump_code:

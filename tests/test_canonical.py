@@ -1,5 +1,6 @@
 """Clifford pushing, tableau conjugation, and oracle equivalence."""
 
+import json
 import random
 
 import pytest
@@ -17,7 +18,13 @@ from pauliflow.canonical import (
     tableau_from_trace,
     to_rotation_circuit,
 )
-from pauliflow.circuits import Gate, GateCircuit, PauliRotation, RotationCircuit
+from pauliflow.circuits import (
+    SCHEMA_VERSION,
+    Gate,
+    GateCircuit,
+    PauliRotation,
+    RotationCircuit,
+)
 from pauliflow.layers import build_layers
 from pauliflow.oracle import verify_canonical_form
 from pauliflow.pauli import PauliString
@@ -67,11 +74,16 @@ def reference_push(rc):
 
 @st.composite
 def clifford_t_circuits(draw, max_qubits=24, max_gates=120):
-    """Gate circuits over all 10 gate kinds on 1..max_qubits qubits."""
+    """Gate circuits over all 10 gate kinds on 1..max_qubits qubits.
+
+    The gate count is drawn first, uniformly: drawn as a list, the
+    length shrinks towards a handful of gates.
+    """
     n = draw(st.integers(1, max_qubits))
     kinds = ONE_QUBIT + (TWO_QUBIT if n >= 2 else [])
+    count = draw(st.integers(0, max_gates))
     gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_gates)):
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=count, max_size=count)):
         a = draw(st.integers(0, n - 1))
         if kind in TWO_QUBIT:
             b = draw(st.integers(0, n - 2))
@@ -111,7 +123,7 @@ class TestRunningTableauMatchesSweep:
         assert cf.pi8 == pi8
         assert cf.tableau == CliffordTableau(gc.n, xs, zs)
         assert cf.measurement_bases == zs
-        assert canonical_from_json(canonical_to_json(cf)) == cf
+        assert canonical_from_json(json.loads(canonical_to_json(cf))) == cf
         if gc.n >= 16:
             cf.tableau.validate()
 
@@ -122,7 +134,7 @@ class TestRunningTableauMatchesSweep:
         pi8, xs, zs = reference_push(rc)
         assert cf.pi8 == pi8
         assert cf.tableau == CliffordTableau(rc.n, xs, zs)
-        assert canonical_from_json(canonical_to_json(cf)) == cf
+        assert canonical_from_json(json.loads(canonical_to_json(cf))) == cf
 
 
 class TestRunningTableauKernel:
@@ -389,7 +401,7 @@ class TestJson:
         rng = random.Random(3)
         gc = random_circuit(3, 20, rng)
         cf = canonicalize(gc)
-        restored = canonical_from_json(canonical_to_json(cf))
+        restored = canonical_from_json(json.loads(canonical_to_json(cf)))
         assert restored.pi8 == cf.pi8
         assert restored.clifford_trace == cf.clifford_trace
         assert restored.measurement_bases == cf.measurement_bases
@@ -402,7 +414,7 @@ class TestJson:
         layering = build_layers(cf.pi8) if cf.pi8 else None
         layers = [[layering.rotations[i] for i in layer]
                   for layer in layering.layers] if layering else []
-        obj = canonical_to_json(cf, layers)
+        obj = json.loads(canonical_to_json(cf, layers))
         assert "pi8" not in obj
         assert [len(layer) for layer in obj["layers"]] == [len(layer) for layer in layers]
         restored = canonical_from_json(obj)
@@ -412,11 +424,12 @@ class TestJson:
         assert restored.measurement_bases == cf.tableau.z_images
 
     def test_equal_entries_are_separate_dicts(self):
-        # labels are rendered once per axis, but editing one entry must not
-        # edit its equal twins
+        # an entry's text is rendered once per distinct rotation, but
+        # editing one entry read back must not edit its equal twins
         cf = canonicalize(GateCircuit(1, (Gate("t", (0,)), Gate("t", (0,)),
                                           Gate("s", (0,)), Gate("s", (0,)))))
-        for obj in (canonical_to_json(cf), canonical_to_json(cf, [list(cf.pi8)])):
+        for obj in (json.loads(canonical_to_json(cf)),
+                    json.loads(canonical_to_json(cf, [list(cf.pi8)]))):
             entries = obj.get("pi8") or obj["layers"][0]
             for twins in (entries, obj["clifford_trace"]):
                 assert twins[0] == twins[1]
@@ -425,16 +438,16 @@ class TestJson:
 
     def test_tampered_bases_rejected(self):
         cf = canonicalize(GateCircuit(1, (Gate("h", (0,)), Gate("t", (0,)))))
-        obj = canonical_to_json(cf)
+        obj = json.loads(canonical_to_json(cf))
         obj["measurement_bases"] = ["+Z"]
         with pytest.raises(ValueError, match="inconsistent"):
             canonical_from_json(obj)
 
     @pytest.mark.parametrize("n", ["2", 2.0, True, 0, -1, None])
     def test_n_must_be_a_positive_int(self, n):
-        obj = canonical_to_json(canonicalize(
+        obj = json.loads(canonical_to_json(canonicalize(
             GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
-        ))
+        )))
         obj["n"] = n
         with pytest.raises(ValueError, match="field 'n' must be an integer >= 1"):
             canonical_from_json(obj)
@@ -442,9 +455,9 @@ class TestJson:
     @pytest.mark.parametrize("field", ["pi8", "clifford_trace"])
     @pytest.mark.parametrize("letters", ["Z", "ZZZ"])
     def test_axes_must_have_n_letters(self, field, letters):
-        obj = canonical_to_json(canonicalize(
+        obj = json.loads(canonical_to_json(canonicalize(
             GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
-        ))
+        )))
         obj[field][0]["axis"] = "+" + letters
         with pytest.raises(
             ValueError,
@@ -464,9 +477,111 @@ class TestJson:
         ],
     )
     def test_bases_must_be_n_labels_of_n_letters(self, bases, message):
-        obj = canonical_to_json(canonicalize(
+        obj = json.loads(canonical_to_json(canonicalize(
             GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
-        ))
+        )))
         obj["measurement_bases"] = bases
         with pytest.raises(ValueError, match=message):
             canonical_from_json(obj)
+
+    @pytest.mark.parametrize("version", [2, "1", True])
+    def test_schema_version_must_be_the_int(self, version):
+        obj = json.loads(canonical_to_json(canonicalize(GateCircuit(1, (Gate("t", (0,)),)))))
+        obj["schema_version"] = version
+        with pytest.raises(ValueError, match=f"field 'schema_version' must be the "
+                                             f"integer {SCHEMA_VERSION}, got {version!r}"):
+            canonical_from_json(obj)
+
+    def test_schema_version_is_required(self):
+        obj = json.loads(canonical_to_json(canonicalize(GateCircuit(1, (Gate("t", (0,)),)))))
+        del obj["schema_version"]
+        with pytest.raises(KeyError, match="schema_version"):
+            canonical_from_json(obj)
+
+
+def _canonical_to_json_reference(cf, layers=None):
+    """The payload as a dict, as canonical_to_json built it before it
+    rendered the text itself (kept verbatim); the writer's text must be
+    json.dumps(..., indent=2) of it."""
+    labels: dict = {}
+
+    def entry(rot: PauliRotation) -> dict:
+        # render each distinct axis once, but give every entry its own dict
+        label = labels.get(rot.axis)
+        if label is None:
+            label = labels[rot.axis] = str(rot.axis)
+        return {"axis": label, "num": rot.num, "den": rot.den}
+
+    payload: dict = {"schema_version": SCHEMA_VERSION, "n": cf.n}
+    if layers is None:
+        payload["pi8"] = [entry(r) for r in cf.pi8]
+    else:
+        payload["layers"] = [[entry(r) for r in layer] for layer in layers]
+    payload["clifford_trace"] = [entry(r) for r in cf.clifford_trace]
+    payload["measurement_bases"] = [str(b) for b in cf.measurement_bases]
+    return payload
+
+
+def asap_layers(pi8):
+    if not pi8:
+        return []
+    layering = build_layers(pi8)
+    return [[layering.rotations[i] for i in layer] for layer in layering.layers]
+
+
+TRANSPILE_TAIL = {"metrics": {"t_count": 3, "naive_t_depth": 2}}
+OPTIMIZE_TAIL = {
+    "report": {"initial_t_depth": 4, "final_t_depth": 2, "rounds": 3,
+               "merges_per_round": [], "seed": 3, "history": [[1, [2, []]], [], {}],
+               "ratio": 0.125, "note": "caf\u00e9 \"a\"\nb"},
+    "method": "ga",
+}
+
+
+def assert_writes_json_dumps(cf, layers=None):
+    """Both payloads of cf, with and without a tail, are the bytes of
+    json.dumps(..., indent=2) of the reference dict."""
+    for tail in ({}, TRANSPILE_TAIL):
+        assert canonical_to_json(cf, tail=tail) == json.dumps(
+            {**_canonical_to_json_reference(cf), **tail}, indent=2)
+    if layers is None:
+        layers = asap_layers(cf.pi8)
+    for tail in ({}, OPTIMIZE_TAIL):
+        assert canonical_to_json(cf, layers, tail) == json.dumps(
+            {**_canonical_to_json_reference(cf, layers), **tail}, indent=2)
+
+
+class TestWriterBytes:
+    @given(clifford_t_circuits(max_qubits=8, max_gates=60))
+    @settings(max_examples=60, deadline=None)
+    def test_gate_circuits(self, gc):
+        assert_writes_json_dumps(canonicalize(gc))
+
+    @given(rotation_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_circuits(self, rc):
+        assert_writes_json_dumps(push_cliffords(rc))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_deep_circuits(self, seed):
+        # the compile benchmark's size: n = 16, 2000 gates, many repeats
+        cf = canonicalize(random_circuit(16, 2000, random.Random(seed)))
+        assert len(cf.pi8) > 100 and len(cf.clifford_trace) > 1000
+        assert_writes_json_dumps(cf)
+
+    def test_clifford_only(self):
+        # empty pi8 and no layers; an empty layer renders as []
+        cf = canonicalize(GateCircuit(2, (Gate("h", (0,)), Gate("cz", (0, 1)))))
+        assert cf.pi8 == () and cf.clifford_trace
+        assert_writes_json_dumps(cf, [])
+        assert_writes_json_dumps(cf, [[]])
+
+    def test_empty_trace(self):
+        cf = canonicalize(GateCircuit(3, (Gate("t", (0,)), Gate("tdg", (2,)))))
+        assert cf.clifford_trace == () and len(cf.pi8) == 2
+        assert_writes_json_dumps(cf)
+
+    @pytest.mark.parametrize("gates", [(), (Gate("t", (0,)),),
+                                       (Gate("h", (0,)), Gate("t", (0,)), Gate("x", (0,)))])
+    def test_one_qubit(self, gates):
+        assert_writes_json_dumps(canonicalize(GateCircuit(1, gates)))

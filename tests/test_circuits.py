@@ -76,6 +76,21 @@ class TestParser:
         with pytest.raises(CircuitParseError, match="out of range"):
             parse_circuit("qubits 2\nt 2\n")
 
+    def test_repeated_lines(self):
+        # a repeated gate line is parsed once and shares its Gate; every
+        # error still names the line it is on
+        gc = parse_circuit("qubits 2\nh 0\ncnot 0 1\nh 0\nh 0  # again\ncnot 0 1\n")
+        h, cnot = Gate("h", (0,)), Gate("cnot", (0, 1))
+        assert gc.gates == (h, cnot, h, h, cnot)
+        assert gc.gates[0] is gc.gates[2]
+        for text, message in (
+            ("qubits 2\nt 0\nt 0\nqubits 2\n", "line 4: duplicate qubits header"),
+            ("qubits 2\nh 0\nh 0\nh 2\nh 0\n", "line 4: qubit index out of range"),
+            ("qubits 2\nh 0\nh 0\ncnot 0 0\ncnot 0 0\n", "line 4: duplicate indices"),
+        ):
+            with pytest.raises(CircuitParseError, match=message):
+                parse_circuit(text)
+
     # int() reads every one of these; only ASCII digits name a qubit
     @pytest.mark.parametrize(
         "index", ["1_0", "+3", "-1", "\u0663", "\uff13", "\u00b2", "1.0", "0x1"]

@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,29 @@ class TestLoadCanonical:
             assert after[key] == before[key]
         assert list(after) == ["schema_version", "n", "layers", "clifford_trace",
                                "measurement_bases", "report", "method"]
+
+    @pytest.mark.parametrize("version", [None, 2, "1", True],
+                             ids=["missing", "2", "str", "bool"])
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_schema_version_must_be_current(self, circuit_file, tmp_path, capsys,
+                                            command, version):
+        canonical, out = tmp_path / "canonical.json", tmp_path / "out.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        obj = json.loads(canonical.read_text())
+        if version is None:
+            del obj["schema_version"]
+        else:
+            obj["schema_version"] = version
+        canonical.write_text(json.dumps(obj))
+        argv = (["optimize", str(canonical), "-o", str(out)] if command == "optimize"
+                else ["verify", str(circuit_file), str(canonical)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'schema_version'" in err
+        if version is not None:
+            assert f"must be the integer 1, got {version!r}" in err
+        assert not out.exists()
 
     def test_optimize_reads_its_own_output(self, circuit_file, tmp_path):
         # layered input is flattened in layer order, a linear extension of
@@ -781,10 +808,14 @@ class TestConfig:
 
 # sha256 of `transpile -o` and `optimize -o` (asap) output for the seeded
 # n = 16, 300-gate circuit below, as written when the running tableau held
-# PauliString objects; the bytes must not move
+# PauliString objects, and of `optimize --method greedy` and `--method ga
+# --seed 3` output, as written when the payload was a dict for
+# json.dumps; the bytes must not move
 COMPILE_GOLDEN_SHA256 = {
     "canonical.json": "db5c50279d886db8ce774cd13b82b6817d817cd9f49d40e875673d4b0b74f018",
     "layered.json": "624f142bb08c386c5c37ad70f3c562827658a3db2ad60c75d949e86f699e8a51",
+    "greedy.json": "76a95a275c854d737d5b0ca816561ce2c4017e512ac5463a6deb98a0c407e1d9",
+    "ga.json": "89e234a934a9f995d8c2913308f6a9c301368d50e0a8fd3dc89bc55399f69af2",
 }
 
 
@@ -792,11 +823,15 @@ class TestGoldenCompile:
     def test_transpile_and_optimize_bytes(self, tmp_path, capsys):
         src = tmp_path / "c.qc"
         src.write_text(render_circuit(random_circuit(16, 300, random.Random(2024))))
-        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        canonical = tmp_path / "canonical.json"
         assert main(["transpile", str(src), "-o", str(canonical)]) == EXIT_OK
-        assert main(["optimize", str(canonical), "-o", str(layered)]) == EXIT_OK
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in (canonical, layered)}
+        for name, method in (("layered.json", []),
+                             ("greedy.json", ["--method", "greedy"]),
+                             ("ga.json", ["--method", "ga", "--seed", "3"])):
+            assert main(["optimize", str(canonical), *method,
+                         "-o", str(tmp_path / name)]) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in COMPILE_GOLDEN_SHA256}
         assert digests == COMPILE_GOLDEN_SHA256
 
 
@@ -837,3 +872,28 @@ class TestSchemaVersion:
         assert main(argv) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == circuits.SCHEMA_VERSION == 1
+
+
+def test_compile_commands_import_no_numpy(tmp_path):
+    # only decode (through codes) and verify (through oracle) use numpy;
+    # the package's codes names still resolve, importing it on first use
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(CIRCUIT)
+    script = f"""
+import sys
+import pauliflow.cli
+print("numpy" in sys.modules)
+main = pauliflow.cli.main
+main(["transpile", {str(circuit)!r}, "-o", {str(tmp_path / "c.json")!r}])
+main(["optimize", {str(tmp_path / "c.json")!r}, "--method", "ga"])
+main(["schedule", "--algo", "dp", "-M", "4"])
+main(["estimate", "--distance", "3", "--p", "1e-4"])
+print("numpy" in sys.modules)
+import pauliflow
+print(pauliflow.build_lookup is pauliflow.codes.build_lookup, "numpy" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, check=True).stdout.splitlines()
+    assert [out[0], out[-2], out[-1]] == ["False", "False", "True True"]
