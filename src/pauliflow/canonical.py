@@ -43,17 +43,15 @@ measurement bases are therefore the tableau's Z images, not a copy.
 This module is also the one codec of the two compile payloads:
 `canonical_to_json` writes the transpile payload (`pi8`) and, given
 layers, the optimize payload (`layers`), as text; `canonical_from_json`
-reads either one back.  The writer renders the text itself rather than
-building a dict for `json.dumps(payload, indent=2)`: with an indent,
-CPython's json falls back from its C encoder to the pure-Python one,
-which then walks thousands of rotation entries of which only a few
-hundred differ.  It renders each distinct rotation's entry once per
-indent depth and joins the pieces, and its output is byte for byte what
-`json.dumps` of the dict would give.
+reads either one back, checking layers as a `layers.Layering`.  The
+writer renders the text itself because, with an indent, CPython's json
+falls back to its pure-Python encoder, which would walk thousands of
+rotation entries of which only a few hundred differ.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -64,6 +62,7 @@ from .circuits import (
     RotationCircuit,
     gate_to_rotations,
 )
+from .layers import Layering
 from .pauli import PauliString, anticommutation_rows, merged_rotation_axis, raw_product
 
 
@@ -361,7 +360,9 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
     A payload with `layers` and no `pi8` gives its layers, in order, as
     the pi/8 list: layers only reorder commuting rotations, so the
     product is unchanged.  They are read after the trace and the bases,
-    and `schema_version`, which must be exactly SCHEMA_VERSION, last.
+    and `schema_version`, which must be exactly SCHEMA_VERSION, next;
+    last they must form a valid `Layering`, which in layer order can
+    fail only on an empty layer or an anticommuting pair within one.
     """
     n = obj["n"]
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
@@ -386,10 +387,19 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
         layers = obj["layers"]
         if not isinstance(layers, list):
             raise ValueError(f"field 'layers' must be a list of layers, got {layers!r}")
-        pi8 = tuple(rot for i, layer in enumerate(layers) for rot in
-                    rotations_from_json(layer, n, f"field 'layers' layer {i}"))
+        groups = [rotations_from_json(layer, n, f"field 'layers' layer {i}")
+                  for i, layer in enumerate(layers)]
+        pi8 = tuple(itertools.chain.from_iterable(groups))
     version = obj["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"field 'schema_version' must be the integer "
                          f"{SCHEMA_VERSION}, got {version!r}")
-    return CanonicalForm(n, pi8, trace, tableau)
+    cf = CanonicalForm(n, pi8, trace, tableau)
+    if layered:  # the check optimize runs before it writes
+        ends = itertools.accumulate(map(len, groups))
+        indices = tuple(tuple(range(e - len(g), e)) for g, e in zip(groups, ends))
+        try:
+            Layering(n, pi8, indices).validate()
+        except ValueError as exc:
+            raise ValueError(f"field 'layers': {exc}") from None
+    return cf

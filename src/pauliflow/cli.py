@@ -124,6 +124,8 @@ def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
         obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not JSON ({exc}); {expects}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read; {expects}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: not a JSON object; {expects}")
     try:
@@ -155,28 +157,21 @@ def cmd_optimize(args) -> int:
     _reject_unused_flags(args)
     cfg_file = load_config(args.config) if args.config else {}
     cf = _load_canonical(args.canonical, "optimize")
-    if cf.pi8:
-        layering = layers.singleton_layering(cf.pi8)
-        asap = layers.asap_optimize(layering)
-        if args.method == "asap":
-            result = asap
-        elif args.method == "ga":
-            result = layers.ga_optimize(layering, _ga_config(args, cfg_file))
-        else:
-            # greedy uses beta alone, under GAConfig's bound
-            beta = _setting(args, cfg_file, "beta", layers.GAConfig.beta)
-            result = layers.greedy_collapse(layering, layers.GAConfig(beta=beta).beta)
-        final = result.layering
-        final.validate()
-        layer_rotations = [[final.rotations[i] for i in layer] for layer in final.layers]
-        report = {**result.report(), "asap_t_depth": asap.final_t_depth}
+    # a Clifford-only circuit has the empty layering, of T-depth zero
+    layering = (layers.singleton_layering(cf.pi8) if cf.pi8
+                else layers.Layering(cf.n, (), ()))
+    asap = layers.asap_optimize(layering)
+    if args.method == "asap":
+        result = asap
+    elif args.method == "ga":
+        result = layers.ga_optimize(layering, _ga_config(args, cfg_file))
     else:
-        # Clifford-only circuit: nothing to schedule, T-depth is zero
-        layer_rotations = []
-        report = {
-            "initial_t_depth": 0, "final_t_depth": 0,
-            "rounds": 0, "merges_per_round": [], "asap_t_depth": 0,
-        }
+        # greedy uses beta alone, under GAConfig's bound
+        result = layers.greedy_collapse(layering, _ga_config(args, cfg_file).beta)
+    final = result.layering
+    final.validate()
+    layer_rotations = [[final.rotations[i] for i in layer] for layer in final.layers]
+    report = {**result.report(), "asap_t_depth": asap.final_t_depth}
     _emit(
         canonical.canonical_to_json(
             cf, layer_rotations, {"report": report, "method": args.method}),
@@ -278,9 +273,7 @@ def cmd_decode(args) -> int:
     max_weight = args.max_weight if args.max_weight is not None else default_weight
     dec = codes.build_lookup(code, max_weight)
     noise = codes.NoiseModel(args.noise, args.p)
-    result = codes.monte_carlo(
-        code, dec, noise, args.shots, args.seed, args.workers
-    )
+    result = codes.monte_carlo(dec, noise, args.shots, args.seed, args.workers)
     payload = result.to_json()
     payload.update(
         {"code": args.code, "noise": args.noise, "p": args.p,

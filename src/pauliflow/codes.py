@@ -14,15 +14,16 @@ symplectically, phases ignored: anticommuting with any generator is
 "uncorrected", membership in the generator span is "success", and a
 commuting non-member is a "logical_error".
 
-Monte Carlo campaigns sample i.i.d. per-qubit errors in fixed-size
-shard blocks whose RNG streams derive from (seed, shard index), so
-counts are bit-identical regardless of how many workers the shards are
-spread across.  A shot is one uint64 symplectic_vector row (x << n) | z,
-so campaigns need n <= 32.  Syndrome bit i is the parity of the row
-ANDed with generator i's mask (z << n) | x.  The residual a table hit
-leaves commutes with every generator; for a code that passes
-validate_code it is a logical_error iff it anticommutes with one of the
-2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
+Monte Carlo campaigns run on the decoder's own code, `dec.code`, and
+sample i.i.d. per-qubit errors in fixed-size shard blocks whose RNG
+streams derive from (seed, shard index), so counts are bit-identical
+regardless of how many workers the shards are spread across.  A shot is
+one uint64 symplectic_vector row (x << n) | z, so campaigns need n <= 32.
+Syndrome bit i, the parity of the row ANDed with generator i's mask
+(z << n) | x, is bit i of its `_pack`ed key, as in the table's keys.
+The residual a table hit leaves commutes with every generator; for a
+code that passes validate_code it is a logical_error iff it anticommutes
+with one of the 2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
 
 A shard draws every shot's uniforms but builds rows only for the shots
 that drew an error, and classifies only those.  At low noise most shots
@@ -366,12 +367,11 @@ def _decoder_arrays(dec: LookupDecoder):
     def masks(paulis):
         return np.array([(p.z << code.n) | p.x for p in paulis], dtype=np.uint64)
 
-    keys, corrections = np.array(sorted(
-        (sum(bit << i for i, bit in enumerate(s)), symplectic_vector(corr))
-        for s, corr in dec.table.items()
-    ), dtype=np.uint64).T
+    keys = _pack(np.array(list(dec.table), dtype=np.uint8))
+    corrections = np.array([symplectic_vector(c) for c in dec.table.values()], np.uint64)
+    order = np.argsort(keys)
     logicals = masks(code.logical_x + code.logical_z)
-    return code.n, masks(code.generators), keys, corrections, logicals
+    return code.n, masks(code.generators), keys[order], corrections[order], logicals
 
 
 def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
@@ -382,8 +382,6 @@ def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
     X from u < p (bitflip), or X and Y from u < 2p/3 and Y and Z from
     p/3 <= u < p (depolarizing).  Only the entries with u < p are read.
     """
-    if noise.p == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64)
     u = rng.random((count, n)).ravel()
     p = noise.p
     # depolarizing: u < p is exactly the union of the X letters u < 2p/3
@@ -430,17 +428,16 @@ def _run_shard(args):
 
 
 def monte_carlo(
-    code: StabilizerCode,
     dec: LookupDecoder,
     noise: NoiseModel,
     shots: int,
     seed: int,
     workers: int = 1,
 ) -> MonteCarloResult:
-    """Sample errors, decode, classify; logical failure counts both the
-    logical_error class and detected-uncorrectable table misses.
+    """Sample errors on dec.code, decode, classify; logical failure counts
+    both the logical_error class and detected-uncorrectable table misses.
 
-    The code must pass validate_code and have n <= MONTE_CARLO_MAX_N
+    dec.code must pass validate_code and have n <= MONTE_CARLO_MAX_N
     qubits; otherwise ValueError names the first failure or the limit.
 
     Shots are processed in fixed-size shards with RNG streams derived
@@ -454,6 +451,7 @@ def monte_carlo(
         raise ValueError("seed must be non-negative")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    code = dec.code
     if code.n > MONTE_CARLO_MAX_N:
         raise ValueError(
             f"monte_carlo needs n <= {MONTE_CARLO_MAX_N} qubits (2n bits per "
@@ -467,15 +465,13 @@ def monte_carlo(
         (dec_arrays, noise, min(_SHARD_SHOTS, shots - start), seed, idx)
         for idx, start in enumerate(range(0, shots, _SHARD_SHOTS))
     ]
+    # serial for one worker: a pool of one raised decode-surface peak RSS 57 -> 71 MB
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shard_counts = list(pool.map(_run_shard, jobs))
     else:
         shard_counts = [_run_shard(job) for job in jobs]
-    counts = {SUCCESS: 0, LOGICAL_ERROR: 0, DETECTED_UNCORRECTABLE: 0}
-    for sc in shard_counts:
-        for key, value in sc.items():
-            counts[key] += value
+    counts = {key: sum(sc[key] for sc in shard_counts) for key in _CLASSES}
     failures = counts[LOGICAL_ERROR] + counts[DETECTED_UNCORRECTABLE]
     return MonteCarloResult(
         shots=shots,

@@ -78,7 +78,7 @@ class Layering:
         return self._commute_rows
 
     def validate(self):
-        """Check the partition, within-layer commutation and order invariants.
+        """Check the partition, non-empty layers, within-layer commutation, order rule.
 
         The order rule: for anticommuting rotations i < j, the layer of i
         comes strictly before the layer of j.  Commuting rotations may be
@@ -89,7 +89,9 @@ class Layering:
             raise ValueError("layers do not partition the rotation indices")
         rows = self.commute_rows()
         earlier = 0  # bitmask of the indices placed in earlier layers
-        for layer in self.layers:
+        for p, layer in enumerate(self.layers):
+            if not layer:
+                raise ValueError(f"layer {p} is empty")
             here = sum(1 << j for j in layer)
             for j in layer:
                 # anticommuting partners that share j's layer, or that
@@ -100,7 +102,7 @@ class Layering:
                     if here >> i & 1:
                         raise ValueError(
                             f"rotations {min(i, j)} and {max(i, j)} share a "
-                            "layer but anticommute"
+                            f"layer but anticommute (layer {p})"
                         )
                     raise ValueError(
                         f"rotation {j} anticommutes with earlier rotation {i} "
@@ -437,13 +439,8 @@ def asap_optimize(l: Layering) -> OptimizeResult:
     Its depth is the longest anticommutation chain, a lower bound for
     every valid layering, so no merge rounds are needed.
     """
-    asap = build_layers(l.rotations)
-    return OptimizeResult(
-        layering=asap,
-        initial_t_depth=l.t_depth,
-        final_t_depth=asap.t_depth,
-        merges_per_round=[],
-    )
+    asap = build_layers(l.rotations) if l.rotations else l
+    return OptimizeResult(asap, l.t_depth, asap.t_depth, [])
 
 
 # -- synthetic instances ---------------------------------------------------

@@ -11,7 +11,8 @@ Distillation block volumes and per-state costs are catalog data, not
 derived: the 15-to-1 block occupies 55 tiles for 12d cycles (660 d^3)
 while its optimized per-state cost in protocol selection is 6.3 d^3;
 the two refer to different layouts and are deliberately exposed under
-distinct names.
+distinct names.  A round's output error is read from the shipped
+protocol catalog (`scheduling.default_catalog`), the one place it is stated.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import scheduling
 from .circuits import SCHEMA_VERSION
 
 LOGICAL_ERROR_PREFACTOR = 0.03
 LOGICAL_ERROR_REFERENCE_P = 0.01
 
-# name -> (tile footprint, cycles per d, output error coeff, exponent)
+# name -> block footprint: tiles, and cycles per unit of distance
 _BLOCKS = {
-    "15-to-1": {"area_tiles": 55, "cycles_per_d": 12, "coeff": 35.0, "exp": 3},
-    "20-to-4": {"area_tiles": 14, "cycles_per_d": 4, "coeff": 1.0, "exp": 2},
+    "15-to-1": {"area_tiles": 55, "cycles_per_d": 12},
+    "20-to-4": {"area_tiles": 14, "cycles_per_d": 4},
 }
 
 # per-state space-time costs (units of d^3) used by protocol selection
@@ -150,16 +152,16 @@ def distillation_volume(protocol_name: str, d: int) -> dict:
 
 
 def distilled_error(protocol_name: str, p: float) -> float:
-    """Output error after one round: coeff * p^exp, evaluated exactly."""
+    """Output error after one round: the catalog's error_coeff * p^error_exp, exactly."""
     if protocol_name not in _BLOCKS:
         raise ValueError(f"unknown protocol {protocol_name!r}")
     if not 0 <= p < 1:
         raise ValueError("input error rate must be in [0, 1)")
-    block = _BLOCKS[protocol_name]
+    protocol = {q.name: q for q in scheduling.default_catalog()}[protocol_name]
     power = 1.0
-    for _ in range(block["exp"]):
+    for _ in range(protocol.error_exp):
         power *= p
-    return block["coeff"] * power
+    return protocol.error_coeff * power
 
 
 def recommend_protocol(

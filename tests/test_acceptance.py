@@ -299,7 +299,7 @@ class TestAcceptance:
         worker_stable = []
         for p in (0.05, 0.1):
             noise = NoiseModel("bitflip", p)
-            base = monte_carlo(rep3, dec, noise, shots, seed=2024, workers=1)
+            base = monte_carlo(dec, noise, shots, seed=2024, workers=1)
             analytic = repetition_failure_rate(3, p)
             sigma = math.sqrt(analytic * (1 - analytic) / shots)
             calibrated.append(
@@ -308,7 +308,7 @@ class TestAcceptance:
             worker_stable.append(
                 all(
                     monte_carlo(
-                        rep3, dec, noise, shots, seed=2024, workers=w
+                        dec, noise, shots, seed=2024, workers=w
                     ).counts == base.counts
                     for w in (2, 8)
                 )

@@ -14,6 +14,7 @@ from pauliflow.canonical import (
     canonicalize,
     conjugate_axis,
     push_cliffords,
+    rotations_from_json,
     tableau_conjugate,
     tableau_from_trace,
     to_rotation_circuit,
@@ -423,18 +424,44 @@ class TestJson:
         assert restored.tableau == cf.tableau
         assert restored.measurement_bases == cf.tableau.z_images
 
-    def test_equal_entries_are_separate_dicts(self):
-        # an entry's text is rendered once per distinct rotation, but
-        # editing one entry read back must not edit its equal twins
-        cf = canonicalize(GateCircuit(1, (Gate("t", (0,)), Gate("t", (0,)),
-                                          Gate("s", (0,)), Gate("s", (0,)))))
-        for obj in (json.loads(canonical_to_json(cf)),
-                    json.loads(canonical_to_json(cf, [list(cf.pi8)]))):
-            entries = obj.get("pi8") or obj["layers"][0]
-            for twins in (entries, obj["clifford_trace"]):
-                assert twins[0] == twins[1]
-                twins[0]["num"] = -twins[0]["num"]
-                assert twins[1]["num"] == -twins[0]["num"]
+    def test_equal_entries_share_one_rotation(self):
+        # equal entries read back as one PauliRotation; the memo is looked
+        # up only after the type check, so a "num": true twin of a
+        # "num": 1 entry is still refused (True == 1 and hashes alike)
+        entry = {"axis": "+Z", "num": 1, "den": 8}
+        first, second, other = rotations_from_json(
+            [entry, dict(entry), {**entry, "num": -1}], 1, "field 'pi8'")
+        assert second is first
+        assert other is not first and other.num == -1
+        with pytest.raises(ValueError, match="rotation field 'num' must be of "
+                                             "type int, got True"):
+            rotations_from_json([entry, {**entry, "num": True}], 1, "field 'pi8'")
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [([["+Z", "+X"]], r"rotations 0 and 1 share a layer but anticommute \(layer 0\)"),
+         ([["+Z"], [], ["+X"]], "layer 1 is empty"),
+         ([[]], "layer 0 is empty")],
+        ids=["squashed", "empty-between", "empty-only"],
+    )
+    def test_layers_must_form_a_layering(self, layers, message):
+        # t h t: two pi/8 rotations, Z then X, which ASAP puts in two layers
+        cf = canonicalize(GateCircuit(1, (Gate("t", (0,)), Gate("h", (0,)),
+                                          Gate("t", (0,)))))
+        obj = json.loads(canonical_to_json(cf, [[r] for r in cf.pi8]))
+        assert [[r["axis"] for r in layer] for layer in obj["layers"]] == [["+Z"], ["+X"]]
+        obj["layers"] = [[{"axis": a, "num": 1, "den": 8} for a in layer]
+                         for layer in layers]
+        with pytest.raises(ValueError, match=f"field 'layers': {message}"):
+            canonical_from_json(obj)
+        # every earlier reader error keeps its precedence
+        obj["schema_version"] = 2
+        with pytest.raises(ValueError, match="field 'schema_version'"):
+            canonical_from_json(obj)
+        obj["layers"][-1:] = [[{"axis": "+Z", "num": 1, "den": 4}]]
+        obj["schema_version"] = SCHEMA_VERSION
+        with pytest.raises(ValueError, match="pi8 section may only contain"):
+            canonical_from_json(obj)
 
     def test_tampered_bases_rejected(self):
         cf = canonicalize(GateCircuit(1, (Gate("h", (0,)), Gate("t", (0,)))))

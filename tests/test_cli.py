@@ -169,6 +169,34 @@ class TestVerify:
                 "mismatch: 3 vs 2") in err
         assert "pi8" not in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda layers: [layers[0] + layers[1]],
+          "field 'layers': rotations 0 and 1 share a layer but anticommute (layer 0)"),
+         (lambda layers: [layers[0], [], layers[1]], "field 'layers': layer 1 is empty")],
+        ids=["squashed", "empty"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_layered_input_checked_as_a_layering(self, tmp_path, capsys, command,
+                                                 edit, message):
+        # t h t: layers [+Z] [+X]; squashed into one they claim depth 1
+        circuit = tmp_path / "anti.qc"
+        circuit.write_text("qubits 1\nt 0\nh 0\nt 0\n")
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        main(["transpile", str(circuit), "-o", str(canonical)])
+        main(["optimize", str(canonical), "-o", str(layered)])
+        obj = json.loads(layered.read_text())
+        assert [[r["axis"] for r in layer] for layer in obj["layers"]] == [["+Z"], ["+X"]]
+        obj["layers"] = edit(obj["layers"])
+        layered.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        argv = (["optimize", str(layered), "-o", str(out)] if command == "optimize"
+                else ["verify", str(circuit), str(layered)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_payload(self, circuit_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
@@ -198,6 +226,24 @@ class TestLoadCanonical:
         assert f"error: {bad}: {message}; {command} expects the JSON written " \
                "by transpile or optimize" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_deeply_nested_json_is_usage(self, circuit_file, tmp_path, command):
+        # json.loads raises RecursionError, not JSONDecodeError, past its
+        # nesting limit; a subprocess shows what a user would see
+        deep, out = tmp_path / "deep.json", tmp_path / "out.json"
+        deep.write_text("[" * 200_000)
+        argv = (["optimize", str(deep), "-o", str(out)] if command == "optimize"
+                else ["verify", str(circuit_file), str(deep)])
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "pauliflow.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == EXIT_USAGE
+        assert run.stderr == (f"error: {deep}: JSON nested too deeply to read; "
+                              f"{command} expects the JSON written by transpile "
+                              "or optimize\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["clifford_trace", "layers"])
@@ -305,6 +351,41 @@ class TestOptimize:
         obj = json.loads(layered.read_text())
         assert obj["layers"] == []
         assert obj["report"]["final_t_depth"] == 0
+
+    @pytest.mark.parametrize("method", ["asap", "greedy", "ga"])
+    def test_clifford_only_takes_the_one_path(self, tmp_path, method):
+        # the empty layering goes through the chosen method: its report
+        # has every key the method's report has, the ga seed included
+        src, canonical = tmp_path / "cliff.qc", tmp_path / "canonical.json"
+        out = tmp_path / "out.json"
+        src.write_text("qubits 2\nh 0\ns 1\n")
+        main(["transpile", str(src), "-o", str(canonical)])
+        seed = {"seed": 5} if method == "ga" else {}
+        argv = ["optimize", str(canonical), "--method", method, "-o", str(out)]
+        assert main(argv + (["--seed", "5"] if seed else [])) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert obj["layers"] == []
+        assert obj["report"] == {"initial_t_depth": 0, "final_t_depth": 0, "rounds": 0,
+                                 "merges_per_round": [], **seed, "asap_t_depth": 0}
+        assert list(obj["report"]) == ["initial_t_depth", "final_t_depth", "rounds",
+                                       "merges_per_round", *seed, "asap_t_depth"]
+
+    @pytest.mark.parametrize(
+        "method, flag, value, message",
+        [("greedy", "--beta", "7", "beta must be in [0, 1)"),
+         ("ga", "--beta", "7", "beta must be in [0, 1)"),
+         ("ga", "--elite-k", "100",
+          "elite_k must satisfy 0 <= elite_k < population_size")],
+    )
+    def test_clifford_only_bounds_checked(self, tmp_path, capsys, method, flag,
+                                          value, message):
+        src, canonical = tmp_path / "cliff.qc", tmp_path / "canonical.json"
+        src.write_text("qubits 2\nh 0\ns 1\n")
+        main(["transpile", str(src), "-o", str(canonical)])
+        capsys.readouterr()
+        assert main(["optimize", str(canonical), "--method", method,
+                     flag, value]) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", range(4))
     def test_asap_is_default_and_minimal(self, tmp_path, seed):

@@ -165,10 +165,10 @@ class TestValidateCode:
         assert report.failures == ["+ZZ is not a Hermitian length-3 Pauli"]
         assert not (report.ok or report.structural or report.commuting
                     or report.independent or report.logicals)
-        dec = build_lookup(repetition_code(3), 1)
+        dec = LookupDecoder(code, build_lookup(repetition_code(3), 1).table, 1)
         with pytest.raises(ValueError, match=r"invalid code: \+ZZ is not a "
                            "Hermitian length-3 Pauli"):
-            monte_carlo(code, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+            monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
         # build_lookup names the same operator, not a bare count mismatch
         with pytest.raises(ValueError, match=r"^invalid code: \+ZZ is not a "
                            r"Hermitian length-3 Pauli$"):
@@ -399,14 +399,14 @@ class TestWilson:
 class TestMonteCarlo:
     def test_zero_noise_exact(self, rep3):
         dec = build_lookup(rep3, 1)
-        result = monte_carlo(rep3, dec, NoiseModel("bitflip", 0.0), 1000, seed=1)
+        result = monte_carlo(dec, NoiseModel("bitflip", 0.0), 1000, seed=1)
         assert result.p_logical_estimate == 0.0
         assert result.counts[SUCCESS] == 1000
 
     def test_bitflip_matches_analytic(self, rep3):
         dec = build_lookup(rep3, 1)
         p = 0.1
-        result = monte_carlo(rep3, dec, NoiseModel("bitflip", p), 200_000, seed=7)
+        result = monte_carlo(dec, NoiseModel("bitflip", p), 200_000, seed=7)
         analytic = repetition_failure_rate(3, p)
         assert analytic == pytest.approx(3 * p**2 - 2 * p**3)
         sigma = np.sqrt(analytic * (1 - analytic) / 200_000)
@@ -415,7 +415,7 @@ class TestMonteCarlo:
     def test_depolarizing_runs_and_classifies(self, rep3):
         dec = build_lookup(rep3, 1)
         result = monte_carlo(
-            rep3, dec, NoiseModel("depolarizing", 0.05), 50_000, seed=3
+            dec, NoiseModel("depolarizing", 0.05), 50_000, seed=3
         )
         total = sum(result.counts.values())
         assert total == 50_000
@@ -425,9 +425,9 @@ class TestMonteCarlo:
     def test_worker_count_does_not_change_counts(self, rep3):
         dec = build_lookup(rep3, 1)
         noise = NoiseModel("bitflip", 0.08)
-        baseline = monte_carlo(rep3, dec, noise, 150_000, seed=11, workers=1)
+        baseline = monte_carlo(dec, noise, 150_000, seed=11, workers=1)
         for workers in (2, 8):
-            again = monte_carlo(rep3, dec, noise, 150_000, seed=11, workers=workers)
+            again = monte_carlo(dec, noise, 150_000, seed=11, workers=workers)
             assert again.counts == baseline.counts
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -435,15 +435,15 @@ class TestMonteCarlo:
         dec = build_lookup(rep3, 1)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             monte_carlo(
-                rep3, dec, NoiseModel("bitflip", 0.08), 1000, seed=1,
+                dec, NoiseModel("bitflip", 0.08), 1000, seed=1,
                 workers=workers,
             )
 
     def test_seed_changes_samples(self, rep3):
         dec = build_lookup(rep3, 1)
         noise = NoiseModel("bitflip", 0.08)
-        a = monte_carlo(rep3, dec, noise, 50_000, seed=1)
-        b = monte_carlo(rep3, dec, noise, 50_000, seed=2)
+        a = monte_carlo(dec, noise, 50_000, seed=1)
+        b = monte_carlo(dec, noise, 50_000, seed=2)
         assert a.counts != b.counts
 
     def test_depolarizing_matches_exact_enumeration(self, rep3):
@@ -479,7 +479,7 @@ class TestMonteCarlo:
         analytic_failure = 1.0 - analytic_success
         shots = 200_000
         result = monte_carlo(
-            rep3, dec, NoiseModel("depolarizing", p), shots, seed=17
+            dec, NoiseModel("depolarizing", p), shots, seed=17
         )
         sigma = np.sqrt(analytic_failure * (1 - analytic_failure) / shots)
         assert abs(result.p_logical_estimate - analytic_failure) <= 3 * sigma
@@ -494,7 +494,7 @@ class TestMonteCarlo:
             assert residual_class(code, e, corr) == SUCCESS
         # table misses count as detected failures in the estimate
         noise = NoiseModel("depolarizing", 0.15)
-        result = monte_carlo(code, dec, noise, 20_000, seed=5)
+        result = monte_carlo(dec, noise, 20_000, seed=5)
         assert (
             result.counts[SUCCESS]
             + result.counts[LOGICAL_ERROR]
@@ -526,7 +526,28 @@ class TestMonteCarloGuards:
             ValueError,
             match=r"invalid code: logical Z\[0\] anticommutes with generator 0",
         ):
-            monte_carlo(bad, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+            monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+
+    def test_decoder_code_validated(self, rep3):
+        # the campaign has one code, the decoder's: a logical X equal to
+        # its logical Z is refused, naming that failure
+        zii = PauliString.from_label("ZII")
+        bad = StabilizerCode(n=3, k=1, generators=rep3.generators,
+                             logical_x=(zii,), logical_z=(zii,), distance=3)
+        dec = build_lookup(bad, 1)
+        with pytest.raises(ValueError, match=r"invalid code: logical X\[0\] and "
+                           r"Z\[0\] do not anticommute"):
+            monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+
+    def test_campaign_samples_the_decoders_code(self):
+        # a rep5 decoder gives rep5's analytic rate, not rep3's
+        p, shots = 0.1, 20_000
+        result = monte_carlo(build_lookup(repetition_code(5), 2),
+                             NoiseModel("bitflip", p), shots, seed=1)
+        analytic = repetition_failure_rate(5, p)
+        sigma = np.sqrt(analytic * (1 - analytic) / shots)
+        assert abs(result.p_logical_estimate - analytic) <= 4 * sigma
+        assert result.p_logical_estimate < repetition_failure_rate(3, p) / 2
 
     def test_more_than_32_qubits_rejected(self):
         code = repetition_code(33)
@@ -535,7 +556,7 @@ class TestMonteCarloGuards:
             max_weight=0,
         )
         with pytest.raises(ValueError, match="n <= 32 qubits"):
-            monte_carlo(code, dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+            monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
 
 
 _BUILDERS = {
@@ -633,7 +654,7 @@ class TestPackedDecodePath:
         code, dec = _code_and_decoder(name)
         for workers in (1, 3):
             result = monte_carlo(
-                code, dec, NoiseModel(kind, p), 1 << 17, seed, workers=workers
+                dec, NoiseModel(kind, p), 1 << 17, seed, workers=workers
             )
             got = tuple(
                 result.counts[c]

@@ -308,6 +308,7 @@ class TestValidate:
              "rotation 2 anticommutes with earlier rotation 0"),
             (("X", "Z"), ((0, 1),), "share a layer"),
             (("X", "Z"), ((0,),), "partition"),
+            (("Z", "X"), ((0,), (), (1,)), "layer 1 is empty"),
         ],
     )
     def test_invalid_layerings_rejected(self, labels, layers, message):

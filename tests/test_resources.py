@@ -1,7 +1,10 @@
 """Closed-form resource formulas and workload-based protocol selection."""
 
+import dataclasses
+
 import pytest
 
+from pauliflow import scheduling
 from pauliflow.resources import (
     CodeParams,
     WorkloadProfile,
@@ -129,6 +132,18 @@ class TestDistilledError:
 
     def test_20_to_4_order(self):
         assert distilled_error("20-to-4", 1e-3) == pytest.approx(1e-6)
+
+    def test_error_model_read_from_the_catalog(self, monkeypatch):
+        # the shipped catalog states error_coeff and error_exp; nothing
+        # in resources restates them
+        shipped = scheduling.default_catalog()
+        assert [(p.name, p.error_coeff, p.error_exp) for p in shipped] == [
+            ("15-to-1", 35.0, 3), ("20-to-4", 1.0, 2)]
+        edited = [dataclasses.replace(p, error_coeff=3 * p.error_coeff,
+                                      error_exp=p.error_exp + 1) for p in shipped]
+        monkeypatch.setattr(scheduling, "default_catalog", lambda: edited)
+        assert distilled_error("15-to-1", 0.5) == 105 * 0.5**4
+        assert distilled_error("20-to-4", 0.5) == 3 * 0.5**3
 
 
 WORKLOADS = {
