@@ -61,17 +61,12 @@ def load_config(path: str | Path) -> dict:
                 f"{path}:{lineno}: cannot parse {value!r} as "
                 f"{_CONFIG_KEYS[key].__name__}"
             )
-    _validate_config(values, str(path))
-    return values
-
-
-def _validate_config(values: dict, origin: str):
-    """GAConfig states each GA bound; the file's GA keys go over its defaults."""
-    try:
+    try:  # GAConfig states each GA bound; the file's GA keys go over its defaults
         layers.GAConfig(**{f.name: values[f.name]
                            for f in _GA_KNOBS if f.name in values})
     except ValueError as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
+    return values
 
 
 def _emit(payload: dict | str, out: str | None, summary: str):
@@ -397,8 +392,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, circuits.CircuitParseError, ValueError, KeyError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

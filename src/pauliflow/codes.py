@@ -438,7 +438,9 @@ def monte_carlo(
     both the logical_error class and detected-uncorrectable table misses.
 
     dec.code must pass validate_code and have n <= MONTE_CARLO_MAX_N
-    qubits; otherwise ValueError names the first failure or the limit.
+    qubits, and dec.table must be non-empty, every key a tuple of m bits
+    and every correction an n-qubit PauliString; otherwise ValueError
+    names the first failure, the limit, or the first bad entry.
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
@@ -460,6 +462,15 @@ def monte_carlo(
     report = validate_code(code)
     if not report.ok:
         raise ValueError(f"invalid code: {report.failures[0]}")
+    if not dec.table:
+        raise ValueError("decoder table is empty")
+    for key, fix in dec.table.items():
+        # bits compare as `decode` looks keys up: 1, True and 1.0 are one key
+        if not (isinstance(key, tuple) and key.count(0) + key.count(1) == len(key) == code.m):
+            raise ValueError(f"decoder table key {key!r} is not a {code.m}-bit syndrome")
+        if not (isinstance(fix, PauliString) and fix.n == code.n):
+            raise ValueError(f"decoder table correction {fix} for key {key!r} "
+                             f"is not a {code.n}-qubit Pauli")
     dec_arrays = _decoder_arrays(dec)
     jobs = [
         (dec_arrays, noise, min(_SHARD_SHOTS, shots - start), seed, idx)

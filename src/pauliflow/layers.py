@@ -11,21 +11,24 @@ Every commutation question reads one matrix, `Layering.commute_rows`
 layering and on every layering derived from it: the complement of the
 package's one commutation kernel, `pauli.anticommutation_rows`.
 
-The default optimizer is the ASAP layering (`build_layers`,
-`asap_optimize`).  It puts each rotation one layer after its last
-anticommuting predecessor, so its depth is the length of the longest
-chain i1 < i2 < ... < ik of rotations in which each anticommutes with
-the next.  Every valid layering must place such a chain in strictly
-increasing layers, so ASAP is provably optimal under commutation-only
-reordering.
+Every layer move reads one floor walk, `_floor`: rotations that
+anticommute with an index set A may sink below a layer until some
+layer holds a member of A.  The default optimizer, the ASAP layering
+(`build_layers`, `asap_optimize`), puts each rotation on that floor,
+one layer after its last anticommuting predecessor, so its depth is
+the length of the longest chain i1 < i2 < ... < ik of rotations in
+which each anticommutes with the next.  Every valid layering must
+place such a chain in strictly increasing layers, so ASAP is provably
+optimal under commutation-only reordering.
 
 Two merge-based optimizers are kept as baselines from the paper.
 Collapsing a layer pair (i, j) moves the later layer's rotations
 earlier in time past every intermediate layer, so validity requires
 more than the merged pair commuting internally: layer j must commute
 element-wise with every layer k for i <= k < j.  (Checking k = i covers
-the union condition, since within-layer pairs already commute.)  The
-dense-oracle equivalence tests enforce this rule.  Every layering they
+the union condition, since within-layer pairs already commute.)  So
+(i, j) merges iff i >= layer j's floor.  The dense-oracle equivalence
+tests enforce this rule.  Every layering they
 reach is a valid reordering, so neither ends below the ASAP depth.
 Candidate pairs are scored by
 
@@ -147,67 +150,58 @@ def singleton_layering(rotations) -> Layering:
     return Layering(n, rotations, tuple((i,) for i in range(len(rotations))))
 
 
+def _floor(masks: list[int], anti: int, top: int) -> int:
+    """The lowest p <= top such that layers p..top-1 (masks[p]: bitmask
+    of layer p's indices) hold no index of `anti`."""
+    while top and not masks[top - 1] & anti:
+        top -= 1
+    return top
+
+
 def build_layers(rotations) -> Layering:
     """ASAP layering, deterministic in input order and of minimum depth.
 
-    Each rotation lands in the earliest layer it commutes into, provided
-    it also commutes with everything in all later layers it would cross:
-    one layer after the highest layer that holds an anticommuting
-    predecessor, read from the bitmask rows of `commute_rows`.  The
-    rows stay cached on the result.
+    Each rotation lands on its floor: one layer after the highest layer
+    that holds an anticommuting predecessor, read from the bitmask rows
+    of `commute_rows`.  The rows stay cached on the result.
     """
     l = singleton_layering(rotations)
-    masks: list[int] = []  # masks[p]: bitmask of the indices in layer p
+    masks: list[int] = []
     for j, row in enumerate(l.commute_rows()):
-        blockers = ~row & ((1 << j) - 1)
-        p = len(masks)
-        while p and not masks[p - 1] & blockers:
-            p -= 1
+        p = _floor(masks, ~row & ((1 << j) - 1), len(masks))
         if p == len(masks):
             masks.append(0)
         masks[p] |= 1 << j
     return l._derived(tuple(tuple(set_bits(mask)) for mask in masks))
 
 
-def _layer_masks(l: Layering) -> list[int]:
-    return [sum(1 << i for i in layer) for layer in l.layers]
+def _floors(l: Layering):
+    """floor(j): the `_floor` below layer j of the OR of ~commute_rows[r]
+    over its members r; layers i < j merge iff i >= floor(j)."""
+    rows = l.commute_rows()
+    masks = [sum(1 << r for r in layer) for layer in l.layers]
 
+    def floor(j: int) -> int:
+        anti = 0
+        for r in l.layers[j]:
+            anti |= ~rows[r]
+        return _floor(masks, anti, j)
 
-def _layer_commutes_with_mask(
-    rows: list[int], layer: tuple[int, ...], mask: int
-) -> bool:
-    return all(rows[r] & mask == mask for r in layer)
-
-
-def _mergeable(
-    l: Layering, masks: list[int], rows: list[int], i: int, j: int
-) -> bool:
-    """mergeable(l, i, j), given l's _layer_masks and commute_rows."""
-    if not (0 <= i < j < len(l.layers)):
-        raise IndexError(f"layer pair ({i}, {j}) out of range")
-    layer_j = l.layers[j]
-    return all(
-        _layer_commutes_with_mask(rows, layer_j, masks[k]) for k in range(i, j)
-    )
+    return floor
 
 
 def mergeable(l: Layering, i: int, j: int) -> bool:
     """True iff layers i < j can be collapsed into one layer at position i."""
-    return _mergeable(l, _layer_masks(l), l.commute_rows(), i, j)
+    if not (0 <= i < j < len(l.layers)):
+        raise IndexError(f"layer pair ({i}, {j}) out of range")
+    return i >= _floors(l)(j)
 
 
 def all_mergeable_pairs(l: Layering) -> list[tuple[int, int]]:
-    """Every valid (i, j); walks i backward from j until commutation fails."""
-    masks = _layer_masks(l)
-    rows = l.commute_rows()
-    pairs: list[tuple[int, int]] = []
-    for j in range(1, len(l.layers)):
-        layer_j = l.layers[j]
-        for i in range(j - 1, -1, -1):
-            if not _layer_commutes_with_mask(rows, layer_j, masks[i]):
-                break
-            pairs.append((i, j))
-    return pairs
+    """Every valid (i, j): i from j - 1 down to layer j's floor."""
+    floor = _floors(l)
+    return [(i, j) for j in range(1, len(l.layers))
+            for i in range(j - 1, floor(j) - 1, -1)]
 
 
 def score_pair(l: Layering, i: int, j: int, beta: float = 0.5) -> float:
@@ -244,9 +238,11 @@ def greedy_matching(l: Layering, beta: float = 0.5) -> MergeSet:
 
 def apply_merges(l: Layering, ms: MergeSet) -> Layering:
     """Union each pair into the earlier index; drop the emptied layers."""
-    masks, rows = _layer_masks(l), l.commute_rows()
+    floor = _floors(l)
     for i, j in ms.pairs:
-        if not _mergeable(l, masks, rows, i, j):
+        if not (0 <= i < j < len(l.layers)):
+            raise IndexError(f"layer pair ({i}, {j}) out of range")
+        if i < floor(j):
             raise ValueError(f"pair ({i}, {j}) is not mergeable in this layering")
     absorbed = {j: i for i, j in ms.pairs}
     content = {i: list(layer) for i, layer in enumerate(l.layers)}

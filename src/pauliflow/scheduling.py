@@ -23,13 +23,16 @@ best[max(0, s - k_p)] + (D_p * S_p, 1), keyed lexicographically on
 a strictly smaller key.  That picks, at every step, the parent the
 bounded (rounds, states) table picks, since a cheaper or shorter
 prefix would give a better schedule within the bound.  Only when the
-unbounded optimum needs more rounds than the bound does the
-(L+1) x (M+1) x |P| table run, and only it can hit the tractability
-guard.
+unbounded optimum needs more rounds than the bound does the bounded
+fallback run: the same recurrence over L rounds, each round's cost
+row of M+1 states read from the one before it and then replaced, so
+it keeps one cost row and each round's choices.  Only it can hit the
+tractability guard, set on the (L+1) x (M+1) x |P| cells it visits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from importlib import resources
@@ -262,15 +265,11 @@ def dp_schedule(
     same round bound this matches brute_force("tiles") exactly.
     """
     protos = _by_name(catalog)
-    names = sorted(protos)
     m = demand.states_required
     bound = max_rounds if max_rounds is not None else m
     if bound < 1:
         raise ValueError("round bound must be >= 1")
-    moves = [
-        (protos[name].outputs, protos[name].tiles * protos[name].steps, name)
-        for name in names
-    ]
+    moves = [(p.outputs, p.tiles * p.steps, name) for name, p in sorted(protos.items())]
     best = [(0, 0)] * (m + 1)
     choice = [""] * (m + 1)
     for s in range(1, m + 1):
@@ -283,67 +282,57 @@ def dp_schedule(
                 choice[s] = name
         best[s] = key
     if best[m][1] > bound:
-        return _dp_table(protos, names, demand, bound)
-    rounds: list[str] = []
-    s = m
-    while s > 0:
-        rounds.append(choice[s])
-        s = max(0, s - protos[choice[s]].outputs)
-    rounds.reverse()
+        rounds = _dp_table(moves, m, bound)
+    else:
+        rounds, s = [], m
+        while s > 0:
+            rounds.append(choice[s])
+            s = max(0, s - protos[choice[s]].outputs)
+        rounds.reverse()
     return evaluate(rounds, protos.values(), demand)
 
 
-def _dp_table(
-    protos: dict[str, Protocol], names: list[str], demand: Demand, bound: int
-) -> Schedule:
+def _dp_table(moves: list[tuple[int, int, str]], m: int, bound: int) -> list[str]:
     """The bounded 2-D table over (rounds used, states delivered).
 
-    C(i, s) = min over p of C(i-1, max(0, s - k_p)) + D_p * S_p; the
-    result takes the fewest rounds among the minimum-cost C(i, M).
+    C(i, s) = min over moves (k_p, D_p * S_p, p) of
+    C(i-1, max(0, s - k_p)) + D_p * S_p, the first name in sorted order
+    on ties.  Each row reads only the one before it; the result takes
+    the fewest rounds among the minimum-cost C(i, M).
     """
-    m = demand.states_required
-    if (bound + 1) * (m + 1) * len(names) > 50_000_000:
+    if (bound + 1) * (m + 1) * len(moves) > 50_000_000:
         raise EnumerationGuardError(
-            f"DP table of {(bound + 1) * (m + 1)} states over {len(names)} "
+            f"DP table of {(bound + 1) * (m + 1)} states over {len(moves)} "
             "protocols exceeds the tractability guard"
         )
     inf = float("inf")
-    # cost[s] after i rounds; parent pointers for path reconstruction
-    cost = [[inf] * (m + 1) for _ in range(bound + 1)]
-    parent: dict[tuple[int, int], tuple[int, str]] = {}
-    cost[0][0] = 0.0
+    cost = [0.0] + [inf] * m  # C(i - 1, s) while row i is filled
+    choices: list[list] = []  # round i: (prev_s, name) per s
+    best_i, best_cost = 0, inf
     for i in range(1, bound + 1):
+        row, picks = [], []
         for s in range(m + 1):
-            best = inf
-            best_choice = None
-            for name in names:
-                p = protos[name]
-                prev_s = max(0, s - p.outputs)
-                c = cost[i - 1][prev_s] + p.tiles * p.steps
+            best, pick = inf, None
+            for outputs, tile_cost, name in moves:
+                prev_s = max(0, s - outputs)
+                c = cost[prev_s] + tile_cost
                 if c < best:
-                    best = c
-                    best_choice = (prev_s, name)
-            cost[i][s] = best
-            if best_choice is not None and best < inf:
-                parent[(i, s)] = best_choice
-    best_i = None
-    best_cost = inf
-    for i in range(1, bound + 1):
-        if cost[i][m] < best_cost:
-            best_cost = cost[i][m]
-            best_i = i
-    if best_i is None:
+                    best, pick = c, (prev_s, name)
+            row.append(best)
+            picks.append(pick)
+        cost = row
+        choices.append(picks)
+        if cost[m] < best_cost:
+            best_i, best_cost = i, cost[m]
+    if not best_i:
         raise InfeasibleScheduleError(
             f"no feasible schedule within {bound} rounds for demand {m}"
         )
-    rounds: list[str] = []
-    i, s = best_i, m
-    while i > 0:
-        prev_s, name = parent[(i, s)]
+    rounds, s = [], m
+    for picks in reversed(choices[:best_i]):
+        s, name = picks[s]
         rounds.append(name)
-        i, s = i - 1, prev_s
-    rounds.reverse()
-    return evaluate(rounds, protos.values(), demand)
+    return rounds[::-1]
 
 
 def greedy_schedule(catalog: Iterable[Protocol], demand: Demand) -> Schedule:
@@ -419,10 +408,14 @@ def load_catalog(path: str | Path) -> list[Protocol]:
 
 
 def default_catalog() -> list[Protocol]:
-    """The shipped catalog: the 15-to-1 and 20-to-4 protocols."""
-    text = (
-        resources.files("pauliflow").joinpath("data/protocols.cat").read_text()
-    )
-    return parse_catalog(text)
+    """The shipped catalog: the 15-to-1 and 20-to-4 protocols, as a
+    fresh list of the protocols parsed once per process."""
+    return list(_shipped_catalog())
+
+
+@functools.cache
+def _shipped_catalog() -> tuple[Protocol, ...]:
+    path = resources.files("pauliflow").joinpath("data/protocols.cat")
+    return tuple(parse_catalog(path.read_text()))
 
 

@@ -559,6 +559,47 @@ class TestMonteCarloGuards:
             monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
 
 
+class TestMalformedTable:
+    """A hand-built table the campaign would misread is refused, naming
+    its first bad key or correction."""
+
+    @staticmethod
+    def _run(rep3, table):
+        dec = LookupDecoder(rep3, table, 1)
+        return monte_carlo(dec, NoiseModel("bitflip", 0.1), 100, seed=1)
+
+    def test_key_of_wrong_length(self, rep3):
+        # was read as the 2-bit zero syndrome: 28 of 100 shots detected
+        with pytest.raises(ValueError, match=r"key \(0,\) is not a 2-bit syndrome"):
+            self._run(rep3, {(0,): PauliString.identity(3)})
+
+    def test_key_not_bits(self, rep3):
+        # was packed as (1, 0), a key `decode` never finds
+        table = dict(build_lookup(rep3, 1).table)
+        table[(2, 0)] = table.pop((1, 0))
+        with pytest.raises(ValueError, match=r"key \(2, 0\) is not a 2-bit syndrome"):
+            self._run(rep3, table)
+
+    def test_correction_of_wrong_length(self, rep3):
+        # was applied as a 3-qubit operator; residual_class refuses it
+        table = dict(build_lookup(rep3, 1).table)
+        table[(1, 0)] = PauliString.from_label("XI")
+        with pytest.raises(ValueError, match=r"correction \+XI for key \(1, 0\) "
+                           "is not a 3-qubit Pauli"):
+            self._run(rep3, table)
+
+    def test_empty_table(self, rep3):
+        # was numpy's AxisError from the key packing
+        with pytest.raises(ValueError, match="decoder table is empty"):
+            self._run(rep3, {})
+
+    def test_code_checks_keep_precedence(self):
+        code = repetition_code(33)
+        with pytest.raises(ValueError, match="n <= 32 qubits"):
+            monte_carlo(LookupDecoder(code, {}, 0), NoiseModel("bitflip", 0.1),
+                        100, seed=1)
+
+
 _BUILDERS = {
     "rep3": (lambda: repetition_code(3), 1),
     "rep5": (lambda: repetition_code(5), 2),

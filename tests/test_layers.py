@@ -228,6 +228,40 @@ class TestMergeable:
         assert sorted(all_mergeable_pairs(l)) == sorted(expected)
 
 
+def _mergeable_reference(l: Layering, i: int, j: int) -> bool:
+    """The merge rule element-wise: layer j commutes with every layer k,
+    i <= k < j, one `PauliString.commutes` call per pair of members."""
+    axes = [r.axis for r in l.rotations]
+    return all(axes[a].commutes(axes[b])
+               for k in range(i, j) for a in l.layers[k] for b in l.layers[j])
+
+
+class TestMergeRuleReference:
+    @given(st.integers(1, 4), st.integers(2, 30), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_elementwise_commutes(self, n, count, seed):
+        # singleton layers, then two greedy rounds for multi-member layers
+        l = singleton_layering(random_rotations(n, count, seed))
+        for _ in range(3):
+            expected = [(i, j) for j in range(l.t_depth) for i in range(j)
+                        if _mergeable_reference(l, i, j)]
+            assert sorted(all_mergeable_pairs(l)) == sorted(expected)
+            for j in range(l.t_depth):
+                for i in range(j):
+                    ok = (i, j) in expected
+                    assert mergeable(l, i, j) == ok
+                    merge = MergeSet(frozenset({(i, j)}))
+                    if ok:
+                        assert apply_merges(l, merge).t_depth == l.t_depth - 1
+                    else:
+                        with pytest.raises(ValueError, match="not mergeable"):
+                            apply_merges(l, merge)
+            ms = greedy_matching(l)
+            if not ms.pairs:
+                break
+            l = apply_merges(l, ms)
+
+
 class TestScorePair:
     def test_uniform_density(self):
         l = singleton_layering([rot("ZI"), rot("IZ")])

@@ -145,6 +145,27 @@ class TestDistilledError:
         assert distilled_error("15-to-1", 0.5) == 105 * 0.5**4
         assert distilled_error("20-to-4", 0.5) == 3 * 0.5**3
 
+    def test_catalog_parsed_once(self, monkeypatch):
+        # build_report reads the catalog two or three times a call; the
+        # shipped file is parsed once per process
+        parses = []
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse_catalog(text)
+
+        parse_catalog = scheduling.parse_catalog
+        monkeypatch.setattr(scheduling, "parse_catalog", counting_parse)
+        scheduling._shipped_catalog.cache_clear()
+        workload = WorkloadProfile(400, 40, 1e-4, 1e-9)
+        first = build_report(CodeParams(27), workload)
+        assert build_report(CodeParams(27), workload) == first
+        assert len(parses) == 1
+        # each call returns a fresh list, so a caller's edit is its own
+        shared = scheduling.default_catalog()
+        shared.append(shared[0])
+        assert len(scheduling.default_catalog()) == 2
+
 
 WORKLOADS = {
     "high_rate": WorkloadProfile(10**8, 10**6, 1e-4, 1e-10),
