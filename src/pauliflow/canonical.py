@@ -1,43 +1,52 @@
 """Canonical form: ordered pi/8 rotations followed by a final Clifford.
 
-Every Clifford rotation (pi/4 or pi/2) is commuted later in time past
-each subsequent pi/8 rotation.  Crossing a Clifford with axis P and
-angle theta rewrites a later rotation axis P' to
+Every Clifford is commuted later in time past each subsequent pi/8
+rotation.  After the gates before it, a T or Tdg on qubit q becomes a
+pi/8 rotation about F(Z_q), where F maps each generator g in
+{X_i, Z_i} to V^dag g V and V is the Clifford unitary of those gates.
+
+`canonicalize` keeps F as a gate-level stabilizer tableau (Aaronson and
+Gottesman, quant-ph/0406196; Stim's layout, arXiv:2103.02202): 2n rows
+xs[q] = F(X_q), zs[q] = F(Z_q) as raw (x, z, phase) int triples in
+`PauliString`'s encoding.  Appending a Clifford gate U turns F into
+g -> F(U^dag g U), and since F is an automorphism each gate kind has one
+hand-written rule in `GATE_RULES` that rewrites at most two rows with
+`raw_product`, the phase-exact product that `PauliString.__mul__` also
+calls.  A T gate reads its axis straight from the row zs[q], so a
+circuit of G gates costs O(G) row products, whatever the axis weights.
+`PauliString` and `PauliRotation` objects are built only at the
+boundary: each pi/8 axis, and the 2n final images, which
+`CliffordTableau` checks.
+
+The payload also carries the Clifford trace C_1 ... C_k: the dictionary
+expansion (`circuits.gate_to_rotations`) of the Clifford gates, in time
+order.  A reader rebuilds the tableau from that trace alone and checks
+the payload's measurement bases against it, so it checks a tableau that
+the writer computed another way.  The trace path crosses Clifford
+rotations: one with axis P and angle theta rewrites a later rotation
+axis P' to
 
     P'                      if P and P' commute,
     exp(2i*theta*P) * P'    if they anticommute,
 
 which for theta = +/-pi/4 is (+/-i)P*P' and for pi/2 is -P'.  The sign
 convention (the earlier operation conjugates the later axis) is pinned
-by the dense-oracle equivalence test, not by prose.
+by the dense-oracle equivalence test, not by prose.  Folded over the
+trace, F_k = f_1 o ... o f_k with f_j the crossing rule of C_j, and
+appending C_{k+1} with axis A gives F_{k+1} = F_k o f_{k+1}: the new
+image of a generator g that anticommutes with A is the old image crossed
+by a rotation about F_k(A) with the same angle, and every other image is
+unchanged.  A weight-w axis touches at most 2w images.
+`tableau_from_trace` runs that update for the reader;
+`push_cliffords(to_rotation_circuit(gc))` runs it over the whole
+rotation circuit, a second route to what `canonicalize` computes with
+the gate rules.  `conjugate_axis` states the same crossing rule for one
+rotation on objects; folded over a trace it is the reference for the
+running update.
 
-Moved Cliffords accumulate in time order into a trace C_1 ... C_k.  A
-later axis crosses all of them, latest first, so it becomes F_k(P') with
-F_k = f_1 o ... o f_k, where f_j is the crossing rule of C_j.  F_k is
-kept as a running tableau: the 2n images F_k(X_q), F_k(Z_q), from which
-any Pauli's image is the phase-exact product of the images over its
-support.  Appending C_{k+1} with axis A gives F_{k+1} = F_k o f_{k+1},
-and since F_k is an automorphism, F_k(i*A*g) = i*F_k(A)*F_k(g): the new
-image of a generator g that anticommutes with A is the old image
-crossed by a rotation about F_k(A) with the same angle, and every other
-image is unchanged.  That is the stabilizer-tableau update of Aaronson
-and Gottesman (quant-ph/0406196).  A weight-w axis touches at most 2w
-images, so canonicalizing T pi/8 rotations and a trace of length |trace|
-costs O(T*w + |trace|*w) Pauli products, independent of how long the
-trace already is.
-
-The running tableau holds its 2n images as raw (x, z, phase) int
-triples in `PauliString`'s encoding, multiplied by `raw_product`, the
-phase-exact product that `PauliString.__mul__` also calls.
-`PauliString` and `PauliRotation` objects are built only at the
-boundary: each pi/8 axis as it is mapped, and the 2n final images,
-which `CliffordTableau` checks.  `conjugate_axis` states the same
-crossing rule for one rotation on objects; folded over a trace it is
-the reference the tests hold the running tableau to.
-
-The final tableau maps each generator g in {X_i, Z_i} to V^dag g V where
-V is the trace unitary, so measuring Z_q after the full circuit is the
-same as measuring its tableau image after just the pi/8 prefix.  The
+The final tableau maps each generator g to V^dag g V where V is the
+trace unitary, so measuring Z_q after the full circuit is the same as
+measuring its tableau image after just the pi/8 prefix.  The
 measurement bases are therefore the tableau's Z images, not a copy.
 
 This module is also the one codec of the two compile payloads:
@@ -119,19 +128,24 @@ class CanonicalForm:
         return self.tableau.z_images
 
 
-def to_rotation_circuit(gc: GateCircuit) -> RotationCircuit:
-    """Concatenate the dictionary expansion of every gate, in time order.
+def _expand(gates, n: int) -> tuple[PauliRotation, ...]:
+    """Concatenate the dictionary expansion of `gates`, in time order.
 
     Each distinct gate is expanded once; repeats share its rotations.
     """
     expansions: dict = {}
     rotations: list[PauliRotation] = []
-    for gate in gc.gates:
+    for gate in gates:
         expansion = expansions.get(gate)
         if expansion is None:
-            expansion = expansions[gate] = gate_to_rotations(gate, gc.n)
+            expansion = expansions[gate] = gate_to_rotations(gate, n)
         rotations.extend(expansion)
-    return RotationCircuit(gc.n, tuple(rotations))
+    return tuple(rotations)
+
+
+def to_rotation_circuit(gc: GateCircuit) -> RotationCircuit:
+    """The dictionary expansion of every gate, in time order."""
+    return RotationCircuit(gc.n, _expand(gc.gates, gc.n))
 
 
 def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
@@ -151,7 +165,7 @@ def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
     return merged if mover.num % 4 == 1 else merged.negated()
 
 
-# -- running tableau on raw (x, z, phase) triples ---------------------------
+# -- running tableau over a Clifford trace, on raw (x, z, phase) triples ---
 
 
 def _conjugate(xs: list, zs: list, x: int, z: int, phase: int) -> tuple:
@@ -261,8 +275,91 @@ def tableau_from_trace(n: int, trace: list[PauliRotation]) -> CliffordTableau:
     return _tableau(n, xs, zs)
 
 
+# -- gate-level tableau ------------------------------------------------------
+#
+# One rule per Clifford gate kind on the rows xs[q] = F(X_q), zs[q] = F(Z_q):
+# the new row of generator g is F(U^dag g U), written as a product of rows.
+
+
+def _negated(row: tuple) -> tuple:
+    x, z, phase = row
+    return x, z, (phase + 2) % 4
+
+
+def _h(xs: list, zs: list, q: int) -> None:
+    # H X H = Z, H Z H = X
+    xs[q], zs[q] = zs[q], xs[q]
+
+
+def _s(xs: list, zs: list, q: int) -> None:
+    # S^dag X S = -Y = i^3 X Z; Z is fixed
+    x, z, phase = raw_product(xs[q], zs[q])
+    xs[q] = (x, z, (phase + 3) % 4)
+
+
+def _sdg(xs: list, zs: list, q: int) -> None:
+    # S X S^dag = Y = i X Z; Z is fixed
+    x, z, phase = raw_product(xs[q], zs[q])
+    xs[q] = (x, z, (phase + 1) % 4)
+
+
+def _x(xs: list, zs: list, q: int) -> None:
+    # X Z X = -Z
+    zs[q] = _negated(zs[q])
+
+
+def _y(xs: list, zs: list, q: int) -> None:
+    # Y X Y = -X, Y Z Y = -Z
+    xs[q] = _negated(xs[q])
+    zs[q] = _negated(zs[q])
+
+
+def _z(xs: list, zs: list, q: int) -> None:
+    # Z X Z = -X
+    xs[q] = _negated(xs[q])
+
+
+def _cnot(xs: list, zs: list, c: int, t: int) -> None:
+    # X_c -> X_c X_t and Z_t -> Z_c Z_t; X_t and Z_c are fixed
+    xs[c] = raw_product(xs[c], xs[t])
+    zs[t] = raw_product(zs[c], zs[t])
+
+
+def _cz(xs: list, zs: list, a: int, b: int) -> None:
+    # X_a -> X_a Z_b and X_b -> Z_a X_b; both Z are fixed
+    xs[a] = raw_product(xs[a], zs[b])
+    xs[b] = raw_product(zs[a], xs[b])
+
+
+GATE_RULES = {"h": _h, "s": _s, "sdg": _sdg, "x": _x, "y": _y, "z": _z,
+              "cnot": _cnot, "cz": _cz}
+_PI8_NUM = {"t": 1, "tdg": -1}
+
+
+def gate_tableau(gc: GateCircuit) -> tuple[list[PauliRotation], list, list]:
+    """The pi/8 rotations and the final rows xs, zs of the tableau,
+    walking the gates once: each Clifford gate applies its rule, each
+    T or Tdg on qubit q reads its axis from zs[q]."""
+    n = gc.n
+    xs, zs = _identity_rows(n)
+    pi8: list[PauliRotation] = []
+    for gate in gc.gates:
+        rule = GATE_RULES.get(gate.kind)
+        if rule is not None:
+            rule(xs, zs, *gate.qubits)
+        else:
+            pi8.append(PauliRotation(PauliString(n, *zs[gate.qubits[0]]),
+                                     _PI8_NUM[gate.kind], 8))
+    return pi8, xs, zs
+
+
 def canonicalize(gc: GateCircuit) -> CanonicalForm:
-    return push_cliffords(to_rotation_circuit(gc))
+    """The canonical form of `gc` by the gate rules, with the dictionary
+    expansion of its Clifford gates as the trace; equal to
+    push_cliffords(to_rotation_circuit(gc))."""
+    pi8, xs, zs = gate_tableau(gc)
+    trace = _expand([g for g in gc.gates if g.kind not in _PI8_NUM], gc.n)
+    return CanonicalForm(gc.n, tuple(pi8), trace, _tableau(gc.n, xs, zs))
 
 
 # -- JSON ----------------------------------------------------------------
@@ -300,8 +397,9 @@ def canonical_to_json(cf: CanonicalForm, layers: list | None = None,
             key = (axis.n, axis.x, axis.z, axis.phase, rot.num, rot.den)
             text = memo.get(key)
             if text is None:
+                # a Pauli label needs no JSON escape
                 text = memo[key] = (
-                    f'{{\n{pad}  "axis": {json.dumps(str(axis))},\n'
+                    f'{{\n{pad}  "axis": "{axis}",\n'
                     f'{pad}  "num": {rot.num},\n{pad}  "den": {rot.den}\n{pad}}}')
             entries.append(text)
         return _container_text(entries, depth)
@@ -336,20 +434,26 @@ def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of rotations, got {entries!r}")
     # one PauliRotation per distinct entry, looked up only once the
-    # entry's fields have their exact types (True == 1 would hash alike)
+    # entry's fields have their exact types (True == 1 would hash alike);
+    # the inline test passes every well-formed entry, and rotation_fields
+    # raises for the rest
     memo: dict = {}
     rotations = []
     for entry in entries:
-        key = rotation_fields(entry)
+        key = ((entry.get("axis"), entry.get("num"), entry.get("den"))
+               if type(entry) is dict else ())
+        if tuple(map(type, key)) != (str, int, int):
+            key = rotation_fields(entry)
         rotation = memo.get(key)
         if rotation is None:
             axis, num, den = key
             rotation = memo[key] = PauliRotation(PauliString.from_label(axis), num, den)
         rotations.append(rotation)
-    for i, r in enumerate(rotations):
-        if r.axis.n != n:
-            raise ValueError(f"{field} entry {i}: "
-                             f"qubit count mismatch: {r.axis.n} vs {n}")
+    # checked once per distinct rotation; the index is looked for only on failure
+    if any(r.axis.n != n for r in memo.values()):
+        i, r = next((i, r) for i, r in enumerate(rotations) if r.axis.n != n)
+        raise ValueError(f"{field} entry {i}: "
+                         f"qubit count mismatch: {r.axis.n} vs {n}")
     return tuple(rotations)
 
 

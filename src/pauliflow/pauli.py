@@ -168,6 +168,11 @@ def anticommutation_rows(
     xcol[q] (zcol[q]) is set iff qs[j] has an x (z) bit on qubit q, and
     ps[i] anticommutes with the XOR of zcol[q] over its x bits and
     xcol[q] over its z bits.  Either list may be empty.
+
+    The XORs are read from tables over blocks of four qubits (the "four
+    Russians" method): entry k of a block's table is the XOR of the
+    columns of the block's qubits that k's bits select, so a row costs
+    two lookups per block whatever its weight.
     """
     n = (ps or qs)[0].n if ps or qs else 0
     for p in (*ps, *qs):
@@ -180,13 +185,22 @@ def anticommutation_rows(
             xcol[q] |= bit
         for q in set_bits(p.z):
             zcol[q] |= bit
+    tables = []
+    for start in range(0, n, 4):
+        pair = []
+        for cols in (zcol, xcol):  # an x bit selects a z column, and back
+            table = [0]
+            for col in cols[start:start + 4]:
+                table += [entry ^ col for entry in table]
+            pair.append(table)
+        tables.append(pair)
     rows = []
     for p in ps:
-        anti = 0
-        for q in set_bits(p.x):
-            anti ^= zcol[q]
-        for q in set_bits(p.z):
-            anti ^= xcol[q]
+        x, z, anti = p.x, p.z, 0
+        for by_x, by_z in tables:
+            anti ^= by_x[x & 15] ^ by_z[z & 15]
+            x >>= 4
+            z >>= 4
         rows.append(anti)
     return rows
 

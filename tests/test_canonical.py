@@ -3,10 +3,13 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_gate, dense_pauli
 from pauliflow.canonical import (
+    GATE_RULES,
     CanonicalForm,
     CliffordTableau,
     canonical_from_json,
@@ -115,6 +118,10 @@ def rotation_circuits(draw, max_qubits=12, max_rotations=60):
 
 
 class TestRunningTableauMatchesSweep:
+    """Both tableau kernels against the per-axis sweep: the gate rules that
+    `canonicalize` runs on gate circuits, and the running tableau of
+    `push_cliffords` on rotation circuits."""
+
     @given(clifford_t_circuits())
     @settings(max_examples=60, deadline=None)
     def test_gate_circuits(self, gc):
@@ -172,6 +179,53 @@ class TestRunningTableauKernel:
             tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(z, 1, 8)])
         with pytest.raises(ValueError, match="qubit count mismatch: 3 vs 2"):
             tableau_from_trace(2, [PauliRotation(PauliString.from_label("ZZZ"), 1, 4)])
+
+
+class TestGateRules:
+    """The gate-level tableau that transpile runs: the trace it writes,
+    and each rule against dense matrices."""
+
+    @given(clifford_t_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_is_the_dictionary_expansion(self, gc):
+        # the rules compute the tableau; the payload's trace stays the
+        # Clifford entries of the rotation circuit, which readers replay
+        rotations = to_rotation_circuit(gc).rotations
+        assert canonicalize(gc).clifford_trace == tuple(r for r in rotations if r.is_clifford)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_gate_conjugates_each_generator(self, n):
+        # the image T(g) of generator g under gate G satisfies g G = G T(g)
+        for kind in GATE_RULES:
+            placements = ([(a, b) for a in range(n) for b in range(n) if a != b]
+                          if kind in TWO_QUBIT else [(q,) for q in range(n)])
+            for qubits in placements:
+                gate = Gate(kind, qubits)
+                g_matrix = dense_gate(gate, n)
+                tableau = canonicalize(GateCircuit(n, (gate,))).tableau
+                for q in range(n):
+                    for letter, image in (("X", tableau.x_images[q]),
+                                          ("Z", tableau.z_images[q])):
+                        g = dense_pauli(PauliString.single(n, q, letter))
+                        assert np.allclose(g @ g_matrix, g_matrix @ dense_pauli(image)), (
+                            f"{kind} {qubits}: {letter}{q}")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_t_reads_its_axis_from_the_z_row(self, n):
+        # after Clifford C, T on q is C followed by a pi/8 rotation about
+        # A = C^dag Z_q C: Z_q C = C A
+        for kind in GATE_RULES:
+            qubits = (0, n - 1) if kind in TWO_QUBIT else (n - 1,)
+            if len(set(qubits)) != len(qubits):
+                continue
+            clifford = Gate(kind, qubits)
+            c_matrix = dense_gate(clifford, n)
+            for q in range(n):
+                for t in ("t", "tdg"):
+                    (rot,) = canonicalize(GateCircuit(n, (clifford, Gate(t, (q,))))).pi8
+                    axis = rot.axis if rot.num == (1 if t == "t" else -1) else rot.axis.negated()
+                    z = dense_pauli(PauliString.single(n, q, "Z"))
+                    assert np.allclose(z @ c_matrix, c_matrix @ dense_pauli(axis))
 
 
 class TestToRotationCircuit:
@@ -436,6 +490,27 @@ class TestJson:
         with pytest.raises(ValueError, match="rotation field 'num' must be of "
                                              "type int, got True"):
             rotations_from_json([entry, {**entry, "num": True}], 1, "field 'pi8'")
+
+    def test_mismatch_names_the_first_bad_entry(self):
+        good, bad = {"axis": "+ZI", "num": 1, "den": 4}, {"axis": "+Z", "num": 1, "den": 4}
+        with pytest.raises(ValueError, match="field 'pi8' entry 2: qubit count mismatch: 1 vs 2"):
+            rotations_from_json([good, good, bad, good, bad], 2, "field 'pi8'")
+
+    def test_malformed_entry_errors_keep_field_order(self):
+        # the first field that is missing or of the wrong type is named
+        with pytest.raises(ValueError, match="rotation field 'axis' must be of type str"):
+            rotations_from_json([{"axis": 5, "den": 4}], 1, "field 'pi8'")
+        with pytest.raises(KeyError, match="num"):
+            rotations_from_json([{"axis": "+Z", "den": True}], 1, "field 'pi8'")
+        with pytest.raises(ValueError, match="rotation must be a JSON object"):
+            rotations_from_json([["+Z", 1, 8]], 1, "field 'pi8'")
+
+    def test_dict_subclass_entry_reads_as_a_dict(self):
+        class Entry(dict):
+            pass
+
+        (rot,) = rotations_from_json([Entry(axis="+Z", num=1, den=8)], 1, "field 'pi8'")
+        assert rot == PauliRotation(PauliString.from_label("Z"), 1, 8)
 
     @pytest.mark.parametrize(
         "layers, message",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pauliflow import circuits, cli, codes, layers
+from pauliflow import canonical, circuits, cli, codes, layers
 from pauliflow.circuits import render_circuit
 from pauliflow.pauli import PauliString
 from pauliflow.cli import (
@@ -914,6 +914,41 @@ class TestGoldenCompile:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in COMPILE_GOLDEN_SHA256}
         assert digests == COMPILE_GOLDEN_SHA256
+
+
+class TestRepeatedCalls:
+    def test_one_call_leaves_nothing_for_the_next(self, circuit_file, tmp_path, capsys):
+        # flags given to one call in a process must not reach a later one
+        canonical_json = tmp_path / "canonical.json"
+        assert main(["transpile", str(circuit_file), "-o", str(canonical_json)]) == EXIT_OK
+        for name, method in (("asap1.json", []),
+                             ("ga.json", ["--method", "ga", "--seed", "3"]),
+                             ("asap2.json", [])):
+            assert main(["optimize", str(canonical_json), *method,
+                         "-o", str(tmp_path / name)]) == EXIT_OK
+        first, ga, second = (tmp_path / name for name in ("asap1.json", "ga.json", "asap2.json"))
+        assert json.loads(ga.read_text())["method"] == "ga"
+        assert first.read_bytes() == second.read_bytes()
+
+
+class TestWrongGateRule:
+    """Negative control: transpile's tableau comes from the gate rules, and
+    the reader rebuilds it from the Clifford trace, so a wrong rule is
+    refused by every command that reads the payload."""
+
+    def test_s_with_the_phase_of_sdg(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(canonical.GATE_RULES, "s", canonical.GATE_RULES["sdg"])
+        src, payload = tmp_path / "c.qc", tmp_path / "c.json"
+        src.write_text("qubits 1\ns 0\nh 0\nt 0\n")
+        assert main(["transpile", str(src), "-o", str(payload)]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (["optimize", str(payload)], ["verify", str(src), str(payload)]):
+            assert main(argv) == EXIT_USAGE
+            assert ("measurement bases inconsistent with Clifford trace"
+                    in capsys.readouterr().err)
+        monkeypatch.undo()
+        assert main(["transpile", str(src), "-o", str(payload)]) == EXIT_OK
+        assert main(["verify", str(src), str(payload)]) == EXIT_OK
 
 
 class TestDeterminism:
