@@ -8,7 +8,8 @@ Every gate expands into Pauli product rotations exp(-i*phi*P) with a
 dyadic angle phi = num*pi/den.  Angles are kept as reduced fractions,
 never floats, so pi/8 (non-Clifford) vs pi/4 and pi/2 (Clifford) is an
 exact classification.  Pauli gates are encoded as pi/2 rotations rather
-than special-cased.
+than special-cased.  The dictionary is one table, `_GATE_ROTATIONS`; a
+gate's arity is the letter count of its entry.
 """
 
 from __future__ import annotations
@@ -17,10 +18,28 @@ from dataclasses import dataclass
 
 from .pauli import PauliString
 
-_GATE_ARITY = {
-    "h": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
-    "x": 1, "y": 1, "z": 1, "cnot": 2, "cz": 2,
+# The gate dictionary: kind -> its rotations in time order, each
+# (letters, num, den) for exp(-i*(num*pi/den)*P), where letter j of P
+# acts on the gate's qubit j: CNOT is over (c, t).
+_GATE_ROTATIONS = {
+    "h": (("Z", 1, 4), ("X", 1, 4), ("Z", 1, 4)),
+    "s": (("Z", 1, 4),),
+    "sdg": (("Z", -1, 4),),
+    "t": (("Z", 1, 8),),
+    "tdg": (("Z", -1, 8),),
+    "x": (("X", 1, 2),),
+    "y": (("Y", 1, 2),),
+    "z": (("Z", 1, 2),),
+    "cnot": (("ZX", 1, 4), ("IX", -1, 4), ("ZI", -1, 4)),
+    "cz": (("ZZ", 1, 4), ("IZ", -1, 4), ("ZI", -1, 4)),
 }
+# each entry's letters read once, as a Pauli on the gate's own qubits
+_LOCAL_ROTATIONS = {
+    kind: tuple((PauliString.from_label(letters), num, den)
+                for letters, num, den in entry)
+    for kind, entry in _GATE_ROTATIONS.items()
+}
+_GATE_ARITY = {kind: len(entry[0][0]) for kind, entry in _GATE_ROTATIONS.items()}
 
 VALID_DENOMINATORS = (2, 4, 8)
 
@@ -132,58 +151,16 @@ class RotationCircuit:
                 raise ValueError("rotation axis length does not match circuit")
 
 
-def _zaxis(n: int, q: int) -> PauliString:
-    return PauliString.single(n, q, "Z")
-
-
-def _xaxis(n: int, q: int) -> PauliString:
-    return PauliString.single(n, q, "X")
-
-
 def gate_to_rotations(gate: Gate, n: int) -> list[PauliRotation]:
-    """Expand one gate into its Pauli-rotation dictionary entry.
-
-    T  -> Z_{pi/8}           S  -> Z_{pi/4}        (daggers negate)
-    H  -> Z_{pi/4} X_{pi/4} Z_{pi/4}
-    X/Y/Z -> pi/2 rotation about the same axis
-    CNOT(c,t) -> (Z_c X_t)_{pi/4} (X_t)_{-pi/4} (Z_c)_{-pi/4}
-    CZ(a,b)   -> (Z_a Z_b)_{pi/4} (Z_b)_{-pi/4} (Z_a)_{-pi/4}
-    """
-    kind = gate.kind
-    if kind == "t":
-        return [PauliRotation(_zaxis(n, gate.qubits[0]), 1, 8)]
-    if kind == "tdg":
-        return [PauliRotation(_zaxis(n, gate.qubits[0]), -1, 8)]
-    if kind == "s":
-        return [PauliRotation(_zaxis(n, gate.qubits[0]), 1, 4)]
-    if kind == "sdg":
-        return [PauliRotation(_zaxis(n, gate.qubits[0]), -1, 4)]
-    if kind == "h":
-        q = gate.qubits[0]
-        return [
-            PauliRotation(_zaxis(n, q), 1, 4),
-            PauliRotation(_xaxis(n, q), 1, 4),
-            PauliRotation(_zaxis(n, q), 1, 4),
-        ]
-    if kind in ("x", "y", "z"):
-        return [PauliRotation(PauliString.single(n, gate.qubits[0], kind), 1, 2)]
-    if kind == "cnot":
-        c, t = gate.qubits
-        zc_xt = PauliString(n, 1 << t, 1 << c)
-        return [
-            PauliRotation(zc_xt, 1, 4),
-            PauliRotation(_xaxis(n, t), -1, 4),
-            PauliRotation(_zaxis(n, c), -1, 4),
-        ]
-    if kind == "cz":
-        a, b = gate.qubits
-        za_zb = PauliString(n, 0, (1 << a) | (1 << b))
-        return [
-            PauliRotation(za_zb, 1, 4),
-            PauliRotation(_zaxis(n, b), -1, 4),
-            PauliRotation(_zaxis(n, a), -1, 4),
-        ]
-    raise ValueError(f"unknown gate kind {kind!r}")
+    """Expand one gate into its `_GATE_ROTATIONS` entry on `n` qubits."""
+    rotations = []
+    for local, num, den in _LOCAL_ROTATIONS[gate.kind]:
+        x = z = 0
+        for j, q in enumerate(gate.qubits):  # local qubit j is qubit q
+            x |= (local.x >> j & 1) << q
+            z |= (local.z >> j & 1) << q
+        rotations.append(PauliRotation(PauliString(n, x, z), num, den))
+    return rotations
 
 
 # -- text format ---------------------------------------------------------

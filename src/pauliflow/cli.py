@@ -248,24 +248,24 @@ def _codes():
 
 
 _CODES = {
-    "rep3": (lambda: _codes().repetition_code(3), 1),
-    "rep5": (lambda: _codes().repetition_code(5), 2),
-    "surface3": (lambda: _codes().rotated_surface_code(3), 1),
-    "surface5": (lambda: _codes().rotated_surface_code(5), 2),
+    "rep3": lambda: _codes().repetition_code(3),
+    "rep5": lambda: _codes().repetition_code(5),
+    "surface3": lambda: _codes().rotated_surface_code(3),
+    "surface5": lambda: _codes().rotated_surface_code(5),
 }
 
 
 def cmd_decode(args) -> int:
     codes = _codes()
-    builder, default_weight = _CODES[args.code]
-    code = builder()
+    code = _CODES[args.code]()
     if args.dump_code:
         _emit(code.to_json(), args.dump_code,
               f"{args.code}: [[{code.n}, {code.k}, {code.distance}]]")
         return EXIT_OK
     if args.noise is None or args.p is None:
         raise ConfigError("decode requires --noise and --p")
-    max_weight = args.max_weight if args.max_weight is not None else default_weight
+    max_weight = (resources.correctable_weight(code.distance)
+                  if args.max_weight is None else args.max_weight)
     dec = codes.build_lookup(code, max_weight)
     noise = codes.NoiseModel(args.noise, args.p)
     result = codes.monte_carlo(dec, noise, args.shots, args.seed, args.workers)

@@ -9,7 +9,9 @@ The lookup decoder enumerates Pauli errors by increasing weight (within
 a weight class: qubit subsets in index order, letters in X < Y < Z
 product order) and keeps the first error seen per syndrome, giving a
 deterministic minimum-weight coset representative; the syndromes are
-one `anticommutation_rows` pass, at any n.  Residuals are classified
+one `anticommutation_rows` pass, at any n.  The error count, a sum of
+at most n + 1 terms, is checked against LOOKUP_GUARD_ERRORS before any
+error is built.  Residuals are classified
 symplectically, phases ignored: anticommuting with any generator is
 "uncorrected", membership in the generator span is "success", and a
 commuting non-member is a "logical_error".
@@ -56,6 +58,7 @@ from .pauli import (
 )
 
 LOOKUP_GUARD_M = 24
+LOOKUP_GUARD_ERRORS = 1 << 22  # each enumerated error holds about 630 B
 MONTE_CARLO_MAX_N = 32  # 2n bits per uint64 row
 _SHARD_SHOTS = 65536
 
@@ -259,10 +262,17 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
         )
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
+    top = min(max_weight, code.n)  # no error outweighs the code
+    count = sum(math.comb(code.n, w) * 3**w for w in range(top + 1))
+    if count > LOOKUP_GUARD_ERRORS:
+        raise ValueError(
+            f"lookup table of weight <= {max_weight} enumerates {count} errors, "
+            f"over the limit of {LOOKUP_GUARD_ERRORS}"
+        )
     failures = _structural_failures(code)  # as monte_carlo words it
     if failures:
         raise ValueError(f"invalid code: {failures[0]}")
-    errors = list(_errors_by_weight(code.n, max_weight))
+    errors = list(_errors_by_weight(code.n, top))
     first: dict[int, PauliString] = {}
     for key, error in zip(anticommutation_rows(errors, code.generators), errors):
         first.setdefault(key, error)

@@ -11,8 +11,11 @@ Distillation block volumes and per-state costs are catalog data, not
 derived: the 15-to-1 block occupies 55 tiles for 12d cycles (660 d^3)
 while its optimized per-state cost in protocol selection is 6.3 d^3;
 the two refer to different layouts and are deliberately exposed under
-distinct names.  A round's output error is read from the shipped
-protocol catalog (`scheduling.default_catalog`), the one place it is stated.
+distinct names.  A recommendation is its (name, levels) key; its
+per-state cost is read from `_COST_PER_STATE_D3` under that key.  A
+round's output error is read from the shipped protocol catalog
+(`scheduling.default_catalog`), the one place it is stated, and a name
+missing from that catalog is refused.
 """
 
 from __future__ import annotations
@@ -73,7 +76,10 @@ class WorkloadProfile:
 class RecommendedProtocol:
     name: str
     levels: int
-    cost_per_state_d3: float
+
+    @property
+    def cost_per_state_d3(self) -> float:
+        return _COST_PER_STATE_D3[(self.name, self.levels)]
 
     @property
     def label(self) -> str:
@@ -153,11 +159,11 @@ def distillation_volume(protocol_name: str, d: int) -> dict:
 
 def distilled_error(protocol_name: str, p: float) -> float:
     """Output error after one round: the catalog's error_coeff * p^error_exp, exactly."""
-    if protocol_name not in _BLOCKS:
+    protocol = {q.name: q for q in scheduling.default_catalog()}.get(protocol_name)
+    if protocol is None:
         raise ValueError(f"unknown protocol {protocol_name!r}")
     if not 0 <= p < 1:
         raise ValueError("input error rate must be in [0, 1)")
-    protocol = {q.name: q for q in scheduling.default_catalog()}[protocol_name]
     power = 1.0
     for _ in range(protocol.error_exp):
         power *= p
@@ -175,10 +181,10 @@ def recommend_protocol(
     """
     single_level = distilled_error("15-to-1", workload.p_phys)
     if workload.target_logical_error <= single_level:
-        return RecommendedProtocol("15-to-1", 2, _COST_PER_STATE_D3[("15-to-1", 2)])
+        return RecommendedProtocol("15-to-1", 2)
     if workload.t_count / workload.t_depth >= streaming_ratio:
-        return RecommendedProtocol("20-to-4", 1, _COST_PER_STATE_D3[("20-to-4", 1)])
-    return RecommendedProtocol("15-to-1", 1, _COST_PER_STATE_D3[("15-to-1", 1)])
+        return RecommendedProtocol("20-to-4", 1)
+    return RecommendedProtocol("15-to-1", 1)
 
 
 @dataclass(frozen=True)
@@ -212,13 +218,16 @@ def build_report(
     streaming_ratio: float = DEFAULT_STREAMING_RATIO,
 ) -> ResourceReport:
     """Aggregate estimate for a code choice and workload."""
+    # first, so a p outside the model's range is named as such before
+    # distillation is fed it
+    logical_error = logical_error_rate(params.d, workload.p_phys)
     protocol = recommend_protocol(workload, streaming_ratio)
     error = workload.p_phys
     for _ in range(protocol.levels):
         error = distilled_error(protocol.name, error)
     return ResourceReport(
         physical_qubits=physical_qubits(params),
-        logical_error_per_round=logical_error_rate(params.d, workload.p_phys),
+        logical_error_per_round=logical_error,
         recommended_distance=min_distance_for(
             workload.target_logical_error, workload.p_phys
         ),

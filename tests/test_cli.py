@@ -698,6 +698,14 @@ class TestEstimate:
         # the flag wins over the config key, 0 included
         assert protocol("--config", str(cfg), "--streaming-ratio", "100") == protocol()
 
+    @pytest.mark.parametrize("p", ["0.4", "0.5", "0.99"])
+    def test_large_p_names_the_model_range(self, capsys, p):
+        # 15-to-1 twice would be fed 35 p^3 >= 1 first
+        assert main(["estimate", "--distance", "27", "--p", p]) == EXIT_USAGE
+        assert (
+            "physical error rate must be in (0, 0.01]" in capsys.readouterr().err
+        )
+
 
 # `decode -o` output for surface5, depolarizing 0.01, 2^17 shots, seed 7,
 # as written before sampling went sparse; the bytes must not move
@@ -753,6 +761,32 @@ class TestDecode:
         ])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "name, weight", [("rep3", 1), ("rep5", 2), ("surface3", 1), ("surface5", 2)]
+    )
+    def test_default_max_weight_is_correctable_weight(self, capsys, name, weight):
+        code = main([
+            "decode", "--code", name, "--noise", "depolarizing", "--p", "0.01",
+            "--shots", "1000", "-o", "-",
+        ])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["max_weight"] == weight
+
+    def test_oversized_lookup_is_usage(self, capsys, monkeypatch):
+        def reached(n, max_weight):
+            raise AssertionError("the lookup guard let the enumeration start")
+
+        monkeypatch.setattr(codes, "_errors_by_weight", reached)
+        code = main([
+            "decode", "--code", "surface5", "--noise", "depolarizing",
+            "--p", "0.01", "--max-weight", "5",
+        ])
+        assert code == EXIT_USAGE
+        assert (
+            "lookup table of weight <= 5 enumerates 14000116 errors, "
+            "over the limit of 4194304" in capsys.readouterr().err
+        )
+
     def test_dump_code(self, capsys):
         assert main(["decode", "--code", "rep3", "--dump-code", "-"]) == EXIT_OK
         obj = json.loads(capsys.readouterr().out)
@@ -783,7 +817,7 @@ class TestDecode:
             n=3, k=1, generators=rep3.generators, logical_x=rep3.logical_x,
             logical_z=(PauliString.from_label("IXI"),), distance=3,
         )
-        monkeypatch.setitem(cli._CODES, "rep3", (lambda: bad, 1))
+        monkeypatch.setitem(cli._CODES, "rep3", lambda: bad)
         code = main([
             "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",
             "--shots", "1000",
@@ -799,11 +833,11 @@ class TestDecode:
         # qubit limit is what refuses the code
         monkeypatch.setattr(codes, "LOOKUP_GUARD_M", 32)
         monkeypatch.setitem(
-            cli._CODES, "rep3", (lambda: codes.repetition_code(33), 0)
+            cli._CODES, "rep3", lambda: codes.repetition_code(33)
         )
         code = main([
             "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",
-            "--shots", "1000",
+            "--shots", "1000", "--max-weight", "0",
         ])
         assert code == EXIT_USAGE
         assert "n <= 32 qubits" in capsys.readouterr().err

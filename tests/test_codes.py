@@ -315,6 +315,25 @@ class TestBuildLookup:
         with pytest.raises(ValueError, match="m <= 24"):
             build_lookup(code, max_weight=1)
 
+    def test_error_count_guard(self, monkeypatch):
+        # surface5 at weight 5 would enumerate 14 000 116 errors, about
+        # 8.8 GB; the count is checked before any error is built
+        def reached(n, max_weight):
+            raise RuntimeError(f"enumerated weight <= {max_weight}")
+
+        monkeypatch.setattr(codes, "_errors_by_weight", reached)
+        code = rotated_surface_code(5)
+        with pytest.raises(
+            ValueError, match="14000116 errors, over the limit of 4194304"
+        ):
+            build_lookup(code, max_weight=5)
+        # weight 4, 1 089 526 errors, is under the limit
+        with pytest.raises(RuntimeError, match="weight <= 4"):
+            build_lookup(code, max_weight=4)
+
+    def test_weight_above_n_enumerates_every_error_once(self, rep3):
+        assert build_lookup(rep3, 10**9).table == build_lookup(rep3, 3).table
+
 
 class TestDecode:
     def test_zero_syndrome(self, rep3):

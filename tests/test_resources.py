@@ -1,10 +1,12 @@
 """Closed-form resource formulas and workload-based protocol selection."""
 
 import dataclasses
+import itertools
 
 import pytest
 
 from pauliflow import scheduling
+from pauliflow.pauli import PauliString, anticommutation_rows
 from pauliflow.resources import (
     CodeParams,
     WorkloadProfile,
@@ -145,6 +147,14 @@ class TestDistilledError:
         assert distilled_error("15-to-1", 0.5) == 105 * 0.5**4
         assert distilled_error("20-to-4", 0.5) == 3 * 0.5**3
 
+    def test_name_checked_against_the_catalog(self, monkeypatch):
+        shipped = scheduling.default_catalog()
+        renamed = [dataclasses.replace(shipped[0], name="15-to-1 copy")]
+        monkeypatch.setattr(scheduling, "default_catalog", lambda: renamed)
+        assert distilled_error("15-to-1 copy", 1e-4) == 3.5e-11
+        with pytest.raises(ValueError, match="unknown protocol '15-to-1'"):
+            distilled_error("15-to-1", 1e-4)
+
     def test_catalog_parsed_once(self, monkeypatch):
         # build_report reads the catalog two or three times a call; the
         # shipped file is parsed once per process
@@ -165,6 +175,34 @@ class TestDistilledError:
         shared = scheduling.default_catalog()
         shared.append(shared[0])
         assert len(scheduling.default_catalog()) == 2
+
+
+def test_fifteen_to_one_error_model_is_derived():
+    """15-to-1's 35 p^3 from the [[15,1,3]] code (Bravyi & Kitaev,
+    quant-ph/0403025).
+
+    Its four X checks are the [15,4] simplex code: check b has X on qubit
+    j iff bit b of j + 1 is set.  A Z error on the inputs passes iff it
+    commutes with every check.
+    """
+    n = 15
+    checks = [PauliString(n, sum(1 << j for j in range(n) if (j + 1) >> b & 1), 0)
+              for b in range(4)]
+    logical_x = PauliString(n, (1 << n) - 1, 0)
+
+    def undetected(weight):
+        errors = [PauliString(n, 0, sum(1 << q for q in support))
+                  for support in itertools.combinations(range(n), weight)]
+        rows = anticommutation_rows(errors, checks)
+        return [e for e, row in zip(errors, rows) if row == 0]
+
+    assert undetected(1) == undetected(2) == []
+    passed = undetected(3)
+    assert len(passed) == 35  # of the 455 weight-3 Z errors
+    # each one flips the output: it anticommutes with X^15
+    assert all(e.anticommutes(logical_x) for e in passed)
+    (fifteen,) = [p for p in scheduling.default_catalog() if p.name == "15-to-1"]
+    assert (fifteen.error_coeff, fifteen.error_exp) == (len(passed), 3)
 
 
 WORKLOADS = {
