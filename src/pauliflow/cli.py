@@ -266,8 +266,8 @@ def cmd_decode(args) -> int:
         raise ConfigError("decode requires --noise and --p")
     max_weight = (resources.correctable_weight(code.distance)
                   if args.max_weight is None else args.max_weight)
+    noise = codes.NoiseModel(args.noise, args.p)  # refuse --p before the table
     dec = codes.build_lookup(code, max_weight)
-    noise = codes.NoiseModel(args.noise, args.p)
     result = codes.monte_carlo(dec, noise, args.shots, args.seed, args.workers)
     payload = result.to_json()
     payload.update(
@@ -362,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int,
+                   help="worker threads (default: one per usable CPU); "
+                        "counts are bit-identical for any value")
     p.add_argument("--max-weight", dest="max_weight", type=int)
     p.add_argument("--dump-code", dest="dump_code",
                    help="write the code definition as JSON and exit")

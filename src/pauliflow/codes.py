@@ -17,19 +17,23 @@ symplectically, phases ignored: anticommuting with any generator is
 commuting non-member is a "logical_error".
 
 Monte Carlo campaigns run on the decoder's own code, `dec.code`, and
-sample i.i.d. per-qubit errors in fixed-size shard blocks whose RNG
-streams derive from (seed, shard index), so counts are bit-identical
-regardless of how many workers the shards are spread across.  A shot is
-one uint64 symplectic_vector row (x << n) | z, so campaigns need n <= 32.
+sample i.i.d. per-qubit errors in fixed-size shards whose RNG streams
+derive from (seed, shard index), so counts are bit-identical regardless
+of how many workers the shards are spread across; by default there is
+one worker thread per usable CPU.  A shot is one uint64
+symplectic_vector row (x << n) | z, so campaigns need n <= 32.
 Syndrome bit i, the parity of the row ANDed with generator i's mask
 (z << n) | x, is bit i of its `_pack`ed key, as in the table's keys.
 The residual a table hit leaves commutes with every generator; for a
 code that passes validate_code it is a logical_error iff it anticommutes
 with one of the 2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
 
-A shard draws every shot's uniforms but builds rows only for the shots
-that drew an error, and classifies only those.  At low noise most shots
-draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all fall in the
+A shard draws its shots 4096 at a time (_BLOCK_SHOTS), each block
+continuing the shard's one stream, so its working set stays near
+1.6 MiB at n = 25 and the counts equal those of one draw of the whole
+shard.  It draws every shot's uniforms but builds rows only for the
+shots that drew an error, and classifies only those.  At low noise most
+shots draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all fall in the
 class of the zero row, which each shard classifies once against the
 decoder's own table, so even a hand-built table that maps the zero
 syndrome to a logical operator is counted exactly.  Sparse handling of
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -61,6 +66,7 @@ LOOKUP_GUARD_M = 24
 LOOKUP_GUARD_ERRORS = 1 << 22  # each enumerated error holds about 630 B
 MONTE_CARLO_MAX_N = 32  # 2n bits per uint64 row
 _SHARD_SHOTS = 65536
+_BLOCK_SHOTS = 4096  # a block's uniforms take 0.8 MB at n = 25
 
 SUCCESS = "success"
 LOGICAL_ERROR = "logical_error"
@@ -427,14 +433,25 @@ def _run_shard(args):
     (dec_arrays, noise, count, seed, shard_index) = args
     n, *arrays = dec_arrays
     rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
-    _, rows = _sample_errors(rng, count, n, noise)
-    # row 0 is the identity: every shot that drew no error falls in its
-    # class, which the table decides (a hand-built one may not map the
-    # zero syndrome to a stabilizer)
-    classes = _classify(np.insert(rows, 0, 0), *arrays)
-    counts = np.bincount(classes[1:], minlength=3)
-    counts[classes[0]] += count - len(rows)
+    # every shot that drew no error falls in the identity row's class,
+    # which the table decides (a hand-built one may not map the zero
+    # syndrome to a stabilizer)
+    identity = _classify(np.zeros(1, dtype=np.uint64), *arrays)[0]
+    counts = np.zeros(3, dtype=np.int64)
+    # successive rng.random calls continue one stream, so the blocks draw
+    # the uniforms of one (count, n) draw
+    for start in range(0, count, _BLOCK_SHOTS):
+        block = min(_BLOCK_SHOTS, count - start)
+        _, rows = _sample_errors(rng, block, n, noise)
+        counts += np.bincount(_classify(rows, *arrays), minlength=3)
+        counts[identity] += block - len(rows)
     return dict(zip(_CLASSES, counts.tolist()))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def monte_carlo(
@@ -442,7 +459,7 @@ def monte_carlo(
     noise: NoiseModel,
     shots: int,
     seed: int,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> MonteCarloResult:
     """Sample errors on dec.code, decode, classify; logical failure counts
     both the logical_error class and detected-uncorrectable table misses.
@@ -454,14 +471,17 @@ def monte_carlo(
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
-    Within a shard only the shots that drew an error are built and
-    classified; the rest take the identity row's class, found once.
+    workers=None runs one thread per usable CPU; the pool never exceeds
+    the shard count, so a one-shard campaign runs serially.  A shard
+    draws its shots in blocks of _BLOCK_SHOTS from its one stream; only
+    the shots that drew an error are built and classified, and the rest
+    take the identity row's class, found once per shard.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     code = dec.code
     if code.n > MONTE_CARLO_MAX_N:
@@ -486,6 +506,7 @@ def monte_carlo(
         (dec_arrays, noise, min(_SHARD_SHOTS, shots - start), seed, idx)
         for idx, start in enumerate(range(0, shots, _SHARD_SHOTS))
     ]
+    workers = min(_usable_cpus() if workers is None else workers, len(jobs))
     # serial for one worker: a pool of one raised decode-surface peak RSS 57 -> 71 MB
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -733,13 +733,14 @@ DECODE_GOLDEN_JSON = """\
 
 
 class TestDecode:
-    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize("workers", ["1", "3", None])
     def test_golden_json(self, tmp_path, workers):
         out = tmp_path / "surface5.decode.json"
+        flags = [] if workers is None else ["--workers", workers]
         code = main([
             "decode", "--code", "surface5", "--noise", "depolarizing",
             "--p", "0.01", "--shots", str(1 << 17), "--seed", "7",
-            "--workers", workers, "-o", str(out),
+            *flags, "-o", str(out),
         ])
         assert code == EXIT_OK
         assert out.read_bytes() == DECODE_GOLDEN_JSON.encode()
@@ -786,6 +787,18 @@ class TestDecode:
             "lookup table of weight <= 5 enumerates 14000116 errors, "
             "over the limit of 4194304" in capsys.readouterr().err
         )
+
+    def test_p_checked_before_the_table(self, capsys, monkeypatch):
+        def reached(code, max_weight):
+            raise AssertionError("the lookup table was built before --p was checked")
+
+        monkeypatch.setattr(codes, "build_lookup", reached)
+        code = main([
+            "decode", "--code", "surface5", "--noise", "depolarizing",
+            "--p", "2", "--max-weight", "3",
+        ])
+        assert code == EXIT_USAGE
+        assert "error probability must be in [0, 1]" in capsys.readouterr().err
 
     def test_dump_code(self, capsys):
         assert main(["decode", "--code", "rep3", "--dump-code", "-"]) == EXIT_OK

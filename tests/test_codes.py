@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -859,3 +860,73 @@ class TestPackedDecodePath:
         assert parities.tolist() == [
             [int(r.anticommutes(o)) for o in ops] for r in rows
         ]
+
+
+class TestShardBlocks:
+    """A shard draws its shots in blocks of codes._BLOCK_SHOTS from its
+    one stream; the counts must equal those of one draw of the shard."""
+
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 2000, 65536])
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    @pytest.mark.parametrize("p", [0.15, 0.01, 5e-324])
+    def test_blocks_match_one_draw(self, count, kind, p):
+        _, dec = _code_and_decoder("surface5")
+        args = (codes._decoder_arrays(dec), NoiseModel(kind, p), count, 3, 2)
+        assert codes._run_shard(args) == _dense_shard_reference(args)
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    def test_many_block_boundaries(self, monkeypatch, kind):
+        _, dec = _code_and_decoder("surface3")
+        monkeypatch.setattr(codes, "_BLOCK_SHOTS", 7)
+        args = (codes._decoder_arrays(dec), NoiseModel(kind, 0.15), 2000, 8, 1)
+        assert codes._run_shard(args) == _dense_shard_reference(args)
+
+    def test_working_set_is_bounded(self):
+        _, dec = _code_and_decoder("surface5")
+        args = (codes._decoder_arrays(dec), NoiseModel("depolarizing", 0.01),
+                codes._SHARD_SHOTS, 1, 0)
+        tracemalloc.start()
+        try:
+            codes._run_shard(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one draw of the whole shard peaked at 14.9 MiB
+        assert peak < 4 * 2**20
+
+
+class TestDefaultWorkers:
+    def test_default_equals_one_worker(self):
+        name, kind, p, seed, expected = GOLDEN_COUNTS[0]
+        _, dec = _code_and_decoder(name)
+        noise = NoiseModel(kind, p)
+        default = monte_carlo(dec, noise, 1 << 17, seed)
+        serial = monte_carlo(dec, noise, 1 << 17, seed, workers=1)
+        assert default == serial
+        assert tuple(default.counts.values()) == expected
+
+    @pytest.mark.parametrize(
+        "shots, workers, cpus, pool",
+        [
+            (codes._SHARD_SHOTS, None, 4, None),  # one shard runs serially
+            (3 * codes._SHARD_SHOTS, None, 2, 2),
+            (3 * codes._SHARD_SHOTS, None, 8, 3),  # capped at the shards
+            (3 * codes._SHARD_SHOTS, 8, 1, 3),
+            (3 * codes._SHARD_SHOTS, 1, 4, None),
+        ],
+    )
+    def test_pool_size(self, monkeypatch, rep3, shots, workers, cpus, pool):
+        sizes = []
+
+        class Recording(codes.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(codes, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(codes, "_usable_cpus", lambda: cpus)
+        dec = build_lookup(rep3, 1)
+        result = monte_carlo(dec, NoiseModel("bitflip", 0.08), shots, 5,
+                             workers=workers)
+        assert sum(result.counts.values()) == shots
+        assert sizes == ([] if pool is None else [pool])
