@@ -133,6 +133,21 @@ class TestVerify:
         layered.write_text(json.dumps(obj))
         assert main(["verify", str(circuit_file), str(layered)]) == EXIT_VERIFY_FAILED
 
+    def test_at_the_oracle_limit(self, tmp_path, capsys):
+        # n = 10 is the largest circuit the dense oracle takes; both lines
+        # as the oracle printed them when it made one dense pass per gate
+        src, canonical_json = tmp_path / "limit.qc", tmp_path / "limit.json"
+        src.write_text(render_circuit(random_circuit(10, 60, random.Random(1))))
+        main(["transpile", str(src), "-o", str(canonical_json)])
+        capsys.readouterr()
+        assert main(["verify", str(src), str(canonical_json)]) == EXIT_OK
+        assert capsys.readouterr().out == "fidelity=1.000000000000 PASS\n"
+        obj = json.loads(canonical_json.read_text())
+        obj["pi8"][0]["num"] *= -1
+        canonical_json.write_text(json.dumps(obj))
+        assert main(["verify", str(src), str(canonical_json)]) == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().out == "fidelity=0.707106781187 FAIL\n"
+
     @pytest.mark.parametrize(
         "payload, key",
         [({"n": 2}, "'pi8'"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pauliflow import oracle
 from pauliflow.canonical import CanonicalForm, CliffordTableau, canonicalize
 from pauliflow.circuits import Gate, GateCircuit, PauliRotation
 from pauliflow.oracle import (
@@ -257,3 +258,143 @@ class TestVerifyCanonicalForm:
                     verdict = verify_canonical_form(gc, corrupted)
                     assert not verdict, (q, which)
                     assert abs(verdict.fidelity - 1) < 1e-12
+
+
+def dense_rotations(rotations, n):
+    """Ordered product of rotation matrices from Kronecker products only."""
+    expected = np.eye(1 << n, dtype=complex)
+    for rot in rotations:
+        phi = rot.num * np.pi / rot.den
+        expected = (
+            np.cos(phi) * np.eye(1 << n) - 1j * np.sin(phi) * dense_pauli(rot.axis)
+        ) @ expected
+    return expected
+
+
+def rotations_of(n, axis_kind, dens):
+    """Rotations about a Z-only axis ("z"), an axis with an X bit ("x") or
+    any axis ("any"), at one of the denominators `dens`."""
+    top = (1 << n) - 1
+    x = {"z": st.just(0), "x": st.integers(1, top), "any": st.integers(0, top)}[axis_kind]
+    z = st.integers(1, top) if axis_kind == "z" else st.integers(0, top)
+    axis = st.builds(PauliString, st.just(n), x, z).filter(
+        lambda p: not p.is_identity()
+    )
+    den = st.sampled_from(dens)
+    num = st.sampled_from([1, -1, 3, -3, 5, -5, 7, -7])
+    return st.builds(PauliRotation, axis, num, den)
+
+
+@st.composite
+def adversarial_rotations(draw, max_qubits=6):
+    """Blocks that put a pending pi/8 phase before a permutation, the
+    permutation before a diagonal factor, and that before a mixing one,
+    with rotations of every class drawn in between."""
+    n = draw(st.integers(1, max_qubits))
+    any_rotation = st.one_of(
+        rotations_of(n, "z", (8, 4)), rotations_of(n, "x", (8, 4)),
+        rotations_of(n, "any", (2,)),
+    )
+    seq = []
+    for _ in range(draw(st.integers(1, 5))):
+        seq += [
+            draw(rotations_of(n, "z", (8,))),
+            draw(rotations_of(n, "any", (2,))),
+            draw(rotations_of(n, "z", (8, 4))),
+            draw(rotations_of(n, "x", (8, 4))),
+        ]
+        seq += draw(st.lists(any_rotation, max_size=4))
+    return n, seq
+
+
+@st.composite
+def h_between_runs(draw, max_qubits=6):
+    """Runs of cnot, x and t gates with an h between each two runs."""
+    n = draw(st.integers(2, max_qubits))
+    qubit = st.integers(0, n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(tuple)
+    run_gate = st.one_of(
+        st.builds(Gate, st.just("cnot"), pair),
+        st.builds(Gate, st.sampled_from(["x", "t"]), qubit.map(lambda q: (q,))),
+    )
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        gates += draw(st.lists(run_gate, min_size=1, max_size=6))
+        gates.append(Gate("h", (draw(qubit),)))
+    gates += draw(st.lists(run_gate, min_size=1, max_size=6))
+    return GateCircuit(n, tuple(gates))
+
+
+class TestMonomialFrame:
+    """The pending phase-and-permutation frame against dense products, and
+    the count of the O(4^n) passes it makes."""
+
+    @given(adversarial_rotations())
+    @settings(max_examples=80, deadline=None)
+    def test_rotations_match_dense_fold(self, n_rotations):
+        n, rotations = n_rotations
+        np.testing.assert_allclose(
+            unitary_of_rotations(rotations, n), dense_rotations(rotations, n),
+            atol=1e-10,
+        )
+
+    @given(h_between_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_h_between_permutation_runs(self, gc):
+        expected = np.eye(1 << gc.n, dtype=complex)
+        for gate in gc.gates:
+            expected = dense_gate(gate, gc.n) @ expected
+        np.testing.assert_allclose(unitary_of_gates(gc), expected, atol=1e-10)
+
+    def test_long_pi2_run_stays_exact(self):
+        x, z = PauliString.from_label("XXX"), PauliString.from_label("ZZZ")
+        rotations = [PauliRotation(x if k % 2 else z, 1, 2) for k in range(2000)]
+        u = unitary_of_rotations(rotations, 3)
+        assert set(np.unique(u).tolist()) <= {0, 1, -1, 1j, -1j}
+        assert_unitary(u)
+
+    @staticmethod
+    def count_mixing_passes(monkeypatch):
+        calls = []
+        real_mix = oracle._mix
+
+        def counting_mix(*args):
+            calls.append(1)
+            return real_mix(*args)
+
+        monkeypatch.setattr(oracle, "_mix", counting_mix)
+        return calls
+
+    def test_monomial_circuit_makes_no_dense_pass(self, monkeypatch):
+        rng = random.Random(23)
+        n, gates = 10, []
+        for _ in range(500):
+            kind = rng.choice(["s", "sdg", "t", "tdg", "x", "y", "z", "cnot", "cz"])
+            qubits = rng.sample(range(n), 2) if kind in TWO_QUBIT else [rng.randrange(n)]
+            gates.append(Gate(kind, tuple(qubits)))
+        gc = GateCircuit(n, tuple(gates))
+        calls = self.count_mixing_passes(monkeypatch)
+        u = unitary_of_gates(gc)
+        assert len(calls) == 0
+        # a few columns, folded gate by gate with the dense kernel
+        cols = [0, 1, 517, 1023]
+        expected = np.eye(1 << n, dtype=complex)[:, cols]
+        for gate in gates:
+            expected = apply_gate(gate, expected)
+        np.testing.assert_allclose(u[:, cols], expected, atol=1e-12)
+        assert (np.count_nonzero(u, axis=1) == 1).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_only_mixing_factors_make_dense_passes(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        gc = random_circuit(5, 60, rng)
+        cf = canonicalize(gc)
+        calls = self.count_mixing_passes(monkeypatch)
+        unitary_of_gates(gc)
+        assert len(calls) == sum(g.kind == "h" for g in gc.gates)
+        for rotations in (cf.clifford_trace, cf.pi8):
+            calls.clear()
+            unitary_of_rotations(rotations, gc.n)
+            assert len(calls) == sum(
+                1 for r in rotations if r.axis.x and r.den in (4, 8)
+            )
