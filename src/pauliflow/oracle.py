@@ -188,30 +188,44 @@ def _fold(factors, n: int) -> np.ndarray:
         elif a is None:
             e, src = b * e[p], src[p]
         else:
+            # every phase has modulus 1, but rounding drifts it, one drift
+            # per row of u; reset before u keeps any, and conj(e) is 1 / e
+            e /= np.abs(e)
             inv[src] = idx
             pk = p[inv]
             _mix(u, buf, a[inv], b[inv] * e[pk] * e[inv].conj(), src[pk])
     # the frame applied once, into buf: a fresh 2^n x 2^n array costs more
     # than the arithmetic on it
+    e /= np.abs(e)
     np.take(u, src, axis=0, out=buf, mode="clip")
     buf *= e[:, None]
     return buf
 
 
-def _memoized(build, items):
-    """build(item) for each item, each distinct item built once."""
-    memo = {}
+# A build keeps the factors of at most this many rows' worth of distinct
+# items: 512 factors at n = 7, 64 at n = 10, and at most 32 bytes a row, so
+# 2 MiB.  A long list of distinct rotations, such as a deep circuit's pi/8
+# list, then cannot make a build's memory grow with its length.
+_MEMO_ROWS = 1 << 16
+
+
+def _memoized(build, items, n: int):
+    """build(item) for each item; the first distinct items, up to the row
+    budget, are built once and kept, any later new item each time it comes."""
+    memo, room = {}, _MEMO_ROWS >> n
     for item in items:
         factor = memo.get(item)
         if factor is None:
-            factor = memo[item] = build(item)
+            factor = build(item)
+            if len(memo) < room:
+                memo[item] = factor
         yield factor
 
 
 def unitary_of_gates(gc: GateCircuit) -> np.ndarray:
     """Product of gate matrices in time order (later gates on the left)."""
     _check_size(gc.n)
-    return _fold(_memoized(lambda g: _gate_factor(g, gc.n), gc.gates), gc.n)
+    return _fold(_memoized(lambda g: _gate_factor(g, gc.n), gc.gates, gc.n), gc.n)
 
 
 def unitary_of_rotations(rotations, n: int) -> np.ndarray:
@@ -223,7 +237,7 @@ def unitary_of_rotations(rotations, n: int) -> np.ndarray:
             raise ValueError("rotation axis length does not match n")
         return _rotation_factor(rot)
 
-    return _fold(_memoized(build, rotations), n)
+    return _fold(_memoized(build, rotations, n), n)
 
 
 def overlap(u: np.ndarray, v: np.ndarray) -> float:
