@@ -61,6 +61,11 @@ def load_config(path: str | Path) -> dict:
                 f"{path}:{lineno}: cannot parse {value!r} as "
                 f"{_CONFIG_KEYS[key].__name__}"
             )
+        if key == "objective" and value not in scheduling.OBJECTIVES:
+            raise ConfigError(
+                f"{path}:{lineno}: objective must be one of "
+                f"{scheduling.OBJECTIVES}, got {value!r}"
+            )
     try:  # GAConfig states each GA bound; the file's GA keys go over its defaults
         layers.GAConfig(**{f.name: values[f.name]
                            for f in _GA_KNOBS if f.name in values})
@@ -286,12 +291,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg_file = load_config(args.config) if args.config else {}
-    tol = _setting(args, cfg_file, "tolerance", 1e-9)
-    gc = circuits.parse_circuit(Path(args.circuit).read_text())
-    cf = _load_canonical(args.canonical, "verify")
     from . import oracle
 
+    cfg_file = load_config(args.config) if args.config else {}
+    tol = _setting(args, cfg_file, "tolerance", oracle.DEFAULT_TOL)
+    gc = circuits.parse_circuit(Path(args.circuit).read_text())
+    cf = _load_canonical(args.canonical, "verify")
     verdict = oracle.verify_canonical_form(gc, cf, tol)
     print(f"fidelity={verdict.fidelity:.12f} {'PASS' if verdict.ok else 'FAIL'}")
     return EXIT_OK if verdict.ok else EXIT_VERIFY_FAILED

@@ -27,9 +27,15 @@ per factor and O(G 8^n) for matrix products.
 
 `verify_canonical_form` builds the circuit unitary U, the pi/8 product
 W and the trace unitary V once each, so one verification makes a single
-2^n x 2^n matrix product, V @ W.  Its tableau check compares g V with
-V T(g) for all 2n signed generator images, both sides a permutation
-times a phase.
+2^n x 2^n matrix product, V @ W.  Both of its checks are overlaps held
+against 1 - tol, with tol in (0, 1): the fidelity |<U, V W>| / 2^n, and
+for each of the 2n generators g with tableau image T(g) the agreement
+Re<V, g V T(g)> / 2^n.  V is Clifford, so V^dag g V is a signed Pauli,
+and the agreement is the normalized trace of its product with T(g):
+1 if the image is right, -1 if only its sign is wrong and 0 otherwise.
+The real part keeps the sign a modulus would lose, and V's global phase
+cancels.  g V T(g) is V with its rows and columns permuted and scaled
+by phases, so each generator costs two gathers and one reduction.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .circuits import Gate, GateCircuit, PauliRotation
 from .pauli import PauliString
 
 MAX_ORACLE_QUBITS = 10
+DEFAULT_TOL = 1e-9
 
 _GATE_1Q = {
     "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
@@ -61,6 +68,13 @@ _GATE_1Q = {
 def _check_size(n: int):
     if n > MAX_ORACLE_QUBITS:
         raise ValueError(f"dense oracle limited to n <= {MAX_ORACLE_QUBITS}, got {n}")
+
+
+def _check_tol(tol: float):
+    # an overlap is at most 1, so a tol of 1 or more would pass anything,
+    # as would NaN (`x < 1 - nan` is false); 0 or less fails on rounding
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must be in (0, 1), got {tol!r}")
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +261,11 @@ def overlap(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.vdot(u, v)) / u.shape[0])
 
 
-def equivalent_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff |tr(U^dag V)| / dim >= 1 - tol."""
+def equivalent_up_to_phase(
+    u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL
+) -> bool:
+    """True iff |tr(U^dag V)| / dim >= 1 - tol, for tol in (0, 1)."""
+    _check_tol(tol)
     return overlap(u, v) >= 1 - tol
 
 
@@ -264,16 +281,19 @@ class Verdict:
 
 
 def verify_canonical_form(
-    gc: GateCircuit, cf: CanonicalForm, tol: float = 1e-9
+    gc: GateCircuit, cf: CanonicalForm, tol: float = DEFAULT_TOL
 ) -> Verdict:
     """Check a canonical form against the original circuit.
 
-    Verifies (1) the pi/8 prefix followed by the Clifford trace matches
-    the original unitary up to global phase, and (2) each tableau entry
-    T(g) equals V^dag g V for its generator g and the trace unitary V,
-    including sign, checked as g V == V T(g).  The fidelity is the
-    overlap of the original and rebuilt unitaries.
+    One rule, for tol in (0, 1): a check passes iff its overlap is at
+    least 1 - tol.  (1) The fidelity |<U, V W>| / 2^n of the original
+    unitary U against the pi/8 prefix W followed by the Clifford trace
+    V.  (2) For each generator g, the agreement Re<V, g V T(g)> / 2^n
+    of its tableau image T(g): with V^dag g V the image the trace gives,
+    it is 1 if T(g) equals it, sign included, -1 if only the sign
+    differs and 0 if it is another Pauli.  The fidelity is reported.
     """
+    _check_tol(tol)
     if gc.n != cf.n:
         raise ValueError("qubit count mismatch between circuit and canonical form")
     _check_size(gc.n)
@@ -283,27 +303,19 @@ def verify_canonical_form(
     fidelity = overlap(original, v @ w)
     if fidelity < 1 - tol:
         return Verdict(fidelity, False)
-    atol = max(100 * tol, 1e-10)
-    t = cf.tableau
-    # g V and V T(g) go into two buffers reused across the 2n generators;
-    # the test is np.allclose's |a - b| <= atol + 1e-5 |b|, elementwise
-    gv, vt = np.empty_like(v), np.empty_like(v)
-    gap, limit = np.empty(v.shape), np.empty(v.shape)
+    del original, w  # the tableau check's buffers take their memory
+    t, dim = cf.tableau, v.shape[0]
+    v_conj, rows, gvt = v.conj(), np.empty_like(v), np.empty_like(v)
     for q in range(cf.n):
         for letter, image in (("X", t.x_images[q]), ("Z", t.z_images[q])):
-            # every index is idx ^ mask < 2^n, so 'clip' clips nothing; the
+            # (g V T(g))[i, j] = dg[pg[i]] V[pg[i], pt[j]] dt[j]; every
+            # index is idx ^ mask < 2^n, so 'clip' clips nothing, and the
             # default 'raise' would copy through a buffer to guard `out`
-            perm, d = _pauli_columns(PauliString.single(cf.n, q, letter))
-            np.take(v, perm, axis=0, out=gv, mode="clip")
-            gv *= d[perm, None]
-            perm, d = _pauli_columns(image)
-            np.take(v, perm, axis=1, out=vt, mode="clip")
-            vt *= d
-            np.abs(vt, out=limit)
-            limit *= 1e-5
-            limit += atol
-            np.subtract(gv, vt, out=gv)
-            np.abs(gv, out=gap)
-            if not (gap <= limit).all():
+            pg, dg = _pauli_columns(PauliString.single(cf.n, q, letter))
+            pt, dt = _pauli_columns(image)
+            np.take(v, pg, axis=0, out=rows, mode="clip")
+            np.take(rows, pt, axis=1, out=gvt, mode="clip")
+            gvt *= v_conj
+            if (dg[pg] @ (gvt @ dt)).real / dim < 1 - tol:
                 return Verdict(fidelity, False)
     return Verdict(fidelity, True)

@@ -177,8 +177,12 @@ def recommend_protocol(
 
     Targets at or below a single 15-to-1 round's output error demand two
     cascaded levels; that check precedes the throughput test since an
-    ultra-low-error workload may also stream at a high T-rate.
+    ultra-low-error workload may also stream at a high T-rate.  A
+    workload streams when t_count / t_depth reaches `streaming_ratio`, a
+    number >= 0.
     """
+    if not streaming_ratio >= 0:  # NaN fails every comparison
+        raise ValueError(f"streaming ratio must be >= 0, got {streaming_ratio!r}")
     single_level = distilled_error("15-to-1", workload.p_phys)
     if workload.target_logical_error <= single_level:
         return RecommendedProtocol("15-to-1", 2)

@@ -148,6 +148,36 @@ class TestVerify:
         assert main(["verify", str(src), str(canonical_json)]) == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out == "fidelity=0.707106781187 FAIL\n"
 
+    @pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan", "-1e-9"])
+    def test_tol_outside_unit_interval_is_usage(self, circuit_file, tmp_path,
+                                                capsys, tol):
+        # an overlap lies in [0, 1]: tol >= 1 passed every pair, NaN would
+        # under the pass rule, and tol <= 0 fails on rounding alone
+        out = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(out)])
+        capsys.readouterr()
+        argv = ["verify", str(circuit_file), str(out)]
+        assert main(argv + [f"--tol={tol}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: tolerance must be in (0, 1), got {float(tol)!r}\n"
+        )
+
+    def test_tolerance_key_of_one_is_usage(self, circuit_file, tmp_path, capsys):
+        # the pair reads fidelity 0.135; a tol of 1 passed it
+        other = tmp_path / "other.qc"
+        other.write_text("qubits 2\nt 0\n")
+        out, cfg = tmp_path / "canonical.json", tmp_path / "one.cfg"
+        main(["transpile", str(other), "-o", str(out)])
+        cfg.write_text("tolerance = 1\n")
+        capsys.readouterr()
+        argv = ["verify", str(circuit_file), str(out)]
+        assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        assert "tolerance must be in (0, 1), got 1.0" in capsys.readouterr().err
+        assert main(argv + ["--tol", "1"]) == EXIT_USAGE
+        assert main(argv + ["--tol", "0.99"]) == EXIT_OK
+
     @pytest.mark.parametrize(
         "payload, key",
         [({"n": 2}, "'pi8'"),
@@ -713,6 +743,18 @@ class TestEstimate:
         # the flag wins over the config key, 0 included
         assert protocol("--config", str(cfg), "--streaming-ratio", "100") == protocol()
 
+    @pytest.mark.parametrize("ratio", ["nan", "-5"])
+    def test_streaming_ratio_nan_or_negative_is_usage(self, tmp_path, capsys,
+                                                      ratio):
+        argv = ["estimate", "--distance", "3", "--p", "1e-4", "--t-count", "10",
+                "--t-depth", "10", "-o", "-"]
+        cfg = tmp_path / "ratio.cfg"
+        cfg.write_text(f"streaming_ratio = {ratio}\n")
+        for extra in ([f"--streaming-ratio={ratio}"], ["--config", str(cfg)]):
+            assert main(argv + extra) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"streaming ratio must be >= 0, got {float(ratio)!r}" in err
+
     @pytest.mark.parametrize("p", ["0.4", "0.5", "0.99"])
     def test_large_p_names_the_model_range(self, capsys, p):
         # 15-to-1 twice would be fed 35 p^3 >= 1 first
@@ -917,6 +959,23 @@ class TestConfig:
         assert f"error: {cfg}: elite_k must satisfy" in capsys.readouterr().err
         cfg.write_text("population_size = 2\nelite_k = 1\n")
         assert load_config(cfg) == {"population_size": 2, "elite_k": 1}
+
+    def test_objective_checked_at_load(self, tmp_path, capsys):
+        # only the --objective flag had choices; the key went into the payload
+        cfg = tmp_path / "objective.cfg"
+        cfg.write_text("seed = 1\nobjective = foo\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert str(info.value) == (
+            f"{cfg}:2: objective must be one of "
+            "('tiles', 'latency', 'balanced'), got 'foo'"
+        )
+        argv = ["schedule", "--algo", "greedy", "-M", "4", "--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: {cfg}:2: objective must be one of" in capsys.readouterr().err
+        for objective in ("tiles", "latency", "balanced"):
+            cfg.write_text(f"objective = {objective}\n")
+            assert load_config(cfg) == {"objective": objective}
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = tmp_path / "c.cfg"

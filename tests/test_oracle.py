@@ -428,3 +428,113 @@ class TestMonomialFrame:
             assert len(calls) == sum(
                 1 for r in rotations if r.axis.x and r.den in (4, 8)
             )
+
+
+def elementwise_verify(gc, cf, tol=1e-9):
+    """`verify_canonical_form` with the tableau judged elementwise, as
+    np.allclose(g V, V T(g), rtol=1e-5, atol=max(100 tol, 1e-10)) for
+    each generator g: the reference its verdicts at tol = 1e-9 match."""
+    if gc.n != cf.n:
+        raise ValueError("qubit count mismatch between circuit and canonical form")
+    original = unitary_of_gates(gc)
+    w = unitary_of_rotations(cf.pi8, cf.n)
+    v = unitary_of_rotations(cf.clifford_trace, cf.n)
+    fidelity = oracle.overlap(original, v @ w)
+    if fidelity < 1 - tol:
+        return False
+    atol = max(100 * tol, 1e-10)
+    t = cf.tableau
+    gv, vt = np.empty_like(v), np.empty_like(v)
+    gap, limit = np.empty(v.shape), np.empty(v.shape)
+    for q in range(cf.n):
+        for letter, image in (("X", t.x_images[q]), ("Z", t.z_images[q])):
+            perm, d = oracle._pauli_columns(PauliString.single(cf.n, q, letter))
+            np.take(v, perm, axis=0, out=gv, mode="clip")
+            gv *= d[perm, None]
+            perm, d = oracle._pauli_columns(image)
+            np.take(v, perm, axis=1, out=vt, mode="clip")
+            vt *= d
+            np.abs(vt, out=limit)
+            limit *= 1e-5
+            limit += atol
+            np.subtract(gv, vt, out=gv)
+            np.abs(gv, out=gap)
+            if not (gap <= limit).all():
+                return False
+    return True
+
+
+def with_images(cf, xs, zs):
+    return CanonicalForm(
+        cf.n, cf.pi8, cf.clifford_trace, CliffordTableau(cf.n, tuple(xs), tuple(zs))
+    )
+
+
+def negated_image(cf, q, which):
+    xs, zs = list(cf.tableau.x_images), list(cf.tableau.z_images)
+    images = xs if which == "x" else zs
+    images[q] = images[q].negated()
+    return with_images(cf, xs, zs)
+
+
+def swapped_images(cf, q):
+    xs, zs = list(cf.tableau.x_images), list(cf.tableau.z_images)
+    xs[q], zs[q] = zs[q], xs[q]
+    return with_images(cf, xs, zs)
+
+
+class TestOnePassRule:
+    """Each tableau image is judged as an overlap against 1 - tol, as the
+    fidelity is: Re<V, g V T(g)> / 2^n is 1, 0 or -1."""
+
+    @given(clifford_t_circuits(max_qubits=5, max_gates=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_match_elementwise_reference(self, gc, data):
+        cf = canonicalize(gc)
+        q = data.draw(st.integers(0, cf.n - 1))
+        which = data.draw(st.sampled_from(["x", "z"]))
+        xs, zs = list(cf.tableau.x_images), list(cf.tableau.z_images)
+        images = xs if which == "x" else zs
+        old = images[q]
+        images[q] = data.draw(
+            paulis(cf.n, (0, 2)).filter(lambda p: (p.x, p.z) != (old.x, old.z))
+        )
+        cases = [
+            (cf, True),
+            (negated_image(cf, q, which), False),
+            (swapped_images(cf, q), False),
+            (with_images(cf, xs, zs), False),
+        ]
+        for form, expected in cases:
+            assert elementwise_verify(gc, form) == expected
+            assert bool(verify_canonical_form(gc, form)) == expected
+
+    def test_swapped_images_rejected(self):
+        # the unitary matches; only the tableau check can object, and the
+        # images differ in letters, not only in sign
+        for _, gc, cf in TestVerifyCanonicalForm._cases(5):
+            for q in range(cf.n):
+                verdict = verify_canonical_form(gc, swapped_images(cf, q))
+                assert not verdict, q
+                assert abs(verdict.fidelity - 1) < 1e-12
+
+    def test_negated_image_rejected_at_loose_tol(self):
+        # the agreement of a negated image is -1, below 1 - tol for every
+        # tol in (0, 1); elementwise, atol = 50 passed it
+        for _, gc, cf in TestVerifyCanonicalForm._cases(5):
+            assert verify_canonical_form(gc, cf, tol=0.5)
+            for q in range(cf.n):
+                for which in ("x", "z"):
+                    corrupted = negated_image(cf, q, which)
+                    assert elementwise_verify(gc, corrupted, tol=0.5)
+                    assert not verify_canonical_form(gc, corrupted, tol=0.5)
+
+    @pytest.mark.parametrize("tol", [0, 1, 2, np.inf, np.nan, -1e-9])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        gc = GateCircuit(1, (Gate("t", (0,)),))
+        cf, u = canonicalize(gc), unitary_of_gates(gc)
+        message = r"tolerance must be in \(0, 1\), got "
+        with pytest.raises(ValueError, match=message):
+            verify_canonical_form(gc, cf, tol)
+        with pytest.raises(ValueError, match=message):
+            equivalent_up_to_phase(u, u, tol)

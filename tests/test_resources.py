@@ -229,6 +229,14 @@ class TestRecommendProtocol:
         for w in WORKLOADS.values():
             assert recommend_protocol(w) == recommend_protocol(w)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), -5.0, -1e-300])
+    def test_ratio_nan_or_negative_rejected(self, ratio):
+        # t_count / t_depth >= nan is false, so nan never streamed, and
+        # any negative ratio acted as 0
+        for w in WORKLOADS.values():
+            with pytest.raises(ValueError, match=r"streaming ratio must be >= 0"):
+                recommend_protocol(w, ratio)
+
 
 class TestBuildReport:
     def test_aggregates(self):
