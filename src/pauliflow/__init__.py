@@ -19,7 +19,6 @@ from .canonical import (
     CliffordTableau,
     canonicalize,
     push_cliffords,
-    tableau_conjugate,
     to_rotation_circuit,
 )
 from .layers import (
@@ -33,7 +32,6 @@ from .layers import (
     greedy_collapse,
     greedy_matching,
     mergeable,
-    score_pair,
     singleton_layering,
 )
 from .scheduling import (
@@ -43,7 +41,6 @@ from .scheduling import (
     brute_force,
     default_catalog,
     dp_schedule,
-    effective_latency,
     evaluate,
     greedy_schedule,
     random_baseline,

@@ -224,19 +224,6 @@ def _tableau(n: int, xs: list, zs: list) -> CliffordTableau:
                            tuple(PauliString(n, *img) for img in zs))
 
 
-def tableau_conjugate(t: CliffordTableau, p: PauliString) -> PauliString:
-    """Image of an arbitrary Hermitian Pauli under the tableau."""
-    if p.n != t.n:
-        raise ValueError(f"qubit count mismatch: {p.n} vs {t.n}")
-    if not p.is_hermitian():
-        raise ValueError("tableau conjugation expects a Hermitian operator")
-    xs = [(g.x, g.z, g.phase) for g in t.x_images]
-    zs = [(g.x, g.z, g.phase) for g in t.z_images]
-    result = PauliString(p.n, *_conjugate(xs, zs, p.x, p.z, p.phase))
-    assert result.is_hermitian(), "Clifford image of a Hermitian Pauli must be Hermitian"
-    return result
-
-
 def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
     """Sweep all Clifford rotations to the end of the circuit.
 

@@ -204,11 +204,6 @@ def all_mergeable_pairs(l: Layering) -> list[tuple[int, int]]:
             for i in range(j - 1, floor(j) - 1, -1)]
 
 
-def score_pair(l: Layering, i: int, j: int, beta: float = 0.5) -> float:
-    if not mergeable(l, i, j):
-        raise ValueError(f"layers ({i}, {j}) are not mergeable")
-    return _score(l, i, j, beta, max(l.layer_sizes()))
-
 def _score(l: Layering, i: int, j: int, beta: float, t_max: int) -> float:
     t_i, t_j = len(l.layers[i]), len(l.layers[j])
     return 1.0 - abs(t_i - t_j) / l.n + beta * (t_max - (t_i + t_j))

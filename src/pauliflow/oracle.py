@@ -102,18 +102,6 @@ def _pauli_columns(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return idx ^ _index_mask(p.x, p.n), d
 
 
-def apply_pauli(p: PauliString, u: np.ndarray) -> np.ndarray:
-    """P @ u for a signed Pauli string, without forming P."""
-    perm, d = _pauli_columns(p)
-    return d[perm, None] * u[perm]
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a signed Pauli string (qubit 0 is the leftmost factor)."""
-    _check_size(p.n)
-    return apply_pauli(p, np.eye(2 ** p.n, dtype=complex))
-
-
 def _gate_factor(gate: Gate, n: int):
     """The (a, b, p) factor of one gate of an n-qubit circuit.
 
@@ -155,25 +143,6 @@ def _rotation_factor(rot: PauliRotation):
     if rot.den == 2:
         return None, b, perm
     return np.full(perm.size, c), b, perm
-
-
-def _apply(factor, u: np.ndarray) -> np.ndarray:
-    """F @ u for a factor (a, b, p): (F u)[k] = a[k] u[k] + b[k] u[p[k]]."""
-    a, b, p = factor
-    if b is None:
-        return a[:, None] * u
-    bu = b[:, None] * u[p]
-    return bu if a is None else a[:, None] * u + bu
-
-
-def apply_gate(gate: Gate, u: np.ndarray) -> np.ndarray:
-    """G @ u for one gate of an n-qubit circuit, 2^n = u.shape[0]."""
-    return _apply(_gate_factor(gate, u.shape[0].bit_length() - 1), u)
-
-
-def apply_rotation(rot: PauliRotation, u: np.ndarray) -> np.ndarray:
-    """exp(-i*phi*P) @ u for involutory Hermitian P."""
-    return _apply(_rotation_factor(rot), u)
 
 
 def _mix(u: np.ndarray, buf: np.ndarray, a: np.ndarray, c: np.ndarray, g: np.ndarray):

@@ -3,8 +3,7 @@
 A distillation protocol is characterized by its surface-code tile count
 D, steps per round S, output states per successful round k, and raw
 input states consumed N.  For raw input error rate p the round success
-probability is (1 - p)^N and the effective latency per distilled state
-is S / (k * P_s).
+probability is P_s = (1 - p)^N.
 
 Schedules are ordered sequences of protocol rounds in a sequential
 single-factory model: tile_time sums D*S over rounds, expected_latency
@@ -26,8 +25,8 @@ prefix would give a better schedule within the bound.  Only when the
 unbounded optimum needs more rounds than the bound does the bounded
 fallback run: the same recurrence over L rounds, each round's cost
 row of M+1 states read from the one before it and then replaced, so
-it keeps one cost row and each round's choices.  Only it can hit the
-tractability guard, set on the (L+1) x (M+1) x |P| cells it visits.
+it keeps one cost row and each round's choices.  Every planner checks
+its size against ENUMERATION_GUARD before it allocates by the demand.
 """
 
 from __future__ import annotations
@@ -52,6 +51,11 @@ class InfeasibleScheduleError(RuntimeError):
 
 class EnumerationGuardError(RuntimeError):
     """The requested search space exceeds the tractability guard."""
+
+
+def _guard(size: int, what: str) -> None:
+    if size > ENUMERATION_GUARD:
+        raise EnumerationGuardError(f"{what}, over the guard of {ENUMERATION_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,6 @@ def success_probability(protocol: Protocol, p_raw: float) -> float:
     if not 0 <= p_raw < 1:
         raise ValueError("raw error rate must be in [0, 1)")
     return (1.0 - p_raw) ** protocol.raw_inputs
-
-
-def effective_latency(protocol: Protocol, p_raw: float) -> float:
-    """Expected steps per distilled state: S / (k * P_s)."""
-    return protocol.steps / (
-        protocol.outputs * success_probability(protocol, p_raw)
-    )
 
 
 def _by_name(catalog: Iterable[Protocol]) -> dict[str, Protocol]:
@@ -184,16 +181,18 @@ def brute_force(
     of ordered round sequences, while the search visits only the
     multisets of each length l <= L, C(|P|+l-1, l) of them.  For 10
     protocols and L = 8 the guard rejects 10^8 sequences although the
-    search would visit only 43757 multisets.
+    search would visit only 43757 multisets.  For one protocol, whose
+    |P|^L is 1, it bounds the L(L+1)/2 rounds of its L multisets.
     """
     protos = _by_name(catalog)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if len(protos) ** max_rounds > ENUMERATION_GUARD:
-        raise EnumerationGuardError(
-            f"|catalog|^L = {len(protos)}^{max_rounds} exceeds "
-            f"{ENUMERATION_GUARD}"
-        )
+    # |P|^L has L log2|P| bits; past the guard's bit length in rounds,
+    # any |P| >= 2 exceeds the guard already
+    _guard(len(protos) ** min(max_rounds, ENUMERATION_GUARD.bit_length()),
+           f"|catalog|^L = {len(protos)}^{max_rounds}")
+    evaluated = max_rounds * (max_rounds + 1) // 2
+    _guard(evaluated, f"L(L+1)/2 = {evaluated} rounds to evaluate")
     names = sorted(protos)
     feasible: list[Schedule] = []
     for length in range(1, max_rounds + 1):
@@ -261,8 +260,9 @@ def dp_schedule(
     name of equal sets, hence the same parent at every step.
 
     When best[M] needs more rounds than the bound, the 2-D table
-    decides; only that path can raise EnumerationGuardError.  With the
-    same round bound this matches brute_force("tiles") exactly.
+    decides.  With the same round bound this matches brute_force("tiles")
+    exactly.  The guard on the 1-D pass's (M + 1) * |P| cells admits
+    M < 5 * 10^6 for the shipped catalog, which takes about 0.7 GB.
     """
     protos = _by_name(catalog)
     m = demand.states_required
@@ -270,6 +270,8 @@ def dp_schedule(
     if bound < 1:
         raise ValueError("round bound must be >= 1")
     moves = [(p.outputs, p.tiles * p.steps, name) for name, p in sorted(protos.items())]
+    cells = (m + 1) * len(moves)
+    _guard(cells, f"demand {m}: {cells} DP cells")
     best = [(0, 0)] * (m + 1)
     choice = [""] * (m + 1)
     for s in range(1, m + 1):
@@ -361,6 +363,7 @@ def _repeat_until_feasible(
 ) -> Schedule:
     """Run `chosen` in as many rounds as it takes to meet the demand."""
     rounds = -(-demand.states_required // chosen.outputs)
+    _guard(rounds, f"demand {demand.states_required}: {rounds} rounds of {chosen.name}")
     return evaluate([chosen.name] * rounds, protos.values(), demand)
 
 

@@ -18,7 +18,6 @@ from pauliflow.canonical import (
     conjugate_axis,
     push_cliffords,
     rotations_from_json,
-    tableau_conjugate,
     tableau_from_trace,
     to_rotation_circuit,
 )
@@ -30,7 +29,7 @@ from pauliflow.circuits import (
     RotationCircuit,
 )
 from pauliflow.layers import build_layers
-from pauliflow.oracle import verify_canonical_form
+from pauliflow.oracle import unitary_of_rotations, verify_canonical_form
 from pauliflow.pauli import PauliString
 
 ONE_QUBIT = ["h", "s", "sdg", "t", "tdg", "x", "y", "z"]
@@ -161,18 +160,6 @@ class TestRunningTableauKernel:
         )
         assert tableau_from_trace(rc.n, trace) == expected
 
-    @given(rotation_circuits(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_tableau_conjugate_matches_sweep(self, rc, data):
-        trace = [r for r in rc.rotations if r.is_clifford]
-        t = tableau_from_trace(rc.n, trace)
-        bits = st.integers(0, (1 << rc.n) - 1)
-        for x, z, sign in data.draw(st.lists(
-            st.tuples(bits, bits, st.sampled_from((0, 2))), min_size=1, max_size=8
-        )):
-            p = PauliString(rc.n, x, z, sign)
-            assert tableau_conjugate(t, p) == sweep_through_trace(trace, p)
-
     def test_trace_entries_must_be_clifford_on_n_qubits(self):
         z = PauliString.from_label("ZI")
         with pytest.raises(ValueError, match="only Clifford rotations"):
@@ -261,8 +248,8 @@ class TestPushCliffords:
         assert str(cf.pi8[0].axis) == "+X"
         assert cf.pi8[0].num == 1
         # the tableau is the Hadamard X <-> Z swap
-        assert str(tableau_conjugate(cf.tableau, PauliString.from_label("Z"))) == "+X"
-        assert str(tableau_conjugate(cf.tableau, PauliString.from_label("X"))) == "+Z"
+        assert str(cf.tableau.z_images[0]) == "+X"
+        assert str(cf.tableau.x_images[0]) == "+Z"
 
     def test_cnot_conjugates_target_z_to_zz(self):
         gc = GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
@@ -347,43 +334,26 @@ class TestPushCliffords:
 
 
 class TestTableauConjugate:
-    def test_identity_tableau(self):
-        t = CliffordTableau.identity(2)
-        for label in ("XI", "IZ", "YY", "-ZX"):
-            p = PauliString.from_label(label)
-            assert tableau_conjugate(t, p) == p
-
-    def test_h_tableau_on_y(self):
-        cf = canonicalize(GateCircuit(1, (Gate("h", (0,)),)))
-        # H Y H = -Y
-        assert str(tableau_conjugate(cf.tableau, PauliString.from_label("Y"))) == "-Y"
-
-    def test_dimension_mismatch(self):
-        t = CliffordTableau.identity(2)
-        with pytest.raises(ValueError):
-            tableau_conjugate(t, PauliString.from_label("X"))
-
     @pytest.mark.parametrize("seed", range(15))
     def test_composite_images_match_matrix_conjugation(self, seed):
         # generator images are checked by verify_canonical_form; this pins
         # the phase bookkeeping of the per-qubit decomposition for
-        # arbitrary Hermitian products like -YY or XZ
-        from pauliflow.oracle import pauli_matrix, unitary_of_rotations
-        import numpy as np
-
+        # arbitrary Hermitian products like -YY or XZ: a pi/8 rotation
+        # about P after the circuit is pushed to one about V^dag P V
         rng = random.Random(seed)
         n = rng.randint(1, 3)
         gc = random_circuit(n, rng.randint(1, 20), rng)
-        cf = canonicalize(gc)
-        v = unitary_of_rotations(cf.clifford_trace, n)
+        trace = canonicalize(gc).clifford_trace
+        v = unitary_of_rotations(trace, n)
         for _ in range(10):
             x, z = rng.getrandbits(n), rng.getrandbits(n)
             if x == 0 and z == 0:
                 continue
             p = PauliString(n, x, z, rng.choice((0, 2)))
-            expected = v.conj().T @ pauli_matrix(p) @ v
-            got = pauli_matrix(tableau_conjugate(cf.tableau, p))
-            np.testing.assert_allclose(expected, got, atol=1e-10)
+            cf = push_cliffords(RotationCircuit(n, trace + (PauliRotation(p, 1, 8),)))
+            (rot,) = cf.pi8
+            expected = v.conj().T @ dense_pauli(p) @ v
+            np.testing.assert_allclose(rot.num * dense_pauli(rot.axis), expected, atol=1e-10)
 
 
 def _tableau_validate_reference(t):

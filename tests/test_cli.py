@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pauliflow import canonical, circuits, cli, codes, layers
+from pauliflow import canonical, circuits, cli, codes, layers, scheduling
 from pauliflow.circuits import render_circuit
 from pauliflow.pauli import PauliString
 from pauliflow.cli import (
@@ -705,6 +705,24 @@ class TestSchedule:
             "--catalog", str(catalog),
         ])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("algo", ["dp", "greedy", "random"])
+    def test_demand_over_the_guard_exits_3(self, algo, capsys, monkeypatch):
+        # checked before any list of the demand's size is built
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 1000)
+        assert main(["schedule", "--algo", algo, "-M", "100000"]) == EXIT_INFEASIBLE
+        assert "error: demand 100000: " in capsys.readouterr().err
+
+    def test_one_protocol_brute_over_the_guard_exits_3(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # 1^L is 1, but the search would evaluate L(L+1)/2 = 5050 rounds
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 1000)
+        catalog = tmp_path / "one.cat"
+        catalog.write_text("15-to-1 11 11 1 15 35 3\n")
+        code = main(["schedule", "--algo", "brute", "-M", "4", "-L", "100",
+                     "--catalog", str(catalog)])
+        assert code == EXIT_INFEASIBLE
+        assert "5050 rounds to evaluate" in capsys.readouterr().err
 
     def test_env_catalog(self, tmp_path, capsys, monkeypatch):
         catalog = tmp_path / "cat.cat"

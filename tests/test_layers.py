@@ -26,9 +26,9 @@ from pauliflow.layers import (
     greedy_matching,
     mergeable,
     random_rotations,
-    score_pair,
     singleton_layering,
 )
+from pauliflow.layers import _score
 from pauliflow.oracle import equivalent_up_to_phase, unitary_of_rotations
 from pauliflow.pauli import PauliString
 from test_canonical import random_circuit
@@ -266,18 +266,13 @@ class TestScorePair:
     def test_uniform_density(self):
         l = singleton_layering([rot("ZI"), rot("IZ")])
         # n=2, T_i=T_j=1, T_max=1: 1 - 0 + 0.5*(1-2) = 0.5
-        assert score_pair(l, 0, 1, beta=0.5) == pytest.approx(0.5)
+        assert _score(l, 0, 1, 0.5, max(l.layer_sizes())) == pytest.approx(0.5)
 
     def test_formula_values(self):
         # four disjoint single-qubit axes, layers sized 1,3 after a merge
         rots = [rot("ZIII"), rot("IZII"), rot("IIZI"), rot("IIIZ")]
         l = Layering(4, tuple(rots), ((0,), (1, 2, 3)))
-        assert score_pair(l, 0, 1, beta=0.0) == pytest.approx(1 - abs(0.25 - 0.75))
-
-    def test_requires_mergeable(self):
-        l = singleton_layering([rot("X"), rot("Z")])
-        with pytest.raises(ValueError):
-            score_pair(l, 0, 1)
+        assert _score(l, 0, 1, 0.0, 3) == pytest.approx(1 - abs(0.25 - 0.75))
 
 
 class TestGreedyMatching:

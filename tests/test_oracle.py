@@ -10,11 +10,7 @@ from pauliflow import oracle
 from pauliflow.canonical import CanonicalForm, CliffordTableau, canonicalize
 from pauliflow.circuits import Gate, GateCircuit, PauliRotation
 from pauliflow.oracle import (
-    apply_gate,
-    apply_pauli,
-    apply_rotation,
     equivalent_up_to_phase,
-    pauli_matrix,
     unitary_of_gates,
     unitary_of_rotations,
     verify_canonical_form,
@@ -29,17 +25,7 @@ ANGLES = [(k, 8) for k in (1, -1, 3, -3)] + [(k, 4) for k in (1, -1, 3, -3)] + [
 ]
 
 
-@st.composite
-def matrices(draw, max_qubits=6):
-    """A random complex 2^n x 2^n matrix (kernels are linear; no need for
-    unitarity) with its qubit count."""
-    n = draw(st.integers(1, max_qubits))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = 1 << n
-    return n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-def paulis(n, phases=(0, 1, 2, 3)):
+def paulis(n, phases):
     return st.builds(
         PauliString,
         st.just(n),
@@ -57,10 +43,9 @@ def assert_unitary(u):
 class TestKernelsMatchKron:
     """Permutation-and-phase kernels against the Kronecker helpers."""
 
-    @given(matrices(), st.data())
+    @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_gate(self, nu, data):
-        n, u = nu
+    def test_gate(self, n, data):
         kinds = ONE_QUBIT + (TWO_QUBIT if n >= 2 else [])
         kind = data.draw(st.sampled_from(kinds))
         a = data.draw(st.integers(0, n - 1))
@@ -70,27 +55,18 @@ class TestKernelsMatchKron:
         else:
             gate = Gate(kind, (a,))
         np.testing.assert_allclose(
-            apply_gate(gate, u), dense_gate(gate, n) @ u, atol=1e-12
+            unitary_of_gates(GateCircuit(n, (gate,))), dense_gate(gate, n), atol=1e-12
         )
 
-    @given(matrices(), st.data())
+    @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_pauli_left_and_right(self, nu, data):
-        n, u = nu
-        p = data.draw(paulis(n))
-        np.testing.assert_allclose(apply_pauli(p, u), dense_pauli(p) @ u, atol=1e-12)
-        np.testing.assert_array_equal(pauli_matrix(p), dense_pauli(p))
-
-    @given(matrices(), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_rotation(self, nu, data):
-        n, u = nu
+    def test_rotation(self, n, data):
         axis = data.draw(paulis(n, phases=(0, 2)).filter(lambda p: not p.is_identity()))
         num, den = data.draw(st.sampled_from(ANGLES))
         rot = PauliRotation(axis, num, den)
         phi = num * np.pi / den
         dense = np.cos(phi) * np.eye(1 << n) - 1j * np.sin(phi) * dense_pauli(axis)
-        np.testing.assert_allclose(apply_rotation(rot, u), dense @ u, atol=1e-12)
+        np.testing.assert_allclose(unitary_of_rotations([rot], n), dense, atol=1e-12)
 
     @given(clifford_t_circuits(max_qubits=6, max_gates=25))
     @settings(max_examples=60, deadline=None)
@@ -171,7 +147,7 @@ class TestEquivalence:
 
     def test_identity_vs_x_fails(self):
         eye = np.eye(2, dtype=complex)
-        x = pauli_matrix(PauliString.from_label("X"))
+        x = dense_pauli(PauliString.from_label("X"))
         assert not equivalent_up_to_phase(eye, x, 0.5)
 
     def test_dimension_mismatch(self):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pauliflow import scheduling
 from pauliflow.scheduling import (
     Demand,
     EnumerationGuardError,
@@ -18,7 +19,6 @@ from pauliflow.scheduling import (
     brute_force,
     default_catalog,
     dp_schedule,
-    effective_latency,
     evaluate,
     greedy_schedule,
     parse_catalog,
@@ -46,13 +46,6 @@ class TestProtocolMetrics:
 
     def test_success_probability_20(self):
         assert success_probability(P20, 0.01) == pytest.approx(0.99**20)
-
-    def test_effective_latency_noiseless(self):
-        assert effective_latency(P15, 0.0) == pytest.approx(11.0)
-        assert effective_latency(P20, 0.0) == pytest.approx(4.25)
-
-    def test_effective_latency_noisy(self):
-        assert effective_latency(P15, 0.01) == pytest.approx(11 / 0.99**15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -115,6 +108,19 @@ class TestBruteForce:
         ]
         with pytest.raises(EnumerationGuardError):
             brute_force(catalog, Demand(1), max_rounds=8)
+
+    def test_guard_admits_exactly_its_size(self, monkeypatch):
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 1024)
+        assert brute_force([P15, P20], Demand(1), max_rounds=10).feasible
+        with pytest.raises(EnumerationGuardError, match=r"2\^11, over the guard"):
+            brute_force([P15, P20], Demand(1), max_rounds=11)
+
+    def test_guard_bounds_one_protocol_search(self, monkeypatch):
+        # 1^L = 1 sequence, but L multisets of up to L rounds each
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 1000)
+        assert brute_force([P15], Demand(1), max_rounds=44).rounds == ("15-to-1",)
+        with pytest.raises(EnumerationGuardError, match="L\\(L\\+1\\)/2 = 1035"):
+            brute_force([P15], Demand(1), max_rounds=45)
 
     def test_balanced_objective_feasible(self):
         s = brute_force([P15, P20], Demand(4), max_rounds=4,
@@ -349,6 +355,27 @@ def test_repeat_planners_match_round_loop():
                 rounds.append(chosen.name)
                 delivered += chosen.outputs
             assert plan == evaluate(rounds, catalog, demand)
+
+
+@pytest.mark.parametrize("plan", [
+    lambda d: dp_schedule([P15, P20], d),
+    lambda d: greedy_schedule([P15, P20], d),
+    lambda d: random_baseline([P15, P20], d, seed=0),
+], ids=["dp", "greedy", "random"])
+def test_demand_guard_comes_before_allocation(plan, monkeypatch):
+    monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 1000)
+    with pytest.raises(EnumerationGuardError, match="demand 100000: "):
+        plan(Demand(100_000))
+
+
+def test_demand_guard_admits_exactly_its_size(monkeypatch):
+    monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 1000)
+    assert dp_schedule([P15, P20], Demand(499)).feasible  # 500 x 2 cells
+    with pytest.raises(EnumerationGuardError, match="demand 500: 1002 DP cells"):
+        dp_schedule([P15, P20], Demand(500))
+    assert len(greedy_schedule([P15], Demand(1000)).rounds) == 1000
+    with pytest.raises(EnumerationGuardError, match="1001 rounds of 15-to-1"):
+        greedy_schedule([P15], Demand(1001))
 
 
 class TestCatalogFiles:
