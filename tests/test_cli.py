@@ -724,6 +724,17 @@ class TestSchedule:
         assert code == EXIT_INFEASIBLE
         assert "5050 rounds to evaluate" in capsys.readouterr().err
 
+    def test_dp_table_over_the_guard_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the 1-D optimum takes 200 rounds of a, over the bound of 45, so the
+        # (45 + 1)(200 + 1)2 = 18 492-cell bounded table would decide
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 10_000)
+        catalog = tmp_path / "two.cat"
+        catalog.write_text("a 1 1 1 1 1 1\nb 10 10 5 1 1 1\n")
+        code = main(["schedule", "--algo", "dp", "-M", "200", "-L", "45",
+                     "--catalog", str(catalog)])
+        assert code == EXIT_INFEASIBLE
+        assert "18492 DP table cells, over the guard of 10000" in capsys.readouterr().err
+
     def test_env_catalog(self, tmp_path, capsys, monkeypatch):
         catalog = tmp_path / "cat.cat"
         catalog.write_text("tiny 2 3 1 4 1 1\n")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,56 @@ def test_demand_guard_admits_exactly_its_size(monkeypatch):
     assert len(greedy_schedule([P15], Demand(1000)).rounds) == 1000
     with pytest.raises(EnumerationGuardError, match="1001 rounds of 15-to-1"):
         greedy_schedule([P15], Demand(1001))
+
+
+# a cheap one-state protocol that the 1-D optimum takes every round, and
+# a dear five-state one that a tight round bound forces in, so the
+# bounded table decides
+TIGHT = [Protocol("a", 1, 1, 1, 1, 1.0, 1), Protocol("b", 10, 10, 5, 1, 1.0, 1)]
+
+
+class TestExactPlannersBeforeSearch:
+    def test_bounded_table_answers_to_the_guard(self, monkeypatch):
+        # (45 + 1) x (200 + 1) x 2 = 18 492 table cells
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 18_492)
+        assert len(dp_schedule(TIGHT, Demand(200), max_rounds=45).rounds) == 44
+        monkeypatch.setattr(scheduling, "ENUMERATION_GUARD", 10_000)
+        with pytest.raises(EnumerationGuardError,
+                           match="demand 200 within 45 rounds: 18492 DP table cells"):
+            dp_schedule(TIGHT, Demand(200), max_rounds=45)
+
+    @pytest.mark.parametrize("plan", [dp_schedule, brute_force],
+                             ids=["dp", "brute"])
+    def test_feasible_iff_the_most_outputs_fit(self, plan):
+        # 3 rounds of 20-to-4 deliver 12 states and nothing delivers 13
+        assert plan([P15, P20], Demand(12), 3).states_delivered == 12
+        with pytest.raises(InfeasibleScheduleError,
+                           match="within 3 rounds for demand 13"):
+            plan([P15, P20], Demand(13), 3)
+
+    def test_dp_refuses_an_infeasible_demand_before_the_table(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleScheduleError,
+                               match="within 599 rounds for demand 600"):
+                dp_schedule([P15], Demand(600), max_rounds=599)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_brute_refuses_an_infeasible_demand_before_the_search(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(scheduling, "evaluate", counting)
+        with pytest.raises(InfeasibleScheduleError,
+                           match="within 100 rounds for demand 101"):
+            brute_force([P15], Demand(101), 100)
+        assert calls == []
 
 
 class TestCatalogFiles:
