@@ -20,24 +20,31 @@ Monte Carlo campaigns run on the decoder's own code, `dec.code`, and
 sample i.i.d. per-qubit errors in fixed-size shards whose RNG streams
 derive from (seed, shard index), so counts are bit-identical regardless
 of how many workers the shards are spread across; by default there is
-one worker thread per usable CPU.  A shot is one uint64
-symplectic_vector row (x << n) | z, so campaigns need n <= 32.
-Syndrome bit i, the parity of the row ANDed with generator i's mask
-(z << n) | x, is bit i of its `_pack`ed key, as in the table's keys.
-The residual a table hit leaves commutes with every generator; for a
-code that passes validate_code it is a logical_error iff it anticommutes
-with one of the 2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
+one worker thread per usable CPU, and each takes the next shard from a
+shared counter and sums its own counts.  Syndrome bit i of a Pauli is
+the parity of its symplectic_vector row (x << n) | z ANDed with
+generator i's mask (z << n) | x, as in the table's `_pack`ed keys.  The
+residual a table hit leaves commutes with every generator; for a code
+that passes validate_code it is a logical_error iff it anticommutes with
+one of the 2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
+
+Syndromes and logical parities are linear in the error, so a shot is
+classified by one uint64 word, the XOR of one precomputed word per
+drawn letter: m syndrome bits, then 2k logical parities above bit m
+(m + 2k <= 2n, so campaigns need n <= 32).  A table hit is a
+logical_error iff the word's logical parities differ from those of its
+correction.
 
 A shard draws its shots 4096 at a time (_BLOCK_SHOTS), each block
-continuing the shard's one stream, so its working set stays near
-1.6 MiB at n = 25 and the counts equal those of one draw of the whole
-shard.  It draws every shot's uniforms but builds rows only for the
-shots that drew an error, and classifies only those.  At low noise most
-shots draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all fall in the
-class of the zero row, which each shard classifies once against the
-decoder's own table, so even a hand-built table that maps the zero
-syndrome to a logical operator is counted exactly.  Sparse handling of
-low-rate Pauli noise follows Stim (Gidney, arXiv:2103.02202).
+continuing the shard's one stream, so its traced peak is about 0.95 MiB
+for surface5 at p = 1% and the counts equal those of one draw of the
+whole shard.  It draws every shot's uniforms but reads letters only
+where u < p, and classifies only the shots that drew one.  At low noise
+most shots draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all
+fall in the class of the zero word, which each shard classifies once
+against the decoder's own table, so even a hand-built table that maps
+the zero syndrome to a logical operator is counted exactly.  Sparse
+handling of low-rate Pauli noise follows Stim (Gidney, arXiv:2103.02202).
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from .pauli import (
 
 LOOKUP_GUARD_M = 24
 LOOKUP_GUARD_ERRORS = 1 << 22  # each enumerated error holds about 630 B
-MONTE_CARLO_MAX_N = 32  # 2n bits per uint64 row
+MONTE_CARLO_MAX_N = 32  # 2n bits per uint64 row or shot word
 _SHARD_SHOTS = 65536
 _BLOCK_SHOTS = 4096  # a block's uniforms take 0.8 MB at n = 25
 
@@ -391,39 +398,49 @@ def _decoder_arrays(dec: LookupDecoder):
 
 
 def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
-    """The shots that drew a non-identity error, as increasing shot
-    indices and their symplectic_vector rows (x << n) | z as uint64.
+    """The non-identity letters the shots drew, in increasing (shot,
+    qubit) order: shot index, qubit and letter (0 X, 1 Y, 2 Z) each.
 
     Every shot draws u = rng.random((count, n)); qubit q of a shot takes
-    X from u < p (bitflip), or X and Y from u < 2p/3 and Y and Z from
-    p/3 <= u < p (depolarizing).  Only the entries with u < p are read.
+    X from u < p (bitflip), or X from u < p/3, Y from p/3 <= u < 2p/3 and
+    Z from 2p/3 <= u < p (depolarizing).  Only the entries with u < p are
+    read.
     """
-    u = rng.random((count, n)).ravel()
+    u = rng.random((count, n))
     p = noise.p
-    # depolarizing: u < p is exactly the union of the X letters u < 2p/3
-    # and the Z letters p/3 <= u < p, as p/3 <= 2p/3 <= p after rounding
+    # depolarizing: u < p is exactly the union of the three letters, as
+    # p/3 <= 2p/3 <= p after rounding
     flat = np.flatnonzero(u < p)
-    shot = flat // n
-    bit = np.uint64(1) << (flat % n).astype(np.uint64)
+    shot, qubit = np.divmod(flat, n)
     if noise.kind == "bitflip":
-        letters = bit << np.uint64(n)
-    else:
-        v = u[flat]
-        letters = np.where(v < 2 * p / 3, bit << np.uint64(n), 0)
-        letters |= np.where(v >= p / 3, bit, 0)
-    starts = np.flatnonzero(np.diff(shot, prepend=-1))
-    return shot[starts], np.bitwise_or.reduceat(letters, starts)
+        return shot, qubit, np.zeros_like(qubit)
+    v = np.take(u, flat)
+    return shot, qubit, (v >= p / 3).astype(np.intp) + (v >= 2 * p / 3)
 
 
-def _classify(rows, gen_masks, keys, corrections, logical_masks):
-    """Class index per row: 0 success, 1 logical_error, 2 detected-
+def _letter_words(dec_arrays):
+    """The shard's two tables: word[3q + l] holds the m syndrome bits of
+    letter l (0 X, 1 Y, 2 Z) on qubit q, then its 2k logical parities
+    shifted left by m (m + 2k <= 2n <= 64); fix[j] holds the 2k logical
+    parities of the j-th table correction.  Syndromes and parities are
+    linear, so a shot's word is the XOR of its letters' words."""
+    n, gen_masks, _, corrections, logical_masks = dec_arrays
+    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    x = bit << np.uint64(n)
+    letters = np.stack([x, x | bit, bit], axis=1).ravel()  # (x << n) | z rows
+    word = _pack(_parities(letters, np.concatenate([gen_masks, logical_masks])))
+    return word, _pack(_parities(corrections, logical_masks))
+
+
+def _classify(acc, m: int, keys, fix):
+    """Class index per shot word: 0 success, 1 logical_error, 2 detected-
     uncorrectable (its syndrome is not a table key)."""
-    synd = _pack(_parities(rows, gen_masks))
+    synd = acc & np.uint64((1 << m) - 1)
     pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
     # a hit leaves a residual with zero syndrome; it lies in the generator
-    # span iff it also commutes with every logical operator
-    logical = _parities(rows ^ corrections[pos], logical_masks).any(axis=1)
-    return np.where(keys[pos] == synd, logical, 2)
+    # span iff it also commutes with every logical operator, that is iff
+    # the shot's logical parities equal its correction's
+    return np.where(keys[pos] == synd, (acc >> np.uint64(m)) != fix[pos], 2)
 
 
 _CLASSES = (SUCCESS, LOGICAL_ERROR, DETECTED_UNCORRECTABLE)
@@ -431,20 +448,24 @@ _CLASSES = (SUCCESS, LOGICAL_ERROR, DETECTED_UNCORRECTABLE)
 
 def _run_shard(args):
     (dec_arrays, noise, count, seed, shard_index) = args
-    n, *arrays = dec_arrays
+    n, gen_masks, keys, _, _ = dec_arrays
+    word, fix = _letter_words(dec_arrays)
+    table = (len(gen_masks), keys, fix)
     rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
-    # every shot that drew no error falls in the identity row's class,
-    # which the table decides (a hand-built one may not map the zero
-    # syndrome to a stabilizer)
-    identity = _classify(np.zeros(1, dtype=np.uint64), *arrays)[0]
+    # every shot that drew no error has the zero word, whose class the
+    # table decides (a hand-built one may not map the zero syndrome to a
+    # stabilizer)
+    identity = _classify(np.zeros(1, dtype=np.uint64), *table)[0]
     counts = np.zeros(3, dtype=np.int64)
     # successive rng.random calls continue one stream, so the blocks draw
     # the uniforms of one (count, n) draw
     for start in range(0, count, _BLOCK_SHOTS):
         block = min(_BLOCK_SHOTS, count - start)
-        _, rows = _sample_errors(rng, block, n, noise)
-        counts += np.bincount(_classify(rows, *arrays), minlength=3)
-        counts[identity] += block - len(rows)
+        shot, qubit, letter = _sample_errors(rng, block, n, noise)
+        starts = np.flatnonzero(np.diff(shot, prepend=-1))
+        acc = np.bitwise_xor.reduceat(word[3 * qubit + letter], starts)
+        counts += np.bincount(_classify(acc, *table), minlength=3)
+        counts[identity] += block - len(starts)
     return dict(zip(_CLASSES, counts.tolist()))
 
 
@@ -474,8 +495,10 @@ def monte_carlo(
     workers=None runs one thread per usable CPU; the pool never exceeds
     the shard count, so a one-shard campaign runs serially.  A shard
     draws its shots in blocks of _BLOCK_SHOTS from its one stream; only
-    the shots that drew an error are built and classified, and the rest
-    take the identity row's class, found once per shard.
+    the shots that drew an error are classified, each by the XOR of its
+    letters' words, and the rest take the zero word's class, found once
+    per shard.  Each worker takes shards from one shared counter and
+    sums its own counts, so no per-shard state is kept.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -502,18 +525,29 @@ def monte_carlo(
             raise ValueError(f"decoder table correction {fix} for key {key!r} "
                              f"is not a {code.n}-qubit Pauli")
     dec_arrays = _decoder_arrays(dec)
-    jobs = [
-        (dec_arrays, noise, min(_SHARD_SHOTS, shots - start), seed, idx)
-        for idx, start in enumerate(range(0, shots, _SHARD_SHOTS))
-    ]
-    workers = min(_usable_cpus() if workers is None else workers, len(jobs))
+    shards = -(-shots // _SHARD_SHOTS)
+    next_shard = itertools.count()  # advances atomically, shared by the workers
+
+    def work() -> dict[str, int]:
+        # each worker sums its own shards' counts, so the bookkeeping is
+        # O(workers) at any shot count
+        total = dict.fromkeys(_CLASSES, 0)
+        while (idx := next(next_shard)) < shards:
+            count = min(_SHARD_SHOTS, shots - idx * _SHARD_SHOTS)
+            got = _run_shard((dec_arrays, noise, count, seed, idx))
+            for key in _CLASSES:
+                total[key] += got[key]
+        return total
+
+    workers = min(_usable_cpus() if workers is None else workers, shards)
     # serial for one worker: a pool of one raised decode-surface peak RSS 57 -> 71 MB
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shard_counts = list(pool.map(_run_shard, jobs))
+            futures = [pool.submit(work) for _ in range(workers)]
+            totals = [future.result() for future in futures]
     else:
-        shard_counts = [_run_shard(job) for job in jobs]
-    counts = {key: sum(sc[key] for sc in shard_counts) for key in _CLASSES}
+        totals = [work()]
+    counts = {key: sum(total[key] for total in totals) for key in _CLASSES}
     failures = counts[LOGICAL_ERROR] + counts[DETECTED_UNCORRECTABLE]
     return MonteCarloResult(
         shots=shots,

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -665,6 +666,16 @@ def _dense_sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarr
     return x << n | z
 
 
+def _rows_from_letters(n, shot, qubit, letter):
+    """The shots that drew an error, in order, and their symplectic_vector
+    rows (x << n) | z, rebuilt from `_sample_errors`' letters."""
+    bit = np.uint64(1) << qubit.astype(np.uint64)
+    x = np.where(letter < 2, bit, 0).astype(np.uint64)  # letters X and Y
+    z = np.where(letter > 0, bit, 0).astype(np.uint64)  # letters Y and Z
+    starts = np.flatnonzero(np.diff(shot, prepend=-1))
+    return shot[starts], np.bitwise_or.reduceat(x << np.uint64(n) | z, starts)
+
+
 def _dense_shard_reference(args):
     """The shard as it was before sampling went sparse: every shot, the
     identity ones included, is built, looked up and classified."""
@@ -761,7 +772,7 @@ class TestPackedDecodePath:
     ):
         noise = NoiseModel(kind, p)
         rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
-        shots, rows = codes._sample_errors(rng, count, n, noise)
+        shots, rows = _rows_from_letters(n, *codes._sample_errors(rng, count, n, noise))
         assert rows.dtype == np.uint64 and rows.shape == shots.shape
         assert all(np.diff(shots) > 0) and all(rows != 0)
         dense = np.zeros(count, dtype=np.uint64)
@@ -787,7 +798,8 @@ class TestPackedDecodePath:
                 return draws.copy()
 
         noise = NoiseModel(kind, p)
-        shots, rows = codes._sample_errors(Fixed(), *draws.shape, noise)
+        shots, rows = _rows_from_letters(
+            draws.shape[1], *codes._sample_errors(Fixed(), *draws.shape, noise))
         dense = np.zeros(len(draws), dtype=np.uint64)
         dense[shots] = rows
         expected = _dense_sample_errors(Fixed(), *draws.shape, noise)
@@ -841,6 +853,27 @@ class TestPackedDecodePath:
         normal = codes._run_shard((codes._decoder_arrays(dec), *args[1:]))
         assert normal[SUCCESS] >= identity_shots
 
+    @given(name=st.sampled_from(sorted(_BUILDERS)), data=st.data())
+    def test_letter_words_are_linear(self, name, data):
+        # a row's syndrome, then its logical parities above bit m, is the
+        # XOR of the words of its letters
+        code, dec = _code_and_decoder(name)
+        arrays = codes._decoder_arrays(dec)
+        n, gen_masks, _, _, logical_masks = arrays
+        word, _ = codes._letter_words(arrays)
+        rows = np.array(data.draw(st.lists(st.integers(0, 2 ** (2 * n) - 1),
+                                           min_size=1, max_size=8)), dtype=np.uint64)
+        expected = (codes._pack(codes._parities(rows, gen_masks))
+                    | codes._pack(codes._parities(rows, logical_masks)) << np.uint64(code.m))
+        letter = {(1, 0): 0, (1, 1): 1, (0, 1): 2}  # (x, z) bits of X, Y, Z
+        for row, want in zip(rows.tolist(), expected.tolist()):
+            acc = 0
+            for q in range(n):
+                bits = (row >> (n + q) & 1, row >> q & 1)
+                if bits != (0, 0):
+                    acc ^= int(word[3 * q + letter[bits]])
+            assert acc == want
+
     @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)),
@@ -893,6 +926,56 @@ class TestShardBlocks:
             tracemalloc.stop()
         # one draw of the whole shard peaked at 14.9 MiB
         assert peak < 4 * 2**20
+
+
+class TestShardBookkeeping:
+    """monte_carlo hands shards to its workers from one shared counter, and
+    each worker sums its own counts."""
+
+    @staticmethod
+    def _all_success(args):
+        return {SUCCESS: args[2], LOGICAL_ERROR: 0, DETECTED_UNCORRECTABLE: 0}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_every_shard_runs_once(self, monkeypatch, rep3, workers):
+        seen = []
+
+        def run_shard(args):
+            (_, _, count, _, shard_index) = args
+            seen.append((shard_index, count))
+            return self._all_success(args)
+
+        monkeypatch.setattr(codes, "_run_shard", run_shard)
+        shots = 63 * codes._SHARD_SHOTS + 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the workers over as often as possible
+        try:
+            result = monte_carlo(build_lookup(rep3, 1), NoiseModel("bitflip", 0.1),
+                                 shots, 1, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == [(i, codes._SHARD_SHOTS) for i in range(63)] + [(63, 5)]
+        assert result.counts == self._all_success((None, None, shots))
+
+    def test_bookkeeping_is_bounded(self, monkeypatch, rep3):
+        monkeypatch.setattr(codes, "_run_shard", self._all_success)
+        dec, noise = build_lookup(rep3, 1), NoiseModel("bitflip", 0.1)
+
+        def peak(shots):
+            tracemalloc.start()
+            try:
+                result = monte_carlo(dec, noise, shots, 1, workers=2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.counts[SUCCESS] == shots
+            return peak
+
+        peak(1 << 20)  # warm up
+        small, large = peak(1 << 20), peak(1 << 30)
+        # one job tuple and one result dict per shard peaked at 30 MiB at
+        # 2^30 shots (16 384 shards)
+        assert large < small + 64 * 1024, (small, large)
 
 
 class TestDefaultWorkers:
