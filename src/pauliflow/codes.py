@@ -5,35 +5,35 @@ with generator i.  This matches ideal ancilla-based measurement; a
 single perfect syndrome round is assumed throughout (no measurement
 errors, no temporal decoding).
 
+The lookup table and the Monte Carlo campaign read one set of per-letter
+words (_letter_words): the `anticommutation_rows` row of each
+single-qubit X, Y and Z against the generators, then the 2k logical
+operators, so m syndrome bits with 2k logical parities above bit m.
+Both are linear in the error, so an error's word is the XOR of its
+letters' words (Aaronson & Gottesman, quant-ph/0406196).
+
 The lookup decoder enumerates Pauli errors by increasing weight (within
 a weight class: qubit subsets in index order, letters in X < Y < Z
-product order) and keeps the first error seen per syndrome, giving a
-deterministic minimum-weight coset representative; the syndromes are
-one `anticommutation_rows` pass, at any n.  The error count, a sum of
-at most n + 1 terms, is checked against LOOKUP_GUARD_ERRORS before any
-error is built.  Residuals are classified
-symplectically, phases ignored: anticommuting with any generator is
-"uncorrected", membership in the generator span is "success", and a
-commuting non-member is a "logical_error".
+product order), XORing letter words, and keeps the first error seen per
+syndrome, giving a deterministic minimum-weight coset representative; a
+PauliString is built only for the errors it keeps, at any n.  The error
+count, a sum of at most n + 1 terms, is checked against
+LOOKUP_GUARD_ERRORS before the letter words are built.  Residuals are
+classified symplectically, phases ignored: anticommuting with any
+generator is "uncorrected", membership in the generator span is
+"success", and a commuting non-member is a "logical_error".
 
 Monte Carlo campaigns run on the decoder's own code, `dec.code`, and
 sample i.i.d. per-qubit errors in fixed-size shards whose RNG streams
 derive from (seed, shard index), so counts are bit-identical regardless
 of how many workers the shards are spread across; by default there is
 one worker thread per usable CPU, and each takes the next shard from a
-shared counter and sums its own counts.  Syndrome bit i of a Pauli is
-the parity of its symplectic_vector row (x << n) | z ANDed with
-generator i's mask (z << n) | x, as in the table's `_pack`ed keys.  The
-residual a table hit leaves commutes with every generator; for a code
-that passes validate_code it is a logical_error iff it anticommutes with
-one of the 2k logical operators (Aaronson & Gottesman, quant-ph/0406196).
-
-Syndromes and logical parities are linear in the error, so a shot is
-classified by one uint64 word, the XOR of one precomputed word per
-drawn letter: m syndrome bits, then 2k logical parities above bit m
-(m + 2k <= 2n, so campaigns need n <= 32).  A table hit is a
-logical_error iff the word's logical parities differ from those of its
-correction.
+shared counter and sums its own counts.  A shot is classified by one
+uint64 word, the XOR of its drawn letters' words (m + 2k <= 2n, so
+campaigns need n <= 32).  The residual a table hit leaves commutes with
+every generator; for a code that passes validate_code it is a
+logical_error iff it anticommutes with one of the 2k logical operators,
+that is iff the shot's logical parities differ from its correction's.
 
 A shard draws its shots 4096 at a time (_BLOCK_SHOTS), each block
 continuing the shard's one stream, so its traced peak is about 0.95 MiB
@@ -70,8 +70,8 @@ from .pauli import (
 )
 
 LOOKUP_GUARD_M = 24
-LOOKUP_GUARD_ERRORS = 1 << 22  # each enumerated error holds about 630 B
-MONTE_CARLO_MAX_N = 32  # 2n bits per uint64 row or shot word
+LOOKUP_GUARD_ERRORS = 1 << 22  # surface5 weight 4 (1 089 526): 175 MiB table, ~2 s
+MONTE_CARLO_MAX_N = 32  # m + 2k <= 2n bits per uint64 shot word
 _SHARD_SHOTS = 65536
 _BLOCK_SHOTS = 4096  # a block's uniforms take 0.8 MB at n = 25
 
@@ -252,19 +252,14 @@ class LookupDecoder:
     max_weight: int
 
 
-def _errors_by_weight(n: int, max_weight: int):
-    """Pauli errors of weight 0..max_weight, deterministic minimum-weight-first
-    order: weight, then qubit subset in index order, then X < Y < Z letters."""
-    yield PauliString.identity(n)
-    for w in range(1, max_weight + 1):
-        for support in itertools.combinations(range(n), w):
-            # letters X < Y < Z as (x, z) bits
-            for letters in itertools.product(((1, 0), (1, 1), (0, 1)), repeat=w):
-                x = z = 0
-                for q, (xb, zb) in zip(support, letters):
-                    x |= xb << q
-                    z |= zb << q
-                yield PauliString(n, x, z)
+def _letter_words(code: StabilizerCode) -> list[int]:
+    """word[3q + l] is letter l (0 X, 1 Y, 2 Z) on qubit q as one
+    `anticommutation_rows` row against the generators, then the logical
+    X and Z operators: m syndrome bits, then 2k logical parities above
+    bit m.  Both are linear, so an error's word is the XOR of its
+    letters' words."""
+    letters = [PauliString.single(code.n, q, l) for q in range(code.n) for l in "XYZ"]
+    return anticommutation_rows(letters, code.generators + code.logical_x + code.logical_z)
 
 
 def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
@@ -285,14 +280,32 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
     failures = _structural_failures(code)  # as monte_carlo words it
     if failures:
         raise ValueError(f"invalid code: {failures[0]}")
-    errors = list(_errors_by_weight(code.n, top))
-    first: dict[int, PauliString] = {}
-    for key, error in zip(anticommutation_rows(errors, code.generators), errors):
-        first.setdefault(key, error)
-    # key bit i is syndrome bit i; unpack every key in one pass
-    keys = np.array(list(first), dtype=np.int64)
-    bits = keys[:, None] >> np.arange(code.m) & 1
-    table = dict(zip(map(tuple, bits.tolist()), first.values()))
+    n, m = code.n, code.m
+    # an error is one int: syndrome in bits 0..m-1, x bits from bit m, z
+    # bits from bit m + n; letters on distinct qubits set disjoint bits,
+    # so XOR multiplies errors (phases ignored)
+    syn, words = (1 << m) - 1, _letter_words(code)
+    letters = [[words[3 * q + l] & syn | xb << (m + q) | zb << (m + n + q)
+                for l, (xb, zb) in enumerate(((1, 0), (1, 1), (0, 1)))]
+               for q in range(n)]
+    first = {0: 0}
+    for w in range(1, top + 1):
+        for support in itertools.combinations(range(n), w):
+            # X < Y < Z product order, the support's first qubit slowest
+            errors = [0]
+            for q in support:
+                errors = [e ^ letter for e in errors for letter in letters[q]]
+            for e in errors:
+                first.setdefault(e & syn, e)
+    # key bit i is syndrome bit i; m <= LOOKUP_GUARD_M = 24 bits unpack
+    # from three bytes
+    byte_bits = [tuple(b >> i & 1 for i in range(8)) for b in range(256)]
+    qubits = (1 << n) - 1
+    table = {
+        (byte_bits[key & 255] + byte_bits[key >> 8 & 255] + byte_bits[key >> 16])[:m]:
+            PauliString(n, e >> m & qubits, e >> (m + n))
+        for key, e in first.items()
+    }
     return LookupDecoder(code=code, table=table, max_weight=max_weight)
 
 
@@ -367,34 +380,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Rows of a (count, w) 0/1 array, w <= 64, as uint64: column b is bit b."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((len(bits), 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view("<u8")[:, 0]
-
-
-def _parities(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Entry (r, j) is the parity of rows[r] & masks[j]; with the mask
-    (z << n) | x of a Pauli, 1 iff row r anticommutes with it."""
-    return np.bitwise_count(rows[:, None] & masks) & 1
-
-
 def _decoder_arrays(dec: LookupDecoder):
-    """Vectorized companions over symplectic_vector rows: n, generator
-    masks, the table as sorted syndrome keys (bit i = syndrome bit i)
-    with their correction rows, and the 2k logical-operator masks."""
+    """The campaign's tables, built once: n, m, the table's syndromes as
+    sorted uint64 keys (bit i = syndrome bit i), fix[j] the 2k logical
+    parities of key j's correction, and the _letter_words of dec.code."""
     code = dec.code
-
-    def masks(paulis):
-        return np.array([(p.z << code.n) | p.x for p in paulis], dtype=np.uint64)
-
-    keys = _pack(np.array(list(dec.table), dtype=np.uint8))
-    corrections = np.array([symplectic_vector(c) for c in dec.table.values()], np.uint64)
+    keys = np.array(list(dec.table), dtype=np.uint64) @ (
+        np.uint64(1) << np.arange(code.m, dtype=np.uint64))
     order = np.argsort(keys)
-    logicals = masks(code.logical_x + code.logical_z)
-    return code.n, masks(code.generators), keys[order], corrections[order], logicals
+    fix = anticommutation_rows(list(dec.table.values()), code.logical_x + code.logical_z)
+    word = np.array(_letter_words(code), dtype=np.uint64)
+    return code.n, code.m, keys[order], np.array(fix, dtype=np.uint64)[order], word
 
 
 def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
@@ -418,20 +414,6 @@ def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
     return shot, qubit, (v >= p / 3).astype(np.intp) + (v >= 2 * p / 3)
 
 
-def _letter_words(dec_arrays):
-    """The shard's two tables: word[3q + l] holds the m syndrome bits of
-    letter l (0 X, 1 Y, 2 Z) on qubit q, then its 2k logical parities
-    shifted left by m (m + 2k <= 2n <= 64); fix[j] holds the 2k logical
-    parities of the j-th table correction.  Syndromes and parities are
-    linear, so a shot's word is the XOR of its letters' words."""
-    n, gen_masks, _, corrections, logical_masks = dec_arrays
-    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    x = bit << np.uint64(n)
-    letters = np.stack([x, x | bit, bit], axis=1).ravel()  # (x << n) | z rows
-    word = _pack(_parities(letters, np.concatenate([gen_masks, logical_masks])))
-    return word, _pack(_parities(corrections, logical_masks))
-
-
 def _classify(acc, m: int, keys, fix):
     """Class index per shot word: 0 success, 1 logical_error, 2 detected-
     uncorrectable (its syndrome is not a table key)."""
@@ -448,9 +430,8 @@ _CLASSES = (SUCCESS, LOGICAL_ERROR, DETECTED_UNCORRECTABLE)
 
 def _run_shard(args):
     (dec_arrays, noise, count, seed, shard_index) = args
-    n, gen_masks, keys, _, _ = dec_arrays
-    word, fix = _letter_words(dec_arrays)
-    table = (len(gen_masks), keys, fix)
+    n, m, keys, fix, word = dec_arrays
+    table = (m, keys, fix)
     rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
     # every shot that drew no error has the zero word, whose class the
     # table decides (a hand-built one may not map the zero syndrome to a

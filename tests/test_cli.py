@@ -860,10 +860,10 @@ class TestDecode:
         assert json.loads(capsys.readouterr().out)["max_weight"] == weight
 
     def test_oversized_lookup_is_usage(self, capsys, monkeypatch):
-        def reached(n, max_weight):
+        def reached(code):
             raise AssertionError("the lookup guard let the enumeration start")
 
-        monkeypatch.setattr(codes, "_errors_by_weight", reached)
+        monkeypatch.setattr(codes, "_letter_words", reached)
         code = main([
             "decode", "--code", "surface5", "--noise", "depolarizing",
             "--p", "0.01", "--max-weight", "5",

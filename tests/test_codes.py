@@ -261,6 +261,21 @@ def _wide_code():
     )
 
 
+def _errors_by_weight(n: int, max_weight: int):
+    """Pauli errors of weight 0..max_weight, deterministic minimum-weight-first
+    order: weight, then qubit subset in index order, then X < Y < Z letters."""
+    yield PauliString.identity(n)
+    for w in range(1, max_weight + 1):
+        for support in itertools.combinations(range(n), w):
+            # letters X < Y < Z as (x, z) bits
+            for letters in itertools.product(((1, 0), (1, 1), (0, 1)), repeat=w):
+                x = z = 0
+                for q, (xb, zb) in zip(support, letters):
+                    x |= xb << q
+                    z |= zb << q
+                yield PauliString(n, x, z)
+
+
 _LOOKUP_CODES = {
     "rep3": lambda: repetition_code(3),
     "rep5": lambda: repetition_code(5),
@@ -301,12 +316,17 @@ class TestBuildLookup:
             for s, corr in dec.table.items():
                 assert syndrome(code, corr) == s
 
-    @pytest.mark.parametrize("max_weight", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["rep3", "rep5", "surface3", "surface5", "wide"])
+    @pytest.mark.parametrize(
+        "name, max_weight",
+        [(name, w) for name in ["rep3", "rep5", "surface3", "surface5", "wide"]
+         for w in (0, 1, 2)] + [("surface3", 3), ("surface5", 3)],
+    )
     def test_matches_scalar_syndrome_table(self, name, max_weight):
+        # the enumeration order build_lookup had when it built one
+        # PauliString per error (_errors_by_weight, kept verbatim)
         code = _LOOKUP_CODES[name]()
         expected = {}
-        for error in codes._errors_by_weight(code.n, max_weight):
+        for error in _errors_by_weight(code.n, max_weight):
             expected.setdefault(syndrome(code, error), error)
         table = build_lookup(code, max_weight).table
         # same keys, same corrections, same first-seen order
@@ -318,20 +338,37 @@ class TestBuildLookup:
             build_lookup(code, max_weight=1)
 
     def test_error_count_guard(self, monkeypatch):
-        # surface5 at weight 5 would enumerate 14 000 116 errors, about
-        # 8.8 GB; the count is checked before any error is built
-        def reached(n, max_weight):
-            raise RuntimeError(f"enumerated weight <= {max_weight}")
+        # surface5 at weight 5 would enumerate 14 000 116 errors, 13 times
+        # weight 4's, whose table holds 175 MiB after about 2 s; the count
+        # is checked before the letter words that start the enumeration
+        # are built
+        def reached(code):
+            raise RuntimeError("enumeration started")
 
-        monkeypatch.setattr(codes, "_errors_by_weight", reached)
+        monkeypatch.setattr(codes, "_letter_words", reached)
         code = rotated_surface_code(5)
         with pytest.raises(
             ValueError, match="14000116 errors, over the limit of 4194304"
         ):
             build_lookup(code, max_weight=5)
         # weight 4, 1 089 526 errors, is under the limit
-        with pytest.raises(RuntimeError, match="weight <= 4"):
+        with pytest.raises(RuntimeError, match="enumeration started"):
             build_lookup(code, max_weight=4)
+
+    def test_no_per_error_objects_kept(self):
+        # the table's own PauliStrings and key tuples are most of the
+        # peak; one PauliString per enumerated error peaked at 2.5 times
+        # the table
+        code = rotated_surface_code(5)
+        build_lookup(code, 1)  # warm up
+        tracemalloc.start()
+        try:
+            dec = build_lookup(code, 3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dec.table) == 38252
+        assert peak < 1.5 * held, (held, peak)
 
     def test_weight_above_n_enumerates_every_error_once(self, rep3):
         assert build_lookup(rep3, 10**9).table == build_lookup(rep3, 3).table
@@ -653,6 +690,25 @@ def draw_errors(seed, shard, count, n, noise):
     return [PauliString(n, mask(x), mask(z)) for x, z in zip(xs, zs)]
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of a (count, w) 0/1 array, w <= 64, as uint64: column b is bit b."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(bits), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8")[:, 0]
+
+
+def _parities(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Entry (r, j) is the parity of rows[r] & masks[j]; with the mask
+    (z << n) | x of a Pauli, 1 iff row r anticommutes with it."""
+    return np.bitwise_count(rows[:, None] & masks) & 1
+
+
+def _masks(n, paulis):
+    """One mask (z << n) | x per Pauli, as uint64."""
+    return np.array([(p.z << n) | p.x for p in paulis], dtype=np.uint64)
+
+
 def _dense_sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarray:
     """One symplectic_vector row (x << n) | z per shot, as uint64."""
     if noise.p == 0:
@@ -660,9 +716,9 @@ def _dense_sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarr
     u = rng.random((count, n))
     p = noise.p
     if noise.kind == "bitflip":
-        return codes._pack(u < p) << n
-    x = codes._pack(u < 2 * p / 3)  # letters X and Y
-    z = codes._pack((u >= p / 3) & (u < p))  # letters Y and Z
+        return _pack(u < p) << n
+    x = _pack(u < 2 * p / 3)  # letters X and Y
+    z = _pack((u >= p / 3) & (u < p))  # letters Y and Z
     return x << n | z
 
 
@@ -676,20 +732,29 @@ def _rows_from_letters(n, shot, qubit, letter):
     return shot[starts], np.bitwise_or.reduceat(x << np.uint64(n) | z, starts)
 
 
-def _dense_shard_reference(args):
-    """The shard as it was before sampling went sparse: every shot, the
-    identity ones included, is built, looked up and classified."""
-    (dec_arrays, noise, count, seed, shard_index) = args
-    n, gen_masks, keys, corrections, logical_masks = dec_arrays
+def _dense_shard_reference(dec, args):
+    """The shard of `args` as it was before sampling went sparse: every
+    shot, the identity ones included, is built as a symplectic_vector
+    row, looked up and classified against generator and logical masks,
+    keys and correction rows rebuilt from dec itself."""
+    (_, noise, count, seed, shard_index) = args
+    code = dec.code
+    n = code.n
+    gen_masks = _masks(n, code.generators)
+    logical_masks = _masks(n, code.logical_x + code.logical_z)
+    keys = _pack(np.array(list(dec.table), dtype=np.uint8))
+    corrections = np.array([symplectic_vector(c) for c in dec.table.values()], np.uint64)
+    order = np.argsort(keys)
+    keys, corrections = keys[order], corrections[order]
     rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
     errors = _dense_sample_errors(rng, count, n, noise)
-    synd = codes._pack(codes._parities(errors, gen_masks))
+    synd = _pack(_parities(errors, gen_masks))
     pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
     hit = keys[pos] == synd
     # a hit leaves a residual with zero syndrome; it lies in the generator
     # span iff it also commutes with every logical operator
     residual = errors[hit] ^ corrections[pos[hit]]
-    logical = int(codes._parities(residual, logical_masks).any(axis=1).sum())
+    logical = int(_parities(residual, logical_masks).any(axis=1).sum())
     hits = int(hit.sum())
     return {
         SUCCESS: hits - logical,
@@ -818,7 +883,7 @@ class TestPackedDecodePath:
     ):
         code, dec = _code_and_decoder(name)
         args = (codes._decoder_arrays(dec), NoiseModel(kind, p), count, seed, shard)
-        assert codes._run_shard(args) == _dense_shard_reference(args)
+        assert codes._run_shard(args) == _dense_shard_reference(dec, args)
 
     @pytest.mark.parametrize(
         "p, expect_errors", [(0.0, False), (5e-324, False), (0.02, True)]
@@ -831,7 +896,7 @@ class TestPackedDecodePath:
             not e.is_identity() for e in draw_errors(4, 1, 3000, code.n, noise)
         )
         assert drew == expect_errors
-        assert codes._run_shard(args) == _dense_shard_reference(args)
+        assert codes._run_shard(args) == _dense_shard_reference(dec, args)
 
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     def test_identity_class_comes_from_the_table(self, kind):
@@ -844,7 +909,7 @@ class TestPackedDecodePath:
         noise, count, seed, shard = NoiseModel(kind, 0.05), 3000, 5, 2
         args = (codes._decoder_arrays(odd), noise, count, seed, shard)
         got = codes._run_shard(args)
-        assert got == _dense_shard_reference(args)
+        assert got == _dense_shard_reference(odd, args)
         identity_shots = sum(
             e.is_identity() for e in draw_errors(seed, shard, count, code.n, noise)
         )
@@ -858,13 +923,14 @@ class TestPackedDecodePath:
         # a row's syndrome, then its logical parities above bit m, is the
         # XOR of the words of its letters
         code, dec = _code_and_decoder(name)
-        arrays = codes._decoder_arrays(dec)
-        n, gen_masks, _, _, logical_masks = arrays
-        word, _ = codes._letter_words(arrays)
+        n = code.n
+        gen_masks = _masks(n, code.generators)
+        logical_masks = _masks(n, code.logical_x + code.logical_z)
+        word = codes._letter_words(code)
         rows = np.array(data.draw(st.lists(st.integers(0, 2 ** (2 * n) - 1),
                                            min_size=1, max_size=8)), dtype=np.uint64)
-        expected = (codes._pack(codes._parities(rows, gen_masks))
-                    | codes._pack(codes._parities(rows, logical_masks)) << np.uint64(code.m))
+        expected = (_pack(_parities(rows, gen_masks))
+                    | _pack(_parities(rows, logical_masks)) << np.uint64(code.m))
         letter = {(1, 0): 0, (1, 1): 1, (0, 1): 2}  # (x, z) bits of X, Y, Z
         for row, want in zip(rows.tolist(), expected.tolist()):
             acc = 0
@@ -885,7 +951,7 @@ class TestPackedDecodePath:
         n, row_bits, mask_bits = case
         rows = [PauliString(n, x, z) for x, z in row_bits]
         ops = [PauliString(n, x, z) for x, z in mask_bits]
-        parities = codes._parities(
+        parities = _parities(
             np.array([symplectic_vector(r) for r in rows], dtype=np.uint64),
             np.array([(o.z << n) | o.x for o in ops], dtype=np.uint64),
         )
@@ -905,14 +971,14 @@ class TestShardBlocks:
     def test_blocks_match_one_draw(self, count, kind, p):
         _, dec = _code_and_decoder("surface5")
         args = (codes._decoder_arrays(dec), NoiseModel(kind, p), count, 3, 2)
-        assert codes._run_shard(args) == _dense_shard_reference(args)
+        assert codes._run_shard(args) == _dense_shard_reference(dec, args)
 
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     def test_many_block_boundaries(self, monkeypatch, kind):
         _, dec = _code_and_decoder("surface3")
         monkeypatch.setattr(codes, "_BLOCK_SHOTS", 7)
         args = (codes._decoder_arrays(dec), NoiseModel(kind, 0.15), 2000, 8, 1)
-        assert codes._run_shard(args) == _dense_shard_reference(args)
+        assert codes._run_shard(args) == _dense_shard_reference(dec, args)
 
     def test_working_set_is_bounded(self):
         _, dec = _code_and_decoder("surface5")
