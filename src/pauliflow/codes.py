@@ -34,27 +34,39 @@ campaigns need n <= 32).  The residual a table hit leaves commutes with
 every generator; for a code that passes validate_code it is a
 logical_error iff it anticommutes with one of the 2k logical operators,
 that is iff the shot's logical parities differ from its correction's.
+A table whose corrections do not clear their keys is refused.
 
-A shard draws its shots 4096 at a time (_BLOCK_SHOTS), each block
-continuing the shard's one stream, so its traced peak is about 0.95 MiB
-for surface5 at p = 1% and the counts equal those of one draw of the
-whole shard.  It draws every shot's uniforms but reads letters only
-where u < p, and classifies only the shots that drew one.  At low noise
-most shots draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all
-fall in the class of the zero word, which each shard classifies once
-against the decoder's own table, so even a hand-built table that maps
-the zero syndrome to a logical operator is counted exactly.  Sparse
-handling of low-rate Pauli noise follows Stim (Gidney, arXiv:2103.02202).
+A shard's count * n Bernoulli(p) trials, in (shot, qubit) order, err at
+the running sums of geometric gaps, and each error then draws its
+letter, so a shard draws about p * n numbers per shot however small p
+is (Stim's sparse sampling, Gidney, arXiv:2103.02202).  Gaps and letters
+come from two child streams of the shard's SeedSequence, and each draw
+consumes whole 64-bit words, so the errors do not depend on how the
+draws are split.  A shard is drawn and classified in blocks of about
+_BLOCK_ERRORS errors (32768 shots a block for surface5 at p = 1%, 327
+at p = 1), so its working set is bounded at any p, and only the shots
+that drew an error are looked up.  At low noise most shots draw none
+(0.99^25 ~ 78% for surface5 at p = 1%); they all fall in the class of
+the zero word, which each shard classifies once against the decoder's
+own table, so even a hand-built table that maps the zero syndrome to a
+logical operator is counted exactly.
+
+failure_counts classifies every error up to a weight in the same way,
+so the exact p_L of a campaign is a polynomial in p whose enumerated
+part is exact and whose rest is bounded by the binomial tail (Bravyi &
+Vargo, arXiv:1308.6270).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -73,7 +85,9 @@ LOOKUP_GUARD_M = 24
 LOOKUP_GUARD_ERRORS = 1 << 22  # surface5 weight 4 (1 089 526): 175 MiB table, ~2 s
 MONTE_CARLO_MAX_N = 32  # m + 2k <= 2n bits per uint64 shot word
 _SHARD_SHOTS = 65536
-_BLOCK_SHOTS = 4096  # a block's uniforms take 0.8 MB at n = 25
+# a shard is drawn and classified in blocks of about this many errors
+# (at most a shard, at least one shot), so 64 KiB a numpy array at any p
+_BLOCK_ERRORS = 8192
 
 SUCCESS = "success"
 LOGICAL_ERROR = "logical_error"
@@ -380,38 +394,136 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _decoder_arrays(dec: LookupDecoder):
-    """The campaign's tables, built once: n, m, the table's syndromes as
-    sorted uint64 keys (bit i = syndrome bit i), fix[j] the 2k logical
-    parities of key j's correction, and the _letter_words of dec.code."""
+def _first_bad_entry(code: StabilizerCode, items, wants=itertools.repeat(None)) -> str:
+    """Why the first bad (key, correction) of items cannot be campaigned:
+    a key that is not m bits, a correction that is not an n-qubit Pauli,
+    or (given its correction's syndrome, want) a key the correction does
+    not clear.  The caller has seen that one is bad."""
+    for (key, fix), want in zip(items, wants):
+        # bits compare as `decode` looks keys up: 1, True and 1.0 are one key
+        if not (isinstance(key, tuple) and key.count(0) + key.count(1) == len(key) == code.m):
+            return f"decoder table key {key!r} is not a {code.m}-bit syndrome"
+        if not (isinstance(fix, PauliString) and fix.n == code.n):
+            return (f"decoder table correction {fix} for key {key!r} "
+                    f"is not a {code.n}-qubit Pauli")
+        if want is not None and key != want:
+            return (f"decoder table correction {fix} for key {key!r} has "
+                    f"syndrome {want}, so it does not clear its key")
+    raise AssertionError("no bad entry")
+
+
+def _pauli_words(word: list[int], n: int, paulis: Collection[PauliString]):
+    """The word of each n-qubit Pauli, as uint64: the XOR of the X words
+    of its x bits and the Z words of its z bits, a Y's word being its X's
+    XOR its Z's.  Each byte of qubits reads its XOR from a table of 256
+    (the four Russians' method, as in `anticommutation_rows`)."""
+    acc = np.zeros(len(paulis), dtype=np.uint64)
+    for name, letter in (("x", 0), ("z", 2)):
+        bits = np.fromiter(map(operator.attrgetter(name), paulis), np.uint64, len(paulis))
+        for start in range(0, n, 8):
+            table = [0]
+            for q in range(start, min(start + 8, n)):
+                table += [entry ^ word[3 * q + letter] for entry in table]
+            acc ^= np.array(table, dtype=np.uint64)[bits >> np.uint64(start) & np.uint64(255)]
+    return acc
+
+
+def _check_decoder(dec: LookupDecoder) -> None:
+    """Refuse a decoder that a campaign would misread.  dec.code must pass
+    validate_code and have n <= MONTE_CARLO_MAX_N qubits, and dec.table
+    must be non-empty, every key a tuple of m bits and every correction
+    an n-qubit PauliString whose syndrome is its key; otherwise
+    ValueError names the first failure, the limit, or the first entry
+    whose key or correction is malformed, else the first whose
+    correction does not clear its key."""
     code = dec.code
-    keys = np.array(list(dec.table), dtype=np.uint64) @ (
-        np.uint64(1) << np.arange(code.m, dtype=np.uint64))
-    order = np.argsort(keys)
-    fix = anticommutation_rows(list(dec.table.values()), code.logical_x + code.logical_z)
-    word = np.array(_letter_words(code), dtype=np.uint64)
-    return code.n, code.m, keys[order], np.array(fix, dtype=np.uint64)[order], word
+    n, m = code.n, code.m
+    if n > MONTE_CARLO_MAX_N:
+        raise ValueError(
+            f"monte_carlo needs n <= {MONTE_CARLO_MAX_N} qubits (2n bits per "
+            f"uint64 row), got n = {n}"
+        )
+    report = validate_code(code)
+    if not report.ok:
+        raise ValueError(f"invalid code: {report.failures[0]}")
+    if not dec.table:
+        raise ValueError("decoder table is empty")
+    corrections = list(dec.table.values())
+    if not (all(map(isinstance, corrections, itertools.repeat(PauliString)))
+            and set(map(operator.attrgetter("n"), corrections)) == {n}):
+        raise ValueError(_first_bad_entry(code, dec.table.items()))
+    synd = _pauli_words(_letter_words(code), n, corrections) & np.uint64((1 << m) - 1)
+
+    def wants(start):
+        """Each syndrome of a shard's worth from entry start as the key it
+        must equal, a tuple with bit i at index i; the tuples are made
+        one at a time, to be compared and dropped in turn."""
+        part = synd[start:start + _SHARD_SHOTS]
+        if m == 0:  # struct cannot unpack a zero-length row
+            return itertools.repeat((), len(part))
+        bits = np.unpackbits(part.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        return struct.iter_unpack(f"{m}B", bits[:, :m].tobytes())
+
+    keys = list(dec.table)
+    for start in range(0, len(keys), _SHARD_SHOTS):
+        if not all(map(operator.eq, keys[start:start + _SHARD_SHOTS], wants(start))):
+            items = itertools.islice(dec.table.items(), start, None)
+            raise ValueError(_first_bad_entry(code, items, wants(start)))
 
 
-def _sample_errors(rng, count: int, n: int, noise: NoiseModel):
-    """The non-identity letters the shots drew, in increasing (shot,
-    qubit) order: shot index, qubit and letter (0 X, 1 Y, 2 Z) each.
+def _decoder_arrays(dec: LookupDecoder):
+    """The campaign's tables, built once from the corrections of a table
+    that passed _check_decoder: n, m, the table's syndromes as sorted
+    uint64 keys (bit i = syndrome bit i), fix[j] the 2k logical parities
+    of key j's correction, and the _letter_words of dec.code.  Keys and
+    parities come from one pass over the corrections' x and z bits."""
+    code = dec.code
+    n, m = code.n, code.m
+    word = _letter_words(code)
+    acc = _pauli_words(word, n, dec.table.values())
+    synd = acc & np.uint64((1 << m) - 1)
+    order = np.argsort(synd)
+    return n, m, synd[order], (acc >> np.uint64(m))[order], np.array(word, dtype=np.uint64)
 
-    Every shot draws u = rng.random((count, n)); qubit q of a shot takes
-    X from u < p (bitflip), or X from u < p/3, Y from p/3 <= u < 2p/3 and
-    Z from 2p/3 <= u < p (depolarizing).  Only the entries with u < p are
-    read.
+
+def _sample_errors(seeds, count: int, n: int, noise: NoiseModel):
+    """Yield a shard's errors block by block: the block's shot count,
+    then the non-identity letters its shots drew, in increasing (shot,
+    qubit) order: shot index within the block, qubit and letter (0 X,
+    1 Y, 2 Z) each.
+
+    The shard's count * n trials, shot-major, err with probability p
+    each: the first child stream of the SeedSequence `seeds` draws the
+    geometric gaps between errors, and the second draws each error's
+    letter as floor(3u) for a uniform u (depolarizing); bitflip errors
+    are X.  Both draws take whole 64-bit words, so the errors do not
+    depend on the block size, which holds about _BLOCK_ERRORS errors.
     """
-    u = rng.random((count, n))
-    p = noise.p
-    # depolarizing: u < p is exactly the union of the three letters, as
-    # p/3 <= 2p/3 <= p after rounding
-    flat = np.flatnonzero(u < p)
-    shot, qubit = np.divmod(flat, n)
-    if noise.kind == "bitflip":
-        return shot, qubit, np.zeros_like(qubit)
-    v = np.take(u, flat)
-    return shot, qubit, (v >= p / 3).astype(np.intp) + (v >= 2 * p / 3)
+    gaps, letters = (np.random.default_rng(s) for s in seeds.spawn(2))
+    p, trials = noise.p, count * n
+    # a block expects about _BLOCK_ERRORS errors
+    block_shots = max(1, int(min(count, _BLOCK_ERRORS / (n * p) if p else count)))
+    drawn, last = np.zeros(0, dtype=np.int64), -1  # errors not yet yielded; the last drawn
+    for start in range(0, count, block_shots):
+        block = min(block_shots, count - start)
+        end = (start + block) * n
+        while p > 0 and last < end:
+            need = (end - last) * p
+            # a gap past the shard's end ends it: clipped there, gaps sum
+            # well inside int64 (geometric(1e-300) is 2^63 - 1)
+            step = np.minimum(gaps.geometric(p, int(need + 4 * math.sqrt(need)) + 16),
+                              trials + 1)
+            more = last + np.cumsum(step)
+            drawn, last = np.concatenate((drawn, more)), int(more[-1])
+        cut = np.searchsorted(drawn, end)
+        shot, qubit = np.divmod(drawn[:cut] - start * n, n)
+        drawn = drawn[cut:]
+        if noise.kind == "bitflip":
+            letter = np.zeros_like(qubit)
+        else:
+            letter = (letters.random(cut) * 3).astype(np.intp)
+        yield block, shot, qubit, letter
 
 
 def _classify(acc, m: int, keys, fix):
@@ -432,19 +544,18 @@ def _run_shard(args):
     (dec_arrays, noise, count, seed, shard_index) = args
     n, m, keys, fix, word = dec_arrays
     table = (m, keys, fix)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
     # every shot that drew no error has the zero word, whose class the
     # table decides (a hand-built one may not map the zero syndrome to a
     # stabilizer)
     identity = _classify(np.zeros(1, dtype=np.uint64), *table)[0]
     counts = np.zeros(3, dtype=np.int64)
-    # successive rng.random calls continue one stream, so the blocks draw
-    # the uniforms of one (count, n) draw
-    for start in range(0, count, _BLOCK_SHOTS):
-        block = min(_BLOCK_SHOTS, count - start)
-        shot, qubit, letter = _sample_errors(rng, block, n, noise)
+    seeds = np.random.SeedSequence([seed, shard_index])
+    for block, shot, qubit, letter in _sample_errors(seeds, count, n, noise):
         starts = np.flatnonzero(np.diff(shot, prepend=-1))
         acc = np.bitwise_xor.reduceat(word[3 * qubit + letter], starts)
+        # only the classes are counted, and searchsorted runs about three
+        # times faster on sorted words
+        acc.sort()
         counts += np.bincount(_classify(acc, *table), minlength=3)
         counts[identity] += block - len(starts)
     return dict(zip(_CLASSES, counts.tolist()))
@@ -466,20 +577,20 @@ def monte_carlo(
     """Sample errors on dec.code, decode, classify; logical failure counts
     both the logical_error class and detected-uncorrectable table misses.
 
-    dec.code must pass validate_code and have n <= MONTE_CARLO_MAX_N
-    qubits, and dec.table must be non-empty, every key a tuple of m bits
-    and every correction an n-qubit PauliString; otherwise ValueError
-    names the first failure, the limit, or the first bad entry.
+    dec must pass _check_decoder (a valid code of at most
+    MONTE_CARLO_MAX_N qubits, a non-empty table of m-bit keys, each
+    corrected by an n-qubit Pauli with that syndrome); otherwise
+    ValueError names the first failure.
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
     workers=None runs one thread per usable CPU; the pool never exceeds
     the shard count, so a one-shard campaign runs serially.  A shard
-    draws its shots in blocks of _BLOCK_SHOTS from its one stream; only
-    the shots that drew an error are classified, each by the XOR of its
-    letters' words, and the rest take the zero word's class, found once
-    per shard.  Each worker takes shards from one shared counter and
-    sums its own counts, so no per-shard state is kept.
+    draws only its errors (_sample_errors) and classifies them block by
+    block, each shot that drew one by the XOR of its letters' words; the
+    rest take the zero word's class, found once per shard.
+    Each worker takes shards from one shared counter and sums its own
+    counts, so no per-shard state is kept.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -487,24 +598,7 @@ def monte_carlo(
         raise ValueError("seed must be non-negative")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    code = dec.code
-    if code.n > MONTE_CARLO_MAX_N:
-        raise ValueError(
-            f"monte_carlo needs n <= {MONTE_CARLO_MAX_N} qubits (2n bits per "
-            f"uint64 row), got n = {code.n}"
-        )
-    report = validate_code(code)
-    if not report.ok:
-        raise ValueError(f"invalid code: {report.failures[0]}")
-    if not dec.table:
-        raise ValueError("decoder table is empty")
-    for key, fix in dec.table.items():
-        # bits compare as `decode` looks keys up: 1, True and 1.0 are one key
-        if not (isinstance(key, tuple) and key.count(0) + key.count(1) == len(key) == code.m):
-            raise ValueError(f"decoder table key {key!r} is not a {code.m}-bit syndrome")
-        if not (isinstance(fix, PauliString) and fix.n == code.n):
-            raise ValueError(f"decoder table correction {fix} for key {key!r} "
-                             f"is not a {code.n}-qubit Pauli")
+    _check_decoder(dec)
     dec_arrays = _decoder_arrays(dec)
     shards = -(-shots // _SHARD_SHOTS)
     next_shard = itertools.count()  # advances atomically, shared by the workers
@@ -537,6 +631,65 @@ def monte_carlo(
         p_logical_estimate=failures / shots,
         wilson_95_interval=wilson_interval(failures, shots),
     )
+
+
+@dataclass(frozen=True)
+class FailureCounts:
+    """counts[w] is, for every weight w <= max_weight, how many errors of
+    weight w fall in each class of (success, logical_error,
+    detected_uncorrectable); bitflip errors are X only, depolarizing ones
+    take X, Y or Z on each qubit of their support."""
+
+    n: int
+    kind: str
+    counts: tuple[tuple[int, int, int], ...]
+
+    def p_logical_bounds(self, p: float) -> tuple[float, float]:
+        """Bounds on the exact p_L at error rate p.  The lower is
+        sum_w F_w q^w (1 - p)^(n - w) over the enumerated weights, F_w
+        the logical_error and detected-uncorrectable counts and q = p/3
+        (depolarizing) or p (bitflip); the upper adds the binomial
+        probability that more than max_weight qubits err."""
+        n, q = self.n, p / 3 if self.kind == "depolarizing" else p
+        low = math.fsum((logical + detected) * q**w * (1 - p) ** (n - w)
+                        for w, (_, logical, detected) in enumerate(self.counts))
+        tail = math.fsum(math.comb(n, w) * p**w * (1 - p) ** (n - w)
+                         for w in range(len(self.counts), n + 1))
+        return low, low + tail
+
+
+def failure_counts(dec: LookupDecoder, kind: str, max_weight: int) -> FailureCounts:
+    """Classify every error of weight <= max_weight on dec.code as
+    monte_carlo classifies a shot: each is the XOR of its letters' words,
+    enumerated in build_lookup's order (supports in `itertools.combinations`
+    order, letters in X < Y < Z product order), a shard's worth at a
+    time.  dec must pass _check_decoder, and the enumeration count
+    answers to LOOKUP_GUARD_ERRORS, as build_lookup's does."""
+    NoiseModel(kind, 0.0)  # names an unknown kind
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    letters = 1 if kind == "bitflip" else 3
+    top = min(max_weight, dec.code.n)
+    total = sum(math.comb(dec.code.n, w) * letters**w for w in range(top + 1))
+    if total > LOOKUP_GUARD_ERRORS:
+        raise ValueError(
+            f"failure counts of weight <= {max_weight} enumerate {total} errors, "
+            f"over the limit of {LOOKUP_GUARD_ERRORS}"
+        )
+    _check_decoder(dec)
+    n, m, keys, fix, word = _decoder_arrays(dec)
+    counts = []
+    for w in range(top + 1):
+        products = np.array(list(itertools.product(range(letters), repeat=w)),
+                            dtype=np.intp).reshape(letters**w, w)
+        supports = itertools.combinations(range(n), w)
+        tally = np.zeros(3, dtype=np.int64)
+        while chunk := list(itertools.islice(supports, max(1, _SHARD_SHOTS // len(products)))):
+            qubits = np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, w)
+            acc = np.bitwise_xor.reduce(word[3 * qubits + products], axis=2)
+            tally += np.bincount(_classify(acc.ravel(), m, keys, fix), minlength=3)
+        counts.append(tuple(tally.tolist()))
+    return FailureCounts(n, kind, tuple(counts))
 
 
 def repetition_failure_rate(n: int, p: float) -> float:

@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+import math
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pauliflow import codes
 from pauliflow.codes import (
@@ -19,6 +21,7 @@ from pauliflow.codes import (
     NoiseModel,
     build_lookup,
     decode,
+    failure_counts,
     monte_carlo,
     repetition_code,
     repetition_failure_rate,
@@ -30,7 +33,12 @@ from pauliflow.codes import (
     CodeValidation,
     StabilizerCode,
 )
-from pauliflow.pauli import PauliString, independent, symplectic_vector
+from pauliflow.pauli import (
+    PauliString,
+    anticommutation_rows,
+    independent,
+    symplectic_vector,
+)
 
 
 def _validate_code_reference(code):
@@ -607,6 +615,17 @@ class TestMonteCarloGuards:
         assert abs(result.p_logical_estimate - analytic) <= 4 * sigma
         assert result.p_logical_estimate < repetition_failure_rate(3, p) / 2
 
+    def test_code_without_generators(self):
+        # [[1, 1, 1]]: every error is a logical one, and the one key is ()
+        x, z = PauliString.from_label("X"), PauliString.from_label("Z")
+        dec = build_lookup(StabilizerCode(1, 1, (), (x,), (z,), 1), 1)
+        assert dec.table == {(): PauliString.identity(1)}
+        p, shots = 0.3, 20_000
+        result = monte_carlo(dec, NoiseModel("depolarizing", p), shots, seed=1)
+        assert result.counts[DETECTED_UNCORRECTABLE] == 0
+        assert abs(result.p_logical_estimate - p) <= 5 * math.sqrt(p * (1 - p) / shots)
+        assert failure_counts(dec, "depolarizing", 1).p_logical_bounds(p) == (p, p)
+
     def test_more_than_32_qubits_rejected(self):
         code = repetition_code(33)
         dec = LookupDecoder(
@@ -657,6 +676,66 @@ class TestMalformedTable:
             monte_carlo(LookupDecoder(code, {}, 0), NoiseModel("bitflip", 0.1),
                         100, seed=1)
 
+    def test_correction_that_does_not_clear_its_key(self, rep3):
+        # every syndrome "corrected" by the identity: the campaign counted
+        # 89 946 successes and 10 054 logical errors of 100 000 shots at
+        # p = 0.05, though such a residual is uncorrected
+        table = {key: PauliString.identity(3) for key in build_lookup(rep3, 1).table}
+        assert residual_class(rep3, PauliString.from_label("XII"),
+                              table[(1, 0)]) == UNCORRECTED
+        with pytest.raises(ValueError, match=r"correction \+III for key \(1, 0\) has "
+                           r"syndrome \(0, 0\), so it does not clear its key"):
+            self._run(rep3, table)
+
+    def test_swapped_corrections(self, rep3):
+        # each correction clears the other's key
+        table = dict(build_lookup(rep3, 1).table)
+        table[(1, 0)], table[(0, 1)] = table[(0, 1)], table[(1, 0)]
+        with pytest.raises(ValueError, match=r"correction \+IIX for key \(1, 0\) has "
+                           r"syndrome \(0, 1\)"):
+            self._run(rep3, table)
+
+    def test_bad_key_past_the_first_chunk(self, monkeypatch):
+        # keys are compared a shard's worth at a time: chunks of 3 here
+        monkeypatch.setattr(codes, "_SHARD_SHOTS", 3)
+        code, dec = _code_and_decoder("rep5")
+        table = dict(dec.table)
+        keys = list(table)
+        table[keys[10]], table[keys[11]] = table[keys[11]], table[keys[10]]
+        with pytest.raises(ValueError, match=rf"for key {re.escape(repr(keys[10]))} has "
+                           rf"syndrome {re.escape(repr(keys[11]))}"):
+            monte_carlo(LookupDecoder(code, table, 2), NoiseModel("bitflip", 0.1), 100, 1)
+
+    def test_bits_compare_as_decode_looks_them_up(self, rep3):
+        # True and 1.0 find the key (1, 0), so the table is the built one
+        built = build_lookup(rep3, 1).table
+        table = {tuple(1.0 if b else False for b in key): fix for key, fix in built.items()}
+        assert self._run(rep3, table) == self._run(rep3, built)
+
+    def test_failure_counts_checks_the_decoder(self, rep3):
+        table = {key: PauliString.identity(3) for key in build_lookup(rep3, 1).table}
+        with pytest.raises(ValueError, match=r"key \(1, 0\) has syndrome \(0, 0\)"):
+            failure_counts(LookupDecoder(rep3, table, 1), "bitflip", 3)
+
+    @pytest.mark.parametrize("name", ["rep3", "rep5", "surface3", "surface5", "odd"])
+    def test_decoder_arrays_match_reference(self, name):
+        # keys packed from the tuple keys, parities from one
+        # anticommutation_rows call per correction, as before the one pass
+        code, dec = _code_and_decoder("rep5" if name == "odd" else name)
+        table = dict(dec.table)
+        if name == "odd":  # the zero syndrome "corrected" by the logical X
+            table[(0,) * code.m] = code.logical_x[0]
+        dec = LookupDecoder(code, table, dec.max_weight)
+        keys = _pack(np.array(list(table), dtype=np.uint8))
+        fix = np.array(anticommutation_rows(list(table.values()),
+                                            code.logical_x + code.logical_z), dtype=np.uint64)
+        order = np.argsort(keys)
+        n, m, got_keys, got_fix, word = codes._decoder_arrays(dec)
+        assert (n, m) == (code.n, code.m)
+        assert got_keys.tolist() == keys[order].tolist()
+        assert got_fix.tolist() == fix[order].tolist()
+        assert word.tolist() == codes._letter_words(code)
+
 
 _BUILDERS = {
     "rep3": (lambda: repetition_code(3), 1),
@@ -673,21 +752,62 @@ def _code_and_decoder(name):
     return code, build_lookup(code, max_weight)
 
 
+def one_draw(seed, shard, count, n, noise):
+    """A shard's errors as the sampler must draw them, from one draw of
+    each of its two child streams: (shot, qubit, letter) arrays in
+    increasing (shot, qubit) order.  Every gap the shard could need (at
+    most count * n) is drawn at once; a gap past the shard's end is cut
+    to end it, so the running sums stay in int64."""
+    gaps, letters = (np.random.default_rng(s)
+                     for s in np.random.SeedSequence([seed, shard]).spawn(2))
+    trials = count * n
+    if noise.p == 0:
+        position = np.zeros(0, dtype=np.int64)
+    else:
+        position = np.cumsum(np.minimum(gaps.geometric(noise.p, trials), trials + 1)) - 1
+        position = position[position < trials]
+    shot, qubit = np.divmod(position, n)
+    if noise.kind == "bitflip":
+        return shot, qubit, np.zeros_like(qubit)
+    return shot, qubit, np.floor(letters.random(len(position)) * 3).astype(np.intp)
+
+
 def draw_errors(seed, shard, count, n, noise):
-    """Redraw one shard's errors from its (seed, shard) stream, one
-    PauliString per shot, with the sampler's per-qubit thresholds."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
+    """One PauliString per shot of the shard, from `one_draw`."""
+    xs, zs = [0] * count, [0] * count
+    for shot, qubit, letter in zip(*(a.tolist() for a in one_draw(seed, shard, count, n, noise))):
+        xs[shot] |= (letter < 2) << qubit  # letters X and Y
+        zs[shot] |= (letter > 0) << qubit  # letters Y and Z
+    return [PauliString(n, x, z) for x, z in zip(xs, zs)]
+
+
+def sampled_errors(seed, shard, count, n, noise):
+    """`codes._sample_errors` of the shard, its blocks joined: (shot,
+    qubit, letter) arrays with shot indices counted over the shard."""
+    parts, start = [], 0
+    for block, shot, qubit, letter in codes._sample_errors(
+            np.random.SeedSequence([seed, shard]), count, n, noise):
+        parts.append((shot + start, qubit, letter))
+        start += block
+    assert start == count
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _uniform_sample_errors(rng, count: int, n: int, noise: NoiseModel):
+    """The uniform sampler, the statistical reference for the sparse one:
+    every shot draws u = rng.random((count, n));
+    qubit q takes X from u < p (bitflip), or X from u < p/3, Y from
+    p/3 <= u < 2p/3 and Z from 2p/3 <= u < p (depolarizing).  Returns
+    shot index, qubit and letter of each non-identity draw, in
+    increasing (shot, qubit) order."""
     u = rng.random((count, n))
     p = noise.p
+    flat = np.flatnonzero(u < p)
+    shot, qubit = np.divmod(flat, n)
     if noise.kind == "bitflip":
-        xs, zs = u < p, np.zeros_like(u, dtype=bool)
-    else:
-        xs, zs = u < 2 * p / 3, (u >= p / 3) & (u < p)
-
-    def mask(bits):
-        return sum(1 << int(q) for q in np.flatnonzero(bits))
-
-    return [PauliString(n, mask(x), mask(z)) for x, z in zip(xs, zs)]
+        return shot, qubit, np.zeros_like(qubit)
+    v = np.take(u, flat)
+    return shot, qubit, (v >= p / 3).astype(np.intp) + (v >= 2 * p / 3)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -710,7 +830,8 @@ def _masks(n, paulis):
 
 
 def _dense_sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarray:
-    """One symplectic_vector row (x << n) | z per shot, as uint64."""
+    """One symplectic_vector row (x << n) | z per shot of the uniform
+    reference, as uint64."""
     if noise.p == 0:
         return np.zeros(count, dtype=np.uint64)
     u = rng.random((count, n))
@@ -724,7 +845,7 @@ def _dense_sample_errors(rng, count: int, n: int, noise: NoiseModel) -> np.ndarr
 
 def _rows_from_letters(n, shot, qubit, letter):
     """The shots that drew an error, in order, and their symplectic_vector
-    rows (x << n) | z, rebuilt from `_sample_errors`' letters."""
+    rows (x << n) | z, rebuilt from (shot, qubit, letter) arrays."""
     bit = np.uint64(1) << qubit.astype(np.uint64)
     x = np.where(letter < 2, bit, 0).astype(np.uint64)  # letters X and Y
     z = np.where(letter > 0, bit, 0).astype(np.uint64)  # letters Y and Z
@@ -733,10 +854,10 @@ def _rows_from_letters(n, shot, qubit, letter):
 
 
 def _dense_shard_reference(dec, args):
-    """The shard of `args` as it was before sampling went sparse: every
-    shot, the identity ones included, is built as a symplectic_vector
-    row, looked up and classified against generator and logical masks,
-    keys and correction rows rebuilt from dec itself."""
+    """The shard of `args` with every shot, the identity ones included,
+    built as a symplectic_vector row from `one_draw`, looked up and
+    classified against generator and logical masks, keys and correction
+    rows rebuilt from dec itself."""
     (_, noise, count, seed, shard_index) = args
     code = dec.code
     n = code.n
@@ -746,8 +867,9 @@ def _dense_shard_reference(dec, args):
     corrections = np.array([symplectic_vector(c) for c in dec.table.values()], np.uint64)
     order = np.argsort(keys)
     keys, corrections = keys[order], corrections[order]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, shard_index]))
-    errors = _dense_sample_errors(rng, count, n, noise)
+    shots, rows = _rows_from_letters(n, *one_draw(seed, shard_index, count, n, noise))
+    errors = np.zeros(count, dtype=np.uint64)
+    errors[shots] = rows
     synd = _pack(_parities(errors, gen_masks))
     pos = np.minimum(np.searchsorted(keys, synd), len(keys) - 1)
     hit = keys[pos] == synd
@@ -763,10 +885,30 @@ def _dense_shard_reference(dec, args):
     }
 
 
-# (success, logical_error, detected_uncorrectable) at 2^17 shots, as
-# recorded with the earlier classifier, which eliminated each residual
-# against the generator rows over GF(2)
+# (success, logical_error, detected_uncorrectable) at 2^17 shots from
+# the sparse sampler, workers 1 and 3 alike; each lies within z = 5 of
+# the exact rate of failure_counts (TestFailureCounts)
 GOLDEN_COUNTS = [
+    ("surface5", "depolarizing", 0.01, 1, (130832, 3, 237)),
+    ("surface5", "depolarizing", 0.01, 2, (130818, 10, 244)),
+    ("surface5", "depolarizing", 0.01, 3, (130839, 6, 227)),
+    ("surface5", "bitflip", 0.05, 1, (115648, 1731, 13693)),
+    ("surface5", "bitflip", 0.05, 2, (115894, 1609, 13569)),
+    ("surface5", "bitflip", 0.05, 3, (115814, 1641, 13617)),
+    ("surface3", "depolarizing", 0.15, 1, (81322, 7332, 42418)),
+    ("surface3", "depolarizing", 0.15, 2, (81404, 7302, 42366)),
+    ("surface3", "depolarizing", 0.15, 3, (81766, 7260, 42046)),
+    ("rep5", "bitflip", 0.1, 1, (129951, 1121, 0)),
+    ("rep5", "bitflip", 0.1, 2, (129888, 1184, 0)),
+    ("rep5", "bitflip", 0.1, 3, (129958, 1114, 0)),
+    ("rep3", "depolarizing", 0.1, 1, (107244, 23828, 0)),
+    ("rep3", "depolarizing", 0.1, 2, (107536, 23536, 0)),
+    ("rep3", "depolarizing", 0.1, 3, (107268, 23804, 0)),
+]
+
+# the same cases as recorded with the uniform sampler, which drew every
+# shot's n uniforms; the exact rate must bracket these too
+UNIFORM_GOLDEN_COUNTS = [
     ("surface5", "depolarizing", 0.01, 1, (130810, 1, 261)),
     ("surface5", "depolarizing", 0.01, 2, (130837, 1, 234)),
     ("surface5", "depolarizing", 0.01, 3, (130847, 5, 220)),
@@ -836,8 +978,7 @@ class TestPackedDecodePath:
         self, n, count, kind, p, seed, shard
     ):
         noise = NoiseModel(kind, p)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
-        shots, rows = _rows_from_letters(n, *codes._sample_errors(rng, count, n, noise))
+        shots, rows = _rows_from_letters(n, *sampled_errors(seed, shard, count, n, noise))
         assert rows.dtype == np.uint64 and rows.shape == shots.shape
         assert all(np.diff(shots) > 0) and all(rows != 0)
         dense = np.zeros(count, dtype=np.uint64)
@@ -849,7 +990,8 @@ class TestPackedDecodePath:
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     @pytest.mark.parametrize("p", [0.3, 0.01, 1.0, 5e-324])
     def test_draws_on_the_thresholds(self, kind, p):
-        # draws that sit exactly on p/3, 2p/3 and p, and on either side
+        # the uniform reference's letters: draws that sit exactly on p/3,
+        # 2p/3 and p, and on either side
         cuts = [p / 3, 2 * p / 3, p]
         values = sorted({
             v for c in cuts for v in (np.nextafter(c, 0), c, np.nextafter(c, 1))
@@ -864,7 +1006,7 @@ class TestPackedDecodePath:
 
         noise = NoiseModel(kind, p)
         shots, rows = _rows_from_letters(
-            draws.shape[1], *codes._sample_errors(Fixed(), *draws.shape, noise))
+            draws.shape[1], *_uniform_sample_errors(Fixed(), *draws.shape, noise))
         dense = np.zeros(len(draws), dtype=np.uint64)
         dense[shots] = rows
         expected = _dense_sample_errors(Fixed(), *draws.shape, noise)
@@ -962,12 +1104,13 @@ class TestPackedDecodePath:
 
 
 class TestShardBlocks:
-    """A shard draws its shots in blocks of codes._BLOCK_SHOTS from its
-    one stream; the counts must equal those of one draw of the shard."""
+    """A shard draws and classifies its errors in blocks of about
+    codes._BLOCK_ERRORS errors (2184 surface5 shots at p = 0.15, 32768 at
+    p = 0.01); the counts must equal those of one draw of the shard."""
 
-    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 2000, 65536])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 2000, 2184, 2185, 32769, 65536])
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
-    @pytest.mark.parametrize("p", [0.15, 0.01, 5e-324])
+    @pytest.mark.parametrize("p", [0.15, 0.01, 5e-324, 1.0])
     def test_blocks_match_one_draw(self, count, kind, p):
         _, dec = _code_and_decoder("surface5")
         args = (codes._decoder_arrays(dec), NoiseModel(kind, p), count, 3, 2)
@@ -976,13 +1119,21 @@ class TestShardBlocks:
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     def test_many_block_boundaries(self, monkeypatch, kind):
         _, dec = _code_and_decoder("surface3")
-        monkeypatch.setattr(codes, "_BLOCK_SHOTS", 7)
+        monkeypatch.setattr(codes, "_BLOCK_ERRORS", 7)  # blocks of 5 shots
         args = (codes._decoder_arrays(dec), NoiseModel(kind, 0.15), 2000, 8, 1)
         assert codes._run_shard(args) == _dense_shard_reference(dec, args)
 
-    def test_working_set_is_bounded(self):
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    def test_one_shot_blocks_at_p_one(self, monkeypatch, kind):
+        _, dec = _code_and_decoder("surface3")
+        monkeypatch.setattr(codes, "_BLOCK_ERRORS", 7)
+        args = (codes._decoder_arrays(dec), NoiseModel(kind, 1.0), 500, 8, 1)
+        assert codes._run_shard(args) == _dense_shard_reference(dec, args)
+
+    @staticmethod
+    def _shard_peak(p):
         _, dec = _code_and_decoder("surface5")
-        args = (codes._decoder_arrays(dec), NoiseModel("depolarizing", 0.01),
+        args = (codes._decoder_arrays(dec), NoiseModel("depolarizing", p),
                 codes._SHARD_SHOTS, 1, 0)
         tracemalloc.start()
         try:
@@ -990,8 +1141,202 @@ class TestShardBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one draw of the whole shard peaked at 14.9 MiB
-        assert peak < 4 * 2**20
+        return peak
+
+    def test_working_set_is_bounded(self):
+        # one draw of the whole shard's uniforms peaked at 14.9 MiB
+        assert self._shard_peak(0.01) < 4 * 2**20
+
+    def test_working_set_is_bounded_at_p_one(self):
+        # every one of the shard's 1 638 400 trials errs
+        assert self._shard_peak(1.0) < 4 * 2**20
+
+
+class TestSparseSampler:
+    """codes._sample_errors draws geometric gaps and then letters; its
+    statistics are checked against the uniform reference and the
+    binomial law, its extremes exactly."""
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300])
+    def test_tiny_p_draws_no_error(self, kind, p):
+        # geometric(5e-324) and geometric(1e-300) are 2^63 - 1, so a
+        # plain running sum of the gaps would wrap
+        noise, count = NoiseModel(kind, p), codes._SHARD_SHOTS
+        assert all(len(a) == 0 for a in sampled_errors(9, 4, count, 25, noise))
+        _, dec = _code_and_decoder("surface5")
+        got = codes._run_shard((codes._decoder_arrays(dec), noise, count, 9, 4))
+        assert got == {SUCCESS: count, LOGICAL_ERROR: 0, DETECTED_UNCORRECTABLE: 0}
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    def test_p_one_errs_on_every_qubit(self, kind):
+        count, n = 3000, 25
+        shot, qubit, letter = sampled_errors(9, 4, count, n, NoiseModel(kind, 1.0))
+        assert shot.tolist() == np.repeat(np.arange(count), n).tolist()
+        assert qubit.tolist() == np.tile(np.arange(n), count).tolist()
+        if kind == "bitflip":
+            assert not letter.any()
+        else:
+            # each letter a third of the time, within z = 5
+            freq = np.bincount(letter, minlength=3)
+            assert len(freq) == 3
+            assert (abs(freq - count * n / 3) <= 5 * math.sqrt(count * n * 2 / 9)).all()
+
+    @settings(derandomize=True)
+    @given(
+        n=st.integers(1, 32),
+        kind=st.sampled_from(["bitflip", "depolarizing"]),
+        p=st.floats(0, 1) | st.sampled_from([1e-3, 0.01, 0.1, 1.0]),
+        seed=st.integers(0, 2**32),
+        shard=st.integers(0, 50),
+    )
+    def test_letter_frequencies_match_uniform_reference(self, n, kind, p, seed, shard):
+        noise, count = NoiseModel(kind, p), 2000
+
+        def frequencies(shot, qubit, letter):
+            return np.bincount(3 * qubit + letter, minlength=3 * n)
+
+        sparse = frequencies(*sampled_errors(seed, shard, count, n, noise))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
+        uniform = frequencies(*_uniform_sample_errors(rng, count, n, noise))
+        # the difference of two binomial counts, at the pooled rate
+        rate = (sparse + uniform) / (2 * count)
+        assert (abs(sparse - uniform) <= 5 * np.sqrt(2 * count * rate * (1 - rate))).all()
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    @pytest.mark.parametrize("n, p", [(25, 0.01), (25, 0.15), (9, 0.5), (32, 0.9)])
+    def test_weight_histogram_is_binomial(self, kind, n, p):
+        count = codes._SHARD_SHOTS
+        shot, _, _ = sampled_errors(11, 3, count, n, NoiseModel(kind, p))
+        seen = np.bincount(np.bincount(shot, minlength=count), minlength=n + 1)
+        # pool neighbouring weights until each cell expects >= 5 shots
+        cells, got, want = [], 0, 0.0
+        for w in range(n + 1):
+            got += int(seen[w])
+            want += count * math.comb(n, w) * p**w * (1 - p) ** (n - w)
+            if want >= 5:
+                cells.append([got, want])
+                got, want = 0, 0.0
+        cells[-1][0] += got
+        cells[-1][1] += want
+        chi2 = sum((g - e) ** 2 / e for g, e in cells)
+        df = len(cells) - 1
+        # the chi-square quantile of z = 5 (Wilson & Hilferty)
+        limit = df * (1 - 2 / (9 * df) + 5 * math.sqrt(2 / (9 * df))) ** 3
+        assert df >= 3 and chi2 <= limit, (chi2, df, limit)
+
+
+# failure_counts' weight for each (code, noise) of the golden cases: every
+# error (rep3, rep5, surface3), or to a binomial tail of 4.5e-6
+# (surface5 depolarizing at p = 0.01) and 1.9e-6 (bitflip at p = 0.05)
+_EXACT_WEIGHT = {("surface5", "depolarizing"): 4, ("surface5", "bitflip"): 8}
+
+
+@functools.cache
+def _exact(name, kind):
+    code, dec = _code_and_decoder(name)
+    return failure_counts(dec, kind, _EXACT_WEIGHT.get((name, kind), code.n))
+
+
+def _within_z5(failures, shots, bounds):
+    """A z = 5 Wilson interval of the failures meets the exact bounds."""
+    lo, hi = wilson_interval(failures, shots, z=5.0)
+    return lo <= bounds[1] and bounds[0] <= hi
+
+
+class TestFailureCounts:
+    @pytest.mark.parametrize("name, kind", [
+        ("rep3", "bitflip"), ("rep3", "depolarizing"),
+        ("surface3", "depolarizing"), ("surface5", "bitflip"),
+    ])
+    def test_every_error_counted_once(self, name, kind):
+        code, dec = _code_and_decoder(name)
+        letters = 1 if kind == "bitflip" else 3
+        got = failure_counts(dec, kind, 3)
+        assert (got.n, got.kind) == (code.n, kind)
+        assert [sum(c) for c in got.counts] == [
+            math.comb(code.n, w) * letters**w for w in range(4)]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_repetition_closed_form(self, n):
+        _, dec = _code_and_decoder(f"rep{n}")
+        got = failure_counts(dec, "bitflip", n)
+        for p in (0.0, 1e-3, 0.05, 0.1, 0.3, 0.5, 1.0):
+            lo, hi = got.p_logical_bounds(p)
+            assert lo == hi
+            assert lo == pytest.approx(repetition_failure_rate(n, p), rel=1e-12, abs=1e-300)
+
+    def test_depolarizing_rep3_closed_form(self):
+        # as in TestMonteCarlo: success iff the X part has weight <= 1 and
+        # the Z part even parity
+        p = 0.1
+        prob = {"I": 1 - p, "X": p / 3, "Y": p / 3, "Z": p / 3}
+        success = math.fsum(
+            math.prod(prob[c] for c in combo)
+            for combo in itertools.product("IXYZ", repeat=3)
+            if sum(c in "XY" for c in combo) <= 1 and sum(c in "YZ" for c in combo) % 2 == 0)
+        lo, hi = _exact("rep3", "depolarizing").p_logical_bounds(p)
+        assert lo == hi == pytest.approx(1 - success, rel=1e-12)
+
+    @pytest.mark.parametrize("name, max_weight", [("surface3", 3), ("surface5", 3)])
+    def test_classes_match_scalar_path(self, name, max_weight):
+        code, dec = _code_and_decoder(name)
+        index = {SUCCESS: 0, LOGICAL_ERROR: 1, DETECTED_UNCORRECTABLE: 2}
+        expected = [[0, 0, 0] for _ in range(max_weight + 1)]
+        for w in range(max_weight + 1):
+            for support in itertools.combinations(range(code.n), w):
+                for letters in itertools.product("XYZ", repeat=w):
+                    error = PauliString.identity(code.n)
+                    for q, letter in zip(support, letters):
+                        error = error * PauliString.single(code.n, q, letter)
+                    corr = decode(dec, syndrome(code, error))
+                    cls = (DETECTED_UNCORRECTABLE if corr is None
+                           else residual_class(code, error, corr))
+                    expected[w][index[cls]] += 1
+        got = failure_counts(dec, "depolarizing", max_weight)
+        assert got.counts == tuple(map(tuple, expected))
+
+    def test_surface5_tail(self):
+        lo, hi = _exact("surface5", "depolarizing").p_logical_bounds(0.01)
+        assert 0 < hi - lo <= 6e-6
+        assert 1.835e-3 < lo < hi < 1.840e-3
+
+    @pytest.mark.parametrize("name, kind, p", [
+        ("surface5", "depolarizing", 0.01), ("rep3", "depolarizing", 0.1),
+        ("rep5", "bitflip", 0.1), ("surface3", "depolarizing", 0.15),
+    ])
+    def test_monte_carlo_within_z5_of_exact(self, name, kind, p):
+        _, dec = _code_and_decoder(name)
+        shots = 1 << 20
+        result = monte_carlo(dec, NoiseModel(kind, p), shots, 20251017)
+        failures = result.counts[LOGICAL_ERROR] + result.counts[DETECTED_UNCORRECTABLE]
+        assert _within_z5(failures, shots, _exact(name, kind).p_logical_bounds(p))
+
+    @pytest.mark.parametrize("name, kind, p, seed, expected",
+                             GOLDEN_COUNTS + UNIFORM_GOLDEN_COUNTS)
+    def test_golden_counts_bracket_exact_rate(self, name, kind, p, seed, expected):
+        assert sum(expected) == 1 << 17
+        failures = expected[1] + expected[2]
+        assert _within_z5(failures, 1 << 17, _exact(name, kind).p_logical_bounds(p))
+
+    def test_guard(self):
+        _, dec = _code_and_decoder("surface5")
+        with pytest.raises(ValueError, match="weight <= 5 enumerate 14000116 errors, "
+                           "over the limit of 4194304"):
+            failure_counts(dec, "depolarizing", 5)
+
+    def test_weight_above_n_enumerates_every_error(self, rep3):
+        got = failure_counts(build_lookup(rep3, 1), "depolarizing", 7)
+        assert len(got.counts) == 4
+        assert got.p_logical_bounds(0.2)[0] == got.p_logical_bounds(0.2)[1]
+
+    @pytest.mark.parametrize("kind, weight, message", [
+        ("erasure", 1, "unknown noise kind 'erasure'"),
+        ("bitflip", -1, "max_weight must be >= 0"),
+    ])
+    def test_bad_arguments(self, rep3, kind, weight, message):
+        with pytest.raises(ValueError, match=message):
+            failure_counts(build_lookup(rep3, 1), kind, weight)
 
 
 class TestShardBookkeeping:
