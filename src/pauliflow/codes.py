@@ -54,7 +54,10 @@ logical operator is counted exactly.
 failure_counts classifies every error up to a weight in the same way,
 so the exact p_L of a campaign is a polynomial in p whose enumerated
 part is exact and whose rest is bounded by the binomial tail (Bravyi &
-Vargo, arXiv:1308.6270).
+Vargo, arXiv:1308.6270).  An error's word is its lowest qubit's letter
+word XOR a word one weight lighter on the qubits above, so no support
+is built in Python.  Both check the decoder and pack its table in one
+pass (_decoder_arrays).
 """
 
 from __future__ import annotations
@@ -276,21 +279,46 @@ def _letter_words(code: StabilizerCode) -> list[int]:
     return anticommutation_rows(letters, code.generators + code.logical_x + code.logical_z)
 
 
+def _enumeration_top(n: int, max_weight: int, letters: int, what: str, verb: str) -> int:
+    """The top weight, min(max_weight, n), of an enumeration of every
+    error of weight <= max_weight on n qubits, `letters` letters a qubit.
+    ValueError unless max_weight >= 0 and the error count is at most
+    LOOKUP_GUARD_ERRORS, saying that `what` of that weight `verb` it."""
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    top = min(max_weight, n)  # no error outweighs the code
+    count = sum(math.comb(n, w) * letters**w for w in range(top + 1))
+    if count > LOOKUP_GUARD_ERRORS:
+        raise ValueError(
+            f"{what} of weight <= {max_weight} {verb} {count} errors, "
+            f"over the limit of {LOOKUP_GUARD_ERRORS}"
+        )
+    return top
+
+
+def _syndrome_keys(ints, count: int, m: int):
+    """Yield each of the count syndromes of ints (bit i = syndrome bit i)
+    as the key a table holds, a tuple with bit i at index i.  A shard's
+    worth is unpacked at a time, and the tuples are made one at a time,
+    to be compared or stored in turn."""
+    if m == 0:  # struct cannot unpack a zero-length row
+        yield from itertools.repeat((), count)
+        return
+    ints = iter(ints)
+    for start in range(0, count, _SHARD_SHOTS):
+        part = np.fromiter(ints, np.dtype("<u8"), min(_SHARD_SHOTS, count - start))
+        bits = np.unpackbits(part.view(np.uint8).reshape(-1, 8)[:, :(m + 7) // 8], axis=1,
+                             count=m, bitorder="little")
+        yield from struct.iter_unpack(f"{m}B", bits.tobytes())
+
+
 def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
     """Enumerate low-weight errors; first error per syndrome is its correction."""
     if code.m > LOOKUP_GUARD_M:
         raise ValueError(
             f"lookup table needs m <= {LOOKUP_GUARD_M} generators, got {code.m}"
         )
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
-    top = min(max_weight, code.n)  # no error outweighs the code
-    count = sum(math.comb(code.n, w) * 3**w for w in range(top + 1))
-    if count > LOOKUP_GUARD_ERRORS:
-        raise ValueError(
-            f"lookup table of weight <= {max_weight} enumerates {count} errors, "
-            f"over the limit of {LOOKUP_GUARD_ERRORS}"
-        )
+    top = _enumeration_top(code.n, max_weight, 3, "lookup table", "enumerates")
     failures = _structural_failures(code)  # as monte_carlo words it
     if failures:
         raise ValueError(f"invalid code: {failures[0]}")
@@ -311,15 +339,9 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
                 errors = [e ^ letter for e in errors for letter in letters[q]]
             for e in errors:
                 first.setdefault(e & syn, e)
-    # key bit i is syndrome bit i; m <= LOOKUP_GUARD_M = 24 bits unpack
-    # from three bytes
-    byte_bits = [tuple(b >> i & 1 for i in range(8)) for b in range(256)]
     qubits = (1 << n) - 1
-    table = {
-        (byte_bits[key & 255] + byte_bits[key >> 8 & 255] + byte_bits[key >> 16])[:m]:
-            PauliString(n, e >> m & qubits, e >> (m + n))
-        for key, e in first.items()
-    }
+    fixes = (PauliString(n, e >> m & qubits, e >> (m + n)) for e in first.values())
+    table = dict(zip(_syndrome_keys(first, len(first), m), fixes))
     return LookupDecoder(code=code, table=table, max_weight=max_weight)
 
 
@@ -428,14 +450,19 @@ def _pauli_words(word: list[int], n: int, paulis: Collection[PauliString]):
     return acc
 
 
-def _check_decoder(dec: LookupDecoder) -> None:
-    """Refuse a decoder that a campaign would misread.  dec.code must pass
-    validate_code and have n <= MONTE_CARLO_MAX_N qubits, and dec.table
-    must be non-empty, every key a tuple of m bits and every correction
-    an n-qubit PauliString whose syndrome is its key; otherwise
-    ValueError names the first failure, the limit, or the first entry
-    whose key or correction is malformed, else the first whose
-    correction does not clear its key."""
+def _decoder_arrays(dec: LookupDecoder):
+    """The campaign's tables, from one pass over dec's corrections: n, m,
+    the table's syndromes as sorted uint64 keys (bit i = syndrome bit i),
+    fix[j] the 2k logical parities of key j's correction, and the
+    _letter_words of dec.code.
+
+    A decoder that a campaign would misread is refused first.  dec.code
+    must pass validate_code and have n <= MONTE_CARLO_MAX_N qubits, and
+    dec.table must be non-empty, every key a tuple of m bits and every
+    correction an n-qubit PauliString whose syndrome is its key;
+    otherwise ValueError names the first failure, the limit, or the
+    first entry whose key or correction is malformed, else the first
+    whose correction does not clear its key."""
     code = dec.code
     n, m = code.n, code.m
     if n > MONTE_CARLO_MAX_N:
@@ -452,37 +479,12 @@ def _check_decoder(dec: LookupDecoder) -> None:
     if not (all(map(isinstance, corrections, itertools.repeat(PauliString)))
             and set(map(operator.attrgetter("n"), corrections)) == {n}):
         raise ValueError(_first_bad_entry(code, dec.table.items()))
-    synd = _pauli_words(_letter_words(code), n, corrections) & np.uint64((1 << m) - 1)
-
-    def wants(start):
-        """Each syndrome of a shard's worth from entry start as the key it
-        must equal, a tuple with bit i at index i; the tuples are made
-        one at a time, to be compared and dropped in turn."""
-        part = synd[start:start + _SHARD_SHOTS]
-        if m == 0:  # struct cannot unpack a zero-length row
-            return itertools.repeat((), len(part))
-        bits = np.unpackbits(part.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                             bitorder="little")
-        return struct.iter_unpack(f"{m}B", bits[:, :m].tobytes())
-
-    keys = list(dec.table)
-    for start in range(0, len(keys), _SHARD_SHOTS):
-        if not all(map(operator.eq, keys[start:start + _SHARD_SHOTS], wants(start))):
-            items = itertools.islice(dec.table.items(), start, None)
-            raise ValueError(_first_bad_entry(code, items, wants(start)))
-
-
-def _decoder_arrays(dec: LookupDecoder):
-    """The campaign's tables, built once from the corrections of a table
-    that passed _check_decoder: n, m, the table's syndromes as sorted
-    uint64 keys (bit i = syndrome bit i), fix[j] the 2k logical parities
-    of key j's correction, and the _letter_words of dec.code.  Keys and
-    parities come from one pass over the corrections' x and z bits."""
-    code = dec.code
-    n, m = code.n, code.m
     word = _letter_words(code)
-    acc = _pauli_words(word, n, dec.table.values())
+    acc = _pauli_words(word, n, corrections)
     synd = acc & np.uint64((1 << m) - 1)
+    if not all(map(operator.eq, dec.table, _syndrome_keys(synd, len(synd), m))):
+        wants = _syndrome_keys(synd, len(synd), m)
+        raise ValueError(_first_bad_entry(code, dec.table.items(), wants))
     order = np.argsort(synd)
     return n, m, synd[order], (acc >> np.uint64(m))[order], np.array(word, dtype=np.uint64)
 
@@ -577,10 +579,11 @@ def monte_carlo(
     """Sample errors on dec.code, decode, classify; logical failure counts
     both the logical_error class and detected-uncorrectable table misses.
 
-    dec must pass _check_decoder (a valid code of at most
-    MONTE_CARLO_MAX_N qubits, a non-empty table of m-bit keys, each
-    corrected by an n-qubit Pauli with that syndrome); otherwise
-    ValueError names the first failure.
+    dec must hold a valid code of at most MONTE_CARLO_MAX_N qubits and a
+    non-empty table of m-bit keys, each corrected by an n-qubit Pauli
+    with that syndrome; otherwise ValueError names the first failure.
+    The check and the campaign's tables come from one pass over the
+    corrections (_decoder_arrays).
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
@@ -598,7 +601,6 @@ def monte_carlo(
         raise ValueError("seed must be non-negative")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    _check_decoder(dec)
     dec_arrays = _decoder_arrays(dec)
     shards = -(-shots // _SHARD_SHOTS)
     next_shard = itertools.count()  # advances atomically, shared by the workers
@@ -650,6 +652,7 @@ class FailureCounts:
         the logical_error and detected-uncorrectable counts and q = p/3
         (depolarizing) or p (bitflip); the upper adds the binomial
         probability that more than max_weight qubits err."""
+        NoiseModel(self.kind, p)  # names a p outside [0, 1]
         n, q = self.n, p / 3 if self.kind == "depolarizing" else p
         low = math.fsum((logical + detected) * q**w * (1 - p) ** (n - w)
                         for w, (_, logical, detected) in enumerate(self.counts))
@@ -660,36 +663,29 @@ class FailureCounts:
 
 def failure_counts(dec: LookupDecoder, kind: str, max_weight: int) -> FailureCounts:
     """Classify every error of weight <= max_weight on dec.code as
-    monte_carlo classifies a shot: each is the XOR of its letters' words,
-    enumerated in build_lookup's order (supports in `itertools.combinations`
-    order, letters in X < Y < Z product order), a shard's worth at a
-    time.  dec must pass _check_decoder, and the enumeration count
-    answers to LOOKUP_GUARD_ERRORS, as build_lookup's does."""
+    monte_carlo classifies a shot, by the XOR of its letters' words.
+    Each error is the letter on its lowest qubit q times an error of one
+    less weight on the qubits above q, so walking q from n - 1 down to 0
+    builds every error's word from words already made, keeping only
+    those of weight below the top; each batch is classified as it is
+    made.  dec is checked as monte_carlo checks it, and the enumeration
+    count answers to LOOKUP_GUARD_ERRORS, as build_lookup's does."""
     NoiseModel(kind, 0.0)  # names an unknown kind
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
     letters = 1 if kind == "bitflip" else 3
-    top = min(max_weight, dec.code.n)
-    total = sum(math.comb(dec.code.n, w) * letters**w for w in range(top + 1))
-    if total > LOOKUP_GUARD_ERRORS:
-        raise ValueError(
-            f"failure counts of weight <= {max_weight} enumerate {total} errors, "
-            f"over the limit of {LOOKUP_GUARD_ERRORS}"
-        )
-    _check_decoder(dec)
+    top = _enumeration_top(dec.code.n, max_weight, letters, "failure counts", "enumerate")
     n, m, keys, fix, word = _decoder_arrays(dec)
-    counts = []
-    for w in range(top + 1):
-        products = np.array(list(itertools.product(range(letters), repeat=w)),
-                            dtype=np.intp).reshape(letters**w, w)
-        supports = itertools.combinations(range(n), w)
-        tally = np.zeros(3, dtype=np.int64)
-        while chunk := list(itertools.islice(supports, max(1, _SHARD_SHOTS // len(products)))):
-            qubits = np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, w)
-            acc = np.bitwise_xor.reduce(word[3 * qubits + products], axis=2)
-            tally += np.bincount(_classify(acc.ravel(), m, keys, fix), minlength=3)
-        counts.append(tuple(tally.tolist()))
-    return FailureCounts(n, kind, tuple(counts))
+    # above[w]: the words of every weight-w error on the qubits above q
+    above = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * (top - 1)
+    tally = np.zeros((top + 1, 3), dtype=np.int64)
+    tally[0] = np.bincount(_classify(above[0], m, keys, fix), minlength=3)
+    for q in range(n - 1, -1, -1):
+        # heaviest first, so each batch extends words that avoid qubit q
+        for w in range(top, 0, -1):
+            batch = (above[w - 1][:, None] ^ word[3 * q:3 * q + letters]).ravel()
+            tally[w] += np.bincount(_classify(batch, m, keys, fix), minlength=3)
+            if w < top:
+                above[w] = np.concatenate((above[w], batch))
+    return FailureCounts(n, kind, tuple(map(tuple, tally.tolist())))
 
 
 def repetition_failure_rate(n: int, p: float) -> float:

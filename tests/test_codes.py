@@ -1338,6 +1338,77 @@ class TestFailureCounts:
         with pytest.raises(ValueError, match=message):
             failure_counts(build_lookup(rep3, 1), kind, weight)
 
+    @pytest.mark.parametrize("p", [1.5, -0.5, math.nan, math.inf])
+    def test_bounds_refuse_p_outside_unit_interval(self, p):
+        # were (0.0, 0.0) at 1.5, (1.0, 1.0) at -0.5 and (nan, nan) at nan
+        got = _exact("rep3", "depolarizing")
+        with pytest.raises(ValueError, match=r"error probability must be in \[0, 1\]"):
+            got.p_logical_bounds(p)
+
+    @pytest.mark.parametrize("name", ["rep3", "surface5"])
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    def test_weight_zero_counts_the_zero_word(self, name, kind):
+        code, dec = _code_and_decoder(name)
+        assert failure_counts(dec, kind, 0).counts == ((1, 0, 0),)
+        # the zero syndrome "corrected" by the logical X: the no-error
+        # shot is a logical error
+        table = dict(dec.table)
+        table[(0,) * code.m] = code.logical_x[0]
+        odd = LookupDecoder(code, table, dec.max_weight)
+        got = failure_counts(odd, kind, 0)
+        assert (got.n, got.kind, got.counts) == (code.n, kind, ((0, 1, 0),))
+        assert got.p_logical_bounds(0.0) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("kind, max_weight", [("depolarizing", 4), ("bitflip", 8)])
+    def test_working_set_is_bounded(self, kind, max_weight):
+        # one batch of words per (qubit, weight) and the lighter words
+        # kept for the next qubit: 7.0 and 18.0 MiB measured
+        _, dec = _code_and_decoder("surface5")
+        failure_counts(dec, kind, 1)  # warm up
+        tracemalloc.start()
+        try:
+            failure_counts(dec, kind, max_weight)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak
+
+
+class TestOneDecoderPass:
+    """A campaign and the failure counts check a decoder and build their
+    tables from its corrections in one pass."""
+
+    @staticmethod
+    def _calls(monkeypatch):
+        calls = {"_letter_words": 0, "_pauli_words": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(codes, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(codes, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda dec: monte_carlo(dec, NoiseModel("depolarizing", 0.05), 1000, seed=1),
+        lambda dec: failure_counts(dec, "depolarizing", 2),
+    ], ids=["monte_carlo", "failure_counts"])
+    def test_one_pass(self, monkeypatch, run):
+        _, dec = _code_and_decoder("surface3")
+        calls = self._calls(monkeypatch)
+        run(dec)
+        assert calls == {"_letter_words": 1, "_pauli_words": 1}
+
+    def test_keys_unpack_across_chunks(self, monkeypatch):
+        # the table's keys are unpacked a shard's worth at a time: chunks
+        # of 3 here
+        code, dec = _code_and_decoder("surface3")
+        monkeypatch.setattr(codes, "_SHARD_SHOTS", 3)
+        table = build_lookup(code, dec.max_weight).table
+        assert list(table.items()) == list(dec.table.items())
+        # and the check compares them chunk by chunk
+        monte_carlo(LookupDecoder(code, table, dec.max_weight),
+                    NoiseModel("bitflip", 0.1), 100, 1)
+
 
 class TestShardBookkeeping:
     """monte_carlo hands shards to its workers from one shared counter, and
