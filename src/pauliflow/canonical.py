@@ -323,30 +323,23 @@ GATE_RULES = {"h": _h, "s": _s, "sdg": _sdg, "x": _x, "y": _y, "z": _z,
 _PI8_NUM = {"t": 1, "tdg": -1}
 
 
-def gate_tableau(gc: GateCircuit) -> tuple[list[PauliRotation], list, list]:
-    """The pi/8 rotations and the final rows xs, zs of the tableau,
-    walking the gates once: each Clifford gate applies its rule, each
-    T or Tdg on qubit q reads its axis from zs[q]."""
+def canonicalize(gc: GateCircuit) -> CanonicalForm:
+    """The canonical form of `gc` in one walk of its gates: a Clifford
+    gate applies its rule and joins the trace, as its dictionary
+    expansion; a T or Tdg on qubit q reads its axis from zs[q].  Equal
+    to push_cliffords(to_rotation_circuit(gc))."""
     n = gc.n
     xs, zs = _identity_rows(n)
-    pi8: list[PauliRotation] = []
+    pi8, cliffords = [], []
     for gate in gc.gates:
         rule = GATE_RULES.get(gate.kind)
         if rule is not None:
             rule(xs, zs, *gate.qubits)
+            cliffords.append(gate)
         else:
             pi8.append(PauliRotation(PauliString(n, *zs[gate.qubits[0]]),
                                      _PI8_NUM[gate.kind], 8))
-    return pi8, xs, zs
-
-
-def canonicalize(gc: GateCircuit) -> CanonicalForm:
-    """The canonical form of `gc` by the gate rules, with the dictionary
-    expansion of its Clifford gates as the trace; equal to
-    push_cliffords(to_rotation_circuit(gc))."""
-    pi8, xs, zs = gate_tableau(gc)
-    trace = _expand([g for g in gc.gates if g.kind not in _PI8_NUM], gc.n)
-    return CanonicalForm(gc.n, tuple(pi8), trace, _tableau(gc.n, xs, zs))
+    return CanonicalForm(n, tuple(pi8), _expand(cliffords, n), _tableau(n, xs, zs))
 
 
 # -- JSON ----------------------------------------------------------------
@@ -448,17 +441,21 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
     """Inverse of canonical_to_json for either payload; ValueError names
     the first field that is malformed or disagrees with `n`.
 
-    A payload with `layers` and no `pi8` gives its layers, in order, as
-    the pi/8 list: layers only reorder commuting rotations, so the
-    product is unchanged.  They are read after the trace and the bases,
-    and `schema_version`, which must be exactly SCHEMA_VERSION, next;
-    last they must form a valid `Layering`, which in layer order can
-    fail only on an empty layer or an anticommuting pair within one.
+    A payload with both `pi8` and `layers` is refused.  One with `layers`
+    gives its layers, in order, as the pi/8 list: layers only reorder
+    commuting rotations, so the product is unchanged.  They are read
+    after the trace and the bases, and `schema_version`, which must be
+    exactly SCHEMA_VERSION, next; last they must form a valid
+    `Layering`, which in layer order can fail only on an empty layer or
+    an anticommuting pair within one.
     """
+    layered = "layers" in obj
+    if layered and "pi8" in obj:
+        raise ValueError("fields 'pi8' and 'layers' are both present: a transpile "
+                         "payload has only 'pi8', an optimize payload only 'layers'")
     n = obj["n"]
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
         raise ValueError(f"field 'n' must be an integer >= 1, got {n!r}")
-    layered = "pi8" not in obj and "layers" in obj
     pi8 = () if layered else rotations_from_json(obj["pi8"], n, "field 'pi8'")
     trace = rotations_from_json(obj["clifford_trace"], n, "field 'clifford_trace'")
     labels = obj["measurement_bases"]

@@ -187,18 +187,21 @@ def cmd_schedule(args) -> int:
     path = _setting(args, cfg_file, "catalog", os.environ.get(CATALOG_ENV))
     catalog = scheduling.load_catalog(path) if path else scheduling.default_catalog()
     demand = scheduling.Demand(args.states, args.p_raw)
-    objective = _setting(args, cfg_file, "objective", "tiles")
+    # only brute reads an objective; the others plan for tiles
+    objective = (_setting(args, cfg_file, "objective", "tiles")
+                 if args.algo == "brute" else "tiles")
+    if args.objective not in (None, objective):
+        aim = "only minimizes tiles" if args.algo == "dp" else "takes no objective"
+        raise ConfigError(
+            f"the {args.algo} planner {aim}; use --algo brute for "
+            f"the {args.objective} objective"
+        )
     seed = _setting(args, cfg_file, "seed", 0)
     if args.algo == "brute":
         sched = scheduling.brute_force(
             catalog, demand, args.max_rounds, objective, args.weight
         )
     elif args.algo == "dp":
-        if objective != "tiles":
-            raise ConfigError(
-                "the dp planner only minimizes tiles; use --algo brute for "
-                f"the {objective} objective"
-            )
         sched = scheduling.dp_schedule(catalog, demand, max_rounds=args.max_rounds)
     elif args.algo == "greedy":
         sched = scheduling.greedy_schedule(catalog, demand)

@@ -26,15 +26,17 @@ generator is "uncorrected", membership in the generator span is
 Monte Carlo campaigns run on the decoder's own code, `dec.code`, and
 sample i.i.d. per-qubit errors in fixed-size shards whose RNG streams
 derive from (seed, shard index), so counts are bit-identical regardless
-of how many workers the shards are spread across; by default there is
-one worker thread per usable CPU, and each takes the next shard from a
-shared counter and sums its own counts.  A shot is classified by one
-uint64 word, the XOR of its drawn letters' words (m + 2k <= 2n, so
-campaigns need n <= 32).  The residual a table hit leaves commutes with
-every generator; for a code that passes validate_code it is a
-logical_error iff it anticommutes with one of the 2k logical operators,
-that is iff the shot's logical parities differ from its correction's.
-A table whose corrections do not clear their keys is refused.
+of how many workers the shards are spread across; every campaign runs
+on a thread pool, by default of one thread per usable CPU.  Each takes
+the next shard from a shared counter and sums its own counts, until a
+worker's error or Ctrl-C stops them all within a shard.  A shot is
+classified by one uint64 word, the XOR of its drawn letters' words
+(m + 2k <= 2n, so campaigns need n <= 32).  The residual a table hit
+leaves commutes with every generator; for a code that passes
+validate_code it is a logical_error iff it anticommutes with one of the
+2k logical operators, that is iff the shot's logical parities differ
+from its correction's.  A table whose corrections do not clear their
+keys is refused.
 
 A shard's count * n Bernoulli(p) trials, in (shot, qubit) order, err at
 the running sums of geometric gaps, and each error then draws its
@@ -67,6 +69,7 @@ import math
 import operator
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Collection, Optional
@@ -587,8 +590,8 @@ def monte_carlo(
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
-    workers=None runs one thread per usable CPU; the pool never exceeds
-    the shard count, so a one-shard campaign runs serially.  A shard
+    workers=None runs one thread per usable CPU, at most one per shard;
+    on a worker's error or Ctrl-C, no worker starts another shard.  A shard
     draws only its errors (_sample_errors) and classifies them block by
     block, each shot that drew one by the XOR of its letters' words; the
     rest take the zero word's class, found once per shard.
@@ -604,26 +607,29 @@ def monte_carlo(
     dec_arrays = _decoder_arrays(dec)
     shards = -(-shots // _SHARD_SHOTS)
     next_shard = itertools.count()  # advances atomically, shared by the workers
+    stop = threading.Event()  # set once a worker fails or the caller stops waiting
 
     def work() -> dict[str, int]:
         # each worker sums its own shards' counts, so the bookkeeping is
         # O(workers) at any shot count
         total = dict.fromkeys(_CLASSES, 0)
-        while (idx := next(next_shard)) < shards:
-            count = min(_SHARD_SHOTS, shots - idx * _SHARD_SHOTS)
-            got = _run_shard((dec_arrays, noise, count, seed, idx))
-            for key in _CLASSES:
-                total[key] += got[key]
+        try:
+            while not stop.is_set() and (idx := next(next_shard)) < shards:
+                count = min(_SHARD_SHOTS, shots - idx * _SHARD_SHOTS)
+                got = _run_shard((dec_arrays, noise, count, seed, idx))
+                for key in _CLASSES:
+                    total[key] += got[key]
+        finally:  # a worker that fails, or finds no shard left, stops the others
+            stop.set()
         return total
 
     workers = min(_usable_cpus() if workers is None else workers, shards)
-    # serial for one worker: a pool of one raised decode-surface peak RSS 57 -> 71 MB
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
             futures = [pool.submit(work) for _ in range(workers)]
             totals = [future.result() for future in futures]
-    else:
-        totals = [work()]
+        finally:  # on a worker's error or Ctrl-C, the caller stops waiting
+            stop.set()
     counts = {key: sum(total[key] for total in totals) for key in _CLASSES}
     failures = counts[LOGICAL_ERROR] + counts[DETECTED_UNCORRECTABLE]
     return MonteCarloResult(

@@ -363,6 +363,31 @@ class TestLoadCanonical:
         assert main(["optimize", str(once), "-o", str(twice)]) == EXIT_OK
         assert twice.read_bytes() == once.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("verify", {"layers": [[{"axis": "+XX", "num": 1, "den": 8}]]}),
+         ("optimize", {"pi8": []})],
+        ids=["verify-transpile-payload", "optimize-optimize-payload"],
+    )
+    def test_pi8_and_layers_together_are_refused(self, circuit_file, tmp_path, capsys,
+                                                 command, extra):
+        # read by its pi8 alone, a transpile payload with made-up layers
+        # passed verify, and an optimize payload with an empty pi8 gave
+        # optimize final_t_depth 0 for a circuit with two T gates
+        canonical, layered = tmp_path / "canonical.json", tmp_path / "layered.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        main(["optimize", str(canonical), "-o", str(layered)])
+        path = canonical if command == "verify" else layered
+        path.write_text(json.dumps({**json.loads(path.read_text()), **extra}))
+        out = tmp_path / "out.json"
+        argv = (["verify", str(circuit_file), str(path)] if command == "verify"
+                else ["optimize", str(path), "-o", str(out)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert "error: fields 'pi8' and 'layers' are both present" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_ga_pipeline(self, circuit_file, tmp_path, capsys):
@@ -688,6 +713,42 @@ class TestSchedule:
         ])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["metrics"]["states_delivered"] >= 10000
+
+    @pytest.mark.parametrize(
+        "algo, message",
+        [("dp", "the dp planner only minimizes tiles; use --algo brute for "
+                "the latency objective"),
+         ("greedy", "the greedy planner takes no objective; use --algo brute "
+                    "for the latency objective"),
+         ("random", "the random planner takes no objective; use --algo brute "
+                    "for the latency objective")],
+        ids=["dp", "greedy", "random"],
+    )
+    def test_objective_flag_is_for_brute(self, tmp_path, capsys, algo, message):
+        out = tmp_path / "schedule.json"
+        argv = ["schedule", "--algo", algo, "-M", "4", "-o", str(out)]
+        assert main(argv + ["--objective", "latency"]) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--objective", "tiles"]) == EXIT_OK
+        assert json.loads(out.read_text())["objective"] == "tiles"
+
+    @pytest.mark.parametrize("algo", ["dp", "greedy", "random"])
+    def test_config_objective_is_for_brute(self, tmp_path, capsys, algo):
+        # one file serves every planner: dp refused it, greedy and random
+        # wrote an objective they did not plan for
+        cfg = tmp_path / "latency.cfg"
+        cfg.write_text("objective = latency\n")
+        argv = ["schedule", "--algo", algo, "-M", "4", "--config", str(cfg), "-o", "-"]
+        assert main(argv) == EXIT_OK
+        plain = json.loads(capsys.readouterr().out)
+        assert plain["objective"] == "tiles"
+        assert main(argv[:-4] + ["-o", "-"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == plain
+        assert main(["schedule", "--algo", "brute", "-M", "4", "--config", str(cfg),
+                     "-o", "-"]) == EXIT_OK
+        brute = json.loads(capsys.readouterr().out)
+        assert (brute["objective"], brute["rounds"]) == ("latency", ["20-to-4"])
 
     def test_brute_latency(self, capsys):
         code = main([

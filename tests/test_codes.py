@@ -4,7 +4,9 @@ import functools
 import itertools
 import math
 import re
+import signal
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1439,6 +1441,44 @@ class TestShardBookkeeping:
         assert sorted(seen) == [(i, codes._SHARD_SHOTS) for i in range(63)] + [(63, 5)]
         assert result.counts == self._all_success((None, None, shots))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_shard_stops_the_campaign(self, monkeypatch, rep3, workers):
+        calls, run_shard = itertools.count(1), codes._run_shard
+
+        def fails_third(args):
+            if next(calls) == 3:
+                raise RuntimeError("shard failed")
+            return run_shard(args)
+
+        monkeypatch.setattr(codes, "_run_shard", fails_third)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            monte_carlo(build_lookup(rep3, 1), NoiseModel("bitflip", 0.1),
+                        64 * codes._SHARD_SHOTS, 1, workers=workers)
+        # every other worker may have started one more shard; without a
+        # stop, the pool ran all 64 before the error reached the caller
+        assert next(calls) - 1 <= 3 + (workers - 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ctrl_c_stops_the_campaign(self, monkeypatch, rep3, workers):
+        calls, run_shard = itertools.count(1), codes._run_shard
+        main = threading.main_thread().ident
+
+        def interrupts_third(args):
+            if next(calls) == 3:  # as Ctrl-C does, while the caller waits
+                signal.pthread_kill(main, signal.SIGINT)
+            return run_shard(args)
+
+        monkeypatch.setattr(codes, "_run_shard", interrupts_third)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                monte_carlo(build_lookup(rep3, 1), NoiseModel("bitflip", 0.1),
+                            64 * codes._SHARD_SHOTS, 1, workers=workers)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        # every worker may have started one more shard
+        assert next(calls) - 1 <= 3 + workers
+
     def test_bookkeeping_is_bounded(self, monkeypatch, rep3):
         monkeypatch.setattr(codes, "_run_shard", self._all_success)
         dec, noise = build_lookup(rep3, 1), NoiseModel("bitflip", 0.1)
@@ -1473,11 +1513,11 @@ class TestDefaultWorkers:
     @pytest.mark.parametrize(
         "shots, workers, cpus, pool",
         [
-            (codes._SHARD_SHOTS, None, 4, None),  # one shard runs serially
+            (codes._SHARD_SHOTS, None, 4, 1),  # one shard, a pool of one
             (3 * codes._SHARD_SHOTS, None, 2, 2),
             (3 * codes._SHARD_SHOTS, None, 8, 3),  # capped at the shards
             (3 * codes._SHARD_SHOTS, 8, 1, 3),
-            (3 * codes._SHARD_SHOTS, 1, 4, None),
+            (3 * codes._SHARD_SHOTS, 1, 4, 1),
         ],
     )
     def test_pool_size(self, monkeypatch, rep3, shots, workers, cpus, pool):
