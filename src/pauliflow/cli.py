@@ -111,6 +111,21 @@ def _reject_unused_flags(args):
             raise ConfigError(f"{_flag(f.name)} is not used by --method {args.method}")
 
 
+# the schedule flags each planner reads, beyond -M, --p-raw and --catalog;
+# brute reads --weight only for the balanced objective
+_ALGO_FLAGS = {"max_rounds": ("brute", "dp"), "weight": ("brute",), "seed": ("random",)}
+
+
+def _reject_unused_schedule_flags(args, objective: str):
+    """A flag the chosen planner ignores is a usage error, as in optimize."""
+    for key, algos in _ALGO_FLAGS.items():
+        if getattr(args, key) is not None and args.algo not in algos:
+            raise ConfigError(f"{_flag(key)} is not used by --algo {args.algo}")
+    if args.weight is not None and objective != "balanced":
+        raise ConfigError(f"--weight is not used by --algo brute with the "
+                          f"{objective} objective")
+
+
 def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
     return layers.GAConfig(**{
         f.name: _setting(args, cfg_file, f.name, f.default) for f in _GA_KNOBS
@@ -196,13 +211,15 @@ def cmd_schedule(args) -> int:
             f"the {args.algo} planner {aim}; use --algo brute for "
             f"the {args.objective} objective"
         )
-    seed = _setting(args, cfg_file, "seed", 0)
+    _reject_unused_schedule_flags(args, objective)
+    # only random reads a seed, from the flag or the config file
+    seed = _setting(args, cfg_file, "seed", 0) if args.algo == "random" else 0
+    max_rounds = 6 if args.max_rounds is None else args.max_rounds
     if args.algo == "brute":
-        sched = scheduling.brute_force(
-            catalog, demand, args.max_rounds, objective, args.weight
-        )
+        weight = 0.5 if args.weight is None else args.weight
+        sched = scheduling.brute_force(catalog, demand, max_rounds, objective, weight)
     elif args.algo == "dp":
-        sched = scheduling.dp_schedule(catalog, demand, max_rounds=args.max_rounds)
+        sched = scheduling.dp_schedule(catalog, demand, max_rounds=max_rounds)
     elif args.algo == "greedy":
         sched = scheduling.greedy_schedule(catalog, demand)
     else:
@@ -274,7 +291,9 @@ def cmd_decode(args) -> int:
         raise ConfigError("decode requires --noise and --p")
     max_weight = (resources.correctable_weight(code.distance)
                   if args.max_weight is None else args.max_weight)
-    noise = codes.NoiseModel(args.noise, args.p)  # refuse --p before the table
+    # refuse --p, --shots, --seed and --workers before the table
+    noise = codes.NoiseModel(args.noise, args.p)
+    codes._check_campaign(args.shots, args.seed, args.workers)
     dec = codes.build_lookup(code, max_weight)
     result = codes.monte_carlo(dec, noise, args.shots, args.seed, args.workers)
     payload = result.to_json()
@@ -341,11 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="magic states required")
     p.add_argument("--p-raw", dest="p_raw", type=float, default=0.0)
     p.add_argument("--objective", choices=scheduling.OBJECTIVES)
-    p.add_argument("--weight", type=float, default=0.5,
-                   help="tile weight for the balanced objective")
-    p.add_argument("-L", "--max-rounds", dest="max_rounds", type=int, default=6)
+    p.add_argument("--weight", type=float,
+                   help="tile weight for brute's balanced objective (default 0.5)")
+    p.add_argument("-L", "--max-rounds", dest="max_rounds", type=int,
+                   help="round bound for brute and dp (default 6)")
     p.add_argument("--catalog", help=f"protocol file (or ${CATALOG_ENV})")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed for random (default 0)")
     p.add_argument("--config")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_schedule)

@@ -15,8 +15,9 @@ letters' words (Aaronson & Gottesman, quant-ph/0406196).
 The lookup decoder enumerates Pauli errors by increasing weight (within
 a weight class: qubit subsets in index order, letters in X < Y < Z
 product order), XORing letter words, and keeps the first error seen per
-syndrome, giving a deterministic minimum-weight coset representative; a
-PauliString is built only for the errors it keeps, at any n.  The error
+syndrome, giving a deterministic minimum-weight coset representative.
+It keeps each as one integer, its word and its x and z bits, and builds
+a PauliString for each when the table is first read, at any n.  The error
 count, a sum of at most n + 1 terms, is checked against
 LOOKUP_GUARD_ERRORS before the letter words are built.  Residuals are
 classified symplectically, phases ignored: anticommuting with any
@@ -59,7 +60,8 @@ part is exact and whose rest is bounded by the binomial tail (Bravyi &
 Vargo, arXiv:1308.6270).  An error's word is its lowest qubit's letter
 word XOR a word one weight lighter on the qubits above, so no support
 is built in Python.  Both check the decoder and pack its table in one
-pass (_decoder_arrays).
+pass (_decoder_arrays), or read the kept words of a decoder that
+build_lookup made and nothing has touched (see LookupDecoder).
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ from .pauli import (
 )
 
 LOOKUP_GUARD_M = 24
-LOOKUP_GUARD_ERRORS = 1 << 22  # surface5 weight 4 (1 089 526): 175 MiB table, ~2 s
+# surface5 weight 4 (1 089 526): 0.4 s to keep 45 MiB of integers; the
+# tuple-keyed table, if read, is 175 MiB and 1.3 s more
+LOOKUP_GUARD_ERRORS = 1 << 22
 MONTE_CARLO_MAX_N = 32  # m + 2k <= 2n bits per uint64 shot word
 _SHARD_SHOTS = 65536
 # a shard is drawn and classified in blocks of about this many errors
@@ -267,9 +271,36 @@ def syndrome(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
 
 @dataclass
 class LookupDecoder:
+    """Syndrome keys (tuples of m bits) and their corrections for `code`.
+
+    build_lookup's decoder keeps its errors as integers and builds `table`
+    from them when it is first read.  Campaigns read those integers until
+    `table` is read or assigned (the dict may then be edited), and only
+    while `code` is the code they were built for; otherwise they check
+    and pack `table` as they do a hand-built one."""
+
     code: StabilizerCode
     table: dict[tuple[int, ...], PauliString]
     max_weight: int
+
+
+def _read_table(dec: LookupDecoder) -> dict[tuple[int, ...], PauliString]:
+    if dec._kept is not None:  # build_lookup's (code, letter words, {syndrome: error})
+        code, _, first = dec._kept
+        n, shift, qubits = code.n, code.m + 2 * code.k, (1 << code.n) - 1
+        fixes = (PauliString(n, e >> shift & qubits, e >> (shift + n)) for e in first.values())
+        dec._table = dict(zip(_syndrome_keys(first, len(first), code.m), fixes))
+        dec._kept = None
+    return dec._table
+
+
+def _write_table(dec: LookupDecoder, table: dict[tuple[int, ...], PauliString]) -> None:
+    dec._table, dec._kept = table, None
+
+
+# a property, so that reading or assigning the table ends the use of
+# build_lookup's integers; dataclass's __init__, __repr__ and __eq__ use it
+LookupDecoder.table = property(_read_table, _write_table)
 
 
 def _letter_words(code: StabilizerCode) -> list[int]:
@@ -326,11 +357,12 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
     if failures:
         raise ValueError(f"invalid code: {failures[0]}")
     n, m = code.n, code.m
-    # an error is one int: syndrome in bits 0..m-1, x bits from bit m, z
-    # bits from bit m + n; letters on distinct qubits set disjoint bits,
-    # so XOR multiplies errors (phases ignored)
-    syn, words = (1 << m) - 1, _letter_words(code)
-    letters = [[words[3 * q + l] & syn | xb << (m + q) | zb << (m + n + q)
+    # an error is one int: its letter word (m syndrome bits, then 2k
+    # logical parities), x bits from bit m + 2k, z bits n above them;
+    # letters on distinct qubits set disjoint bits, so XOR multiplies
+    # errors (phases ignored)
+    syn, shift, words = (1 << m) - 1, m + 2 * code.k, _letter_words(code)
+    letters = [[words[3 * q + l] | xb << (shift + q) | zb << (shift + n + q)
                 for l, (xb, zb) in enumerate(((1, 0), (1, 1), (0, 1)))]
                for q in range(n)]
     first = {0: 0}
@@ -342,10 +374,9 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
                 errors = [e ^ letter for e in errors for letter in letters[q]]
             for e in errors:
                 first.setdefault(e & syn, e)
-    qubits = (1 << n) - 1
-    fixes = (PauliString(n, e >> m & qubits, e >> (m + n)) for e in first.values())
-    table = dict(zip(_syndrome_keys(first, len(first), m), fixes))
-    return LookupDecoder(code=code, table=table, max_weight=max_weight)
+    dec = LookupDecoder(code=code, table=None, max_weight=max_weight)
+    dec._kept = (code, words, first)  # `table` is built from these when read
+    return dec
 
 
 def decode(dec: LookupDecoder, s: tuple[int, ...]) -> Optional[PauliString]:
@@ -465,7 +496,8 @@ def _decoder_arrays(dec: LookupDecoder):
     correction an n-qubit PauliString whose syndrome is its key;
     otherwise ValueError names the first failure, the limit, or the
     first entry whose key or correction is malformed, else the first
-    whose correction does not clear its key."""
+    whose correction does not clear its key.  The code checks come first
+    even for build_lookup's kept words, which need no table check."""
     code = dec.code
     n, m = code.n, code.m
     if n > MONTE_CARLO_MAX_N:
@@ -476,16 +508,22 @@ def _decoder_arrays(dec: LookupDecoder):
     report = validate_code(code)
     if not report.ok:
         raise ValueError(f"invalid code: {report.failures[0]}")
-    if not dec.table:
-        raise ValueError("decoder table is empty")
-    corrections = list(dec.table.values())
-    if not (all(map(isinstance, corrections, itertools.repeat(PauliString)))
-            and set(map(operator.attrgetter("n"), corrections)) == {n}):
-        raise ValueError(_first_bad_entry(code, dec.table.items()))
-    word = _letter_words(code)
-    acc = _pauli_words(word, n, corrections)
+    built = dec._kept is not None and dec._kept[0] is code
+    if built:  # build_lookup's errors, each its word in the low m + 2k bits
+        _, word, first = dec._kept
+        acc = np.fromiter(map(((1 << (m + 2 * code.k)) - 1).__and__, first.values()),
+                          np.uint64, len(first))
+    else:
+        if not dec.table:
+            raise ValueError("decoder table is empty")
+        corrections = list(dec.table.values())
+        if not (all(map(isinstance, corrections, itertools.repeat(PauliString)))
+                and set(map(operator.attrgetter("n"), corrections)) == {n}):
+            raise ValueError(_first_bad_entry(code, dec.table.items()))
+        word = _letter_words(code)
+        acc = _pauli_words(word, n, corrections)
     synd = acc & np.uint64((1 << m) - 1)
-    if not all(map(operator.eq, dec.table, _syndrome_keys(synd, len(synd), m))):
+    if not built and not all(map(operator.eq, dec.table, _syndrome_keys(synd, len(synd), m))):
         wants = _syndrome_keys(synd, len(synd), m)
         raise ValueError(_first_bad_entry(code, dec.table.items(), wants))
     order = np.argsort(synd)
@@ -572,6 +610,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _check_campaign(shots: int, seed: int, workers: Optional[int]) -> None:
+    """ValueError unless shots >= 1, seed >= 0 and workers is None or >= 1."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def monte_carlo(
     dec: LookupDecoder,
     noise: NoiseModel,
@@ -586,7 +634,7 @@ def monte_carlo(
     non-empty table of m-bit keys, each corrected by an n-qubit Pauli
     with that syndrome; otherwise ValueError names the first failure.
     The check and the campaign's tables come from one pass over the
-    corrections (_decoder_arrays).
+    corrections, or from build_lookup's kept integers (_decoder_arrays).
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.
@@ -598,12 +646,7 @@ def monte_carlo(
     Each worker takes shards from one shared counter and sums its own
     counts, so no per-shard state is kept.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_campaign(shots, seed, workers)
     dec_arrays = _decoder_arrays(dec)
     shards = -(-shots // _SHARD_SHOTS)
     next_shard = itertools.count()  # advances atomically, shared by the workers

@@ -750,6 +750,50 @@ class TestSchedule:
         brute = json.loads(capsys.readouterr().out)
         assert (brute["objective"], brute["rounds"]) == ("latency", ["20-to-4"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--algo", "greedy", "-L", "1"], "--max-rounds is not used by --algo greedy"),
+        (["--algo", "random", "-L", "1"], "--max-rounds is not used by --algo random"),
+        (["--algo", "dp", "--weight", "7"], "--weight is not used by --algo dp"),
+        (["--algo", "greedy", "--weight", "7"], "--weight is not used by --algo greedy"),
+        (["--algo", "random", "--weight", "7"], "--weight is not used by --algo random"),
+        (["--algo", "brute", "--weight", "7"],
+         "--weight is not used by --algo brute with the tiles objective"),
+        (["--algo", "brute", "--objective", "latency", "--weight", "0.2"],
+         "--weight is not used by --algo brute with the latency objective"),
+        (["--algo", "dp", "--seed", "3"], "--seed is not used by --algo dp"),
+        (["--algo", "greedy", "--seed", "3"], "--seed is not used by --algo greedy"),
+        (["--algo", "brute", "--seed", "3"], "--seed is not used by --algo brute"),
+    ], ids=["L-greedy", "L-random", "weight-dp", "weight-greedy", "weight-random",
+            "weight-brute-tiles", "weight-brute-latency", "seed-dp", "seed-greedy",
+            "seed-brute"])
+    def test_flag_the_planner_ignores(self, tmp_path, capsys, argv, message):
+        # each exited 0 and wrote a plan that the flag had no part in
+        out = tmp_path / "schedule.json"
+        assert main(["schedule", "-M", "4", *argv, "-o", str(out)]) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["--algo", "dp", "-L", "1"], "rounds", ["20-to-4"]),
+        (["--algo", "brute", "-L", "1"], "rounds", ["20-to-4"]),
+        (["--algo", "random", "--seed", "3"], "seed", 3),
+        (["--algo", "brute", "--objective", "balanced", "--weight", "0"], "rounds",
+         ["20-to-4"]),
+    ])
+    def test_flags_the_planner_reads(self, capsys, argv, key, value):
+        assert main(["schedule", "-M", "4", *argv, "-o", "-"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[key] == value
+
+    def test_config_seed_is_for_random(self, tmp_path, capsys):
+        # one file serves every planner: dp, greedy and brute wrote a seed
+        # they did not read
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 3\n")
+        for algo, seed in (("random", 3), ("dp", 0), ("greedy", 0), ("brute", 0)):
+            argv = ["schedule", "--algo", algo, "-M", "4", "--config", str(cfg), "-o", "-"]
+            assert main(argv) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["seed"] == seed, algo
+
     def test_brute_latency(self, capsys):
         code = main([
             "schedule", "--algo", "brute", "-M", "4",
@@ -948,6 +992,24 @@ class TestDecode:
         ])
         assert code == EXIT_USAGE
         assert "error probability must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--shots", "0", "shots must be >= 1"),
+        ("--seed", "-1", "seed must be non-negative"),
+        ("--workers", "0", "workers must be >= 1"),
+    ])
+    def test_campaign_arguments_checked_before_the_table(self, capsys, monkeypatch,
+                                                         flag, value, message):
+        def reached(code, max_weight):
+            raise AssertionError(f"the lookup table was built before {flag} was checked")
+
+        monkeypatch.setattr(codes, "build_lookup", reached)
+        code = main([
+            "decode", "--code", "surface5", "--noise", "depolarizing",
+            "--p", "0.01", "--max-weight", "3", flag, value,
+        ])
+        assert code == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_dump_code(self, capsys):
         assert main(["decode", "--code", "rep3", "--dump-code", "-"]) == EXIT_OK

@@ -374,6 +374,7 @@ class TestBuildLookup:
         tracemalloc.start()
         try:
             dec = build_lookup(code, 3)
+            dec.table  # built from the kept integers when first read
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -737,6 +738,75 @@ class TestMalformedTable:
         assert got_keys.tolist() == keys[order].tolist()
         assert got_fix.tolist() == fix[order].tolist()
         assert word.tolist() == codes._letter_words(code)
+
+
+class TestBuiltDecoderWords:
+    """A campaign reads build_lookup's kept words while they describe the
+    decoder, and checks its table as a hand-built one once it may not."""
+
+    @staticmethod
+    def _refuse(dec):
+        return monte_carlo(dec, NoiseModel("bitflip", 0.1), 100, seed=1)
+
+    @pytest.mark.parametrize("name, max_weight", [
+        *((name, w) for name in ("rep3", "rep5", "surface3", "surface5") for w in range(4)),
+        ("one", 0), ("one", 1)])
+    def test_arrays_match_the_checked_table(self, monkeypatch, name, max_weight):
+        x, z = PauliString.from_label("X"), PauliString.from_label("Z")
+        code = (StabilizerCode(1, 1, (), (x,), (z,), 1) if name == "one"
+                else _BUILDERS[name][0]())
+        dec = build_lookup(code, max_weight)
+        with monkeypatch.context() as patch:
+            for attr in ("_pauli_words", "_syndrome_keys"):
+                patch.setattr(codes, attr, None)  # the kept words need neither
+            got = codes._decoder_arrays(dec)
+        checked = codes._decoder_arrays(LookupDecoder(code, dict(dec.table), max_weight))
+        assert got[:2] == checked[:2]
+        for have, want in zip(got[2:], checked[2:]):
+            assert have.dtype == want.dtype and have.tolist() == want.tolist()
+
+    def test_campaigns_need_no_table(self, monkeypatch):
+        code, dec = _code_and_decoder("surface5")
+        noise = NoiseModel("depolarizing", 0.01)
+        want = (monte_carlo(LookupDecoder(code, dict(dec.table), 2), noise, 70_000, 3),
+                failure_counts(LookupDecoder(code, dict(dec.table), 2), "depolarizing", 3))
+
+        def reached(*args):
+            raise AssertionError("the table was checked")
+
+        monkeypatch.setattr(codes, "_pauli_words", reached)
+        monkeypatch.setattr(codes, "_syndrome_keys", reached)
+        fresh = build_lookup(code, 2)
+        assert monte_carlo(fresh, noise, 70_000, 3) == want[0]
+        assert failure_counts(fresh, "depolarizing", 3) == want[1]
+
+    def test_table_edited_in_place(self, rep3):
+        dec = build_lookup(rep3, 1)
+        dec.table[(1, 0)], dec.table[(0, 1)] = dec.table[(0, 1)], dec.table[(1, 0)]
+        with pytest.raises(ValueError, match=r"correction \+IIX for key \(1, 0\) has "
+                           r"syndrome \(0, 1\), so it does not clear its key"):
+            self._refuse(dec)
+
+    def test_table_assigned(self, rep3):
+        dec = build_lookup(rep3, 1)
+        dec.table = {(1, 0): PauliString.identity(3)}
+        with pytest.raises(ValueError, match=r"key \(1, 0\) has syndrome \(0, 0\)"):
+            self._refuse(dec)
+        assert len(build_lookup(rep3, 1).table) == 4  # assignment left build_lookup alone
+
+    def test_code_replaced(self, rep3):
+        dec = build_lookup(rep3, 1)
+        dec.code = repetition_code(5)
+        with pytest.raises(ValueError, match=r"decoder table key \(0, 0\) is not a "
+                           r"4-bit syndrome"):
+            self._refuse(dec)
+        # the table is still the one built for rep3
+        assert dec.table == LookupDecoder(rep3, build_lookup(rep3, 1).table, 1).table
+
+    def test_decoder_reads_as_built(self, rep3):
+        dec = build_lookup(rep3, 1)
+        assert dec == LookupDecoder(rep3, dict(build_lookup(rep3, 1).table), 1)
+        assert repr(dec) == repr(LookupDecoder(rep3, dict(dec.table), 1))
 
 
 _BUILDERS = {
