@@ -18,12 +18,18 @@ monomial (a = 0: X, Y, CNOT and every pi/2 rotation, which is exactly
 an X bit, whose a is real).
 
 A build holds its matrix as m[k] = e[k] u[src[k]]: a dense u under a
-pending monomial, a phase vector e and a row permutation src.  Diagonal
-and monomial factors update only e and src, in O(2^n); a mixing factor
-rewrites u in place under the same frame, in O(4^n); the frame is
-applied to u once, at the end.  A build of G factors of which M mix
-therefore costs O(M 4^n + G 2^n), against O(G 4^n) for a dense pass
-per factor and O(G 8^n) for matrix products.
+pending monomial, a phase vector e and a row permutation src.  First,
+each run of consecutive factors whose permutation is the XOR by one
+mask (diagonal factors join any run) is multiplied out into one factor,
+in O(2^n) a factor.  Diagonal and monomial factors update only e and
+src, in O(2^n), and so does a run whose product has at most one nonzero
+entry per row (a cnot's three rotations, H H, or H T H with the T on
+another qubit).  A run that mixes rewrites u in place under the same
+frame, in O(4^n); the frame is applied to u once, at the end.  A build
+of G factors in R runs that mix therefore costs O(R 4^n + G 2^n),
+against O(G 4^n) for a dense pass per factor and O(G 8^n) for matrix
+products (the cost model of Burgholzer and Wille, arXiv:2004.08420:
+the dense passes, not the gates, set the cost).
 
 `verify_canonical_form` builds the circuit unitary U, the pi/8 product
 W and the trace unitary V once each, so one verification makes a single
@@ -43,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from .pauli import PauliString
 
 MAX_ORACLE_QUBITS = 10
 DEFAULT_TOL = 1e-9
+_ROOT_HALF = math.sqrt(0.5)
 
 _GATE_1Q = {
     "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
@@ -62,6 +70,10 @@ _GATE_1Q = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.diag([1, -1]).astype(complex),
+}
+# each one-qubit gate's diagonal and off-diagonal, row by row
+_GATE_ROWS = {
+    kind: (g.diagonal(), np.fliplr(g).diagonal()) for kind, g in _GATE_1Q.items()
 }
 
 
@@ -79,70 +91,169 @@ def _check_tol(tol: float):
 
 @lru_cache(maxsize=None)
 def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices 0..2^n-1 and their popcount parities (cached, read-only)."""
-    parity = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        parity = np.concatenate([parity, parity ^ 1])
+    """Basis indices 0..2^n-1, and at each per-qubit bit vector its
+    basis-index mask, qubit q being index bit n-1-q (cached, read-only)."""
     idx = np.arange(1 << n)
-    idx.flags.writeable = parity.flags.writeable = False
-    return idx, parity
+    masks = np.zeros_like(idx)
+    for q in range(n):
+        masks |= (idx >> q & 1) << (n - 1 - q)
+    idx.flags.writeable = masks.flags.writeable = False
+    return idx, masks
 
 
-def _index_mask(bits: int, n: int) -> int:
-    """Basis-index mask of a per-qubit bit vector (qubit q is bit n-1-q)."""
-    return int(f"{bits:0{n}b}"[::-1], 2)
+def _signs(cols: np.ndarray) -> np.ndarray:
+    """(-1)^|c| for each c of cols, as int8, in place of the popcounts
+    (uint8 would wrap at 1 - 2)."""
+    signs = np.bitwise_count(cols).view(np.int8)
+    signs &= 1
+    signs *= -2
+    signs += 1
+    return signs
+
+
+def _coefficient(p: PauliString) -> complex:
+    """d[k] / (-1)^|k & zm| for P = sum_k d[k] |k ^ xm><k|."""
+    return 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
 
 
 def _pauli_columns(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """(perm, d) with P = sum_k d[k] |perm[k]><k|; perm is an involution."""
-    idx, parity = _basis(p.n)
-    zm = _index_mask(p.z, p.n)
-    coefficient = 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
-    d = coefficient * (1 - 2 * parity[idx & zm])
-    return idx ^ _index_mask(p.x, p.n), d
+    idx, masks = _basis(p.n)
+    return idx ^ masks[p.x], _coefficient(p) * _signs(idx & masks[p.z])
+
+
+# A factor (a, b, p) acts on rows as (F m)[k] = a[k] m[k] + b[k] m[p[k]].
+# p is an int m for the permutation k -> k ^ m (0 with b None: a diagonal
+# factor), or an index array for any other permutation (the cnot).  An a
+# of None is zero, and a float the same on every row.
 
 
 def _gate_factor(gate: Gate, n: int):
-    """The (a, b, p) factor of one gate of an n-qubit circuit.
-
-    A diagonal factor is (a, None, None), a monomial one (None, b, p) and
-    a mixing one (a, b, p) with a real.
-    """
+    """The factor of one gate of an n-qubit circuit."""
     idx, _ = _basis(n)
     if gate.kind in _GATE_1Q:
         shift = n - 1 - gate.qubits[0]
-        g, bit = _GATE_1Q[gate.kind], idx >> shift & 1
-        a, b = g[bit, bit], g[bit, bit ^ 1]
-        if not b.any():
-            return a, None, None
-        p = idx ^ (1 << shift)
-        if not a.any():
-            return None, b, p
-        return a.real, b, p  # only h mixes, and its diagonal is +-1/sqrt(2)
+        (diagonal, off), bit = _GATE_ROWS[gate.kind], idx >> shift & 1
+        a, b = diagonal[bit], off[bit]
+        if not off.any():
+            return a, None, 0
+        if not diagonal.any():
+            return None, b, 1 << shift
+        return a.real, b, 1 << shift  # only h mixes, and its diagonal is +-1/sqrt(2)
     hi, lo = (n - 1 - q for q in gate.qubits)
     if gate.kind == "cnot":
         return None, np.ones(idx.size, dtype=complex), idx ^ ((idx >> hi & 1) << lo)
     if gate.kind == "cz":
-        return 1 - 2 * (idx >> hi & idx >> lo & 1), None, None
+        return 1 - 2 * (idx >> hi & idx >> lo & 1), None, 0
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _rotation_factor(rot: PauliRotation):
-    """The (a, b, p) factor of exp(-i*phi*P) = cos(phi) - i sin(phi) P."""
-    perm, d = _pauli_columns(rot.axis)
+def _cos_sin(rot: PauliRotation) -> tuple[float, float]:
+    """cos(phi) and sin(phi) of the rotation exp(-i*phi*P)."""
     if rot.den == 2:
         # exactly -i*num*P: cos(pi/2) rounds to 6e-17, not 0, and a run of
         # such terms would shrink into subnormals, which are slow
-        c, s = 0.0, float(rot.num)
-    else:
-        phi = rot.num * math.pi / rot.den
-        c, s = math.cos(phi), math.sin(phi)
-    b = -1j * s * d[perm]
-    if not rot.axis.x:  # perm is the identity
-        return c + b, None, None
-    if rot.den == 2:
-        return None, b, perm
-    return np.full(perm.size, c), b, perm
+        return 0.0, float(rot.num)
+    phi = rot.num * math.pi / rot.den
+    if rot.den == 4:
+        # one value for both: cos(pi/4) and sin(pi/4) differ in the last
+        # bit, and a cnot's three rotations would then leave 2e-16 where
+        # their product has a zero
+        return math.copysign(_ROOT_HALF, math.cos(phi)), math.copysign(
+            _ROOT_HALF, math.sin(phi))
+    return math.cos(phi), math.sin(phi)
+
+
+def _rotation_factors(rotations, n: int) -> list:
+    """The factors of exp(-i*phi*P) = cos(phi) - i sin(phi) P for each of
+    the rotations, built in one K x 2^n pass: b[k] = -i sin(phi) d[k ^ xm]."""
+    idx, masks = _basis(n)
+    xm = masks[[rot.axis.x for rot in rotations]]
+    zm = masks[[rot.axis.z for rot in rotations]]
+    cos_sin = [_cos_sin(rot) for rot in rotations]
+    weights = np.array([-1j * s * _coefficient(rot.axis)
+                        for rot, (_, s) in zip(rotations, cos_sin)])
+    # (k ^ xm) & zm for each rotation and basis index k, in 16 bits (n <= 10)
+    cols = idx.astype(np.uint16) ^ xm.astype(np.uint16)[:, None]
+    cols &= zm.astype(np.uint16)[:, None]
+    signs = _signs(cols)
+    del cols
+    b = weights[:, None] * signs
+    factors = []
+    for rot, row, (c, _), mask in zip(rotations, b, cos_sin, xm.tolist()):
+        if not mask:  # a Z-only axis: P is diagonal, and so is c + b
+            row += c
+            factors.append((row, None, 0))
+        else:
+            factors.append((None if rot.den == 2 else c, row, mask))
+    return factors
+
+
+def _then(a1, b1, a2, b2, p):
+    """The product of (a2, b2, p) after (a1, b1, p), p an involution; b1
+    and b2 are arrays, a1 and a2 may be None or a float (see the factors)."""
+    a = b2 * b1[p]
+    if a1 is None:
+        return a, (np.zeros_like(a) if a2 is None else a2 * b1)
+    b = b2 * (a1 if np.ndim(a1) == 0 else a1[p])
+    if a2 is not None:
+        a += a2 * a1
+        b += a2 * b1
+    return a, b
+
+
+def _settled(a, b, p, idx):
+    """A run's product (a, b, p) as factors of the kinds `_fold` takes.
+
+    With at most one nonzero entry in each row it is a monomial; the test
+    is exact, so what rounding leaves of a cancelled entry still mixes.
+    Otherwise it mixes, and a complex a's phase w comes out as a diagonal
+    factor after (|a|, b conj(w), p): `_mix` scales rows by a real a.
+    """
+    if a is None:
+        return [(None, b, p)]
+    keep = a != 0
+    if not (keep & (b != 0)).any():
+        return [(None, np.where(keep, a, b), np.where(keep, idx, p))]
+    if np.ndim(a) == 0:
+        return [(np.full(b.shape, a), b, p)]
+    if not np.iscomplexobj(a):
+        return [(a, b, p)]
+    r = np.abs(a)
+    w = np.divide(a, r, out=np.ones_like(a), where=keep)
+    return [(r, b * w.conj(), p), (w, None, None)]
+
+
+def _runs(factors, idx):
+    """The factors, each run of them multiplied out first.
+
+    Consecutive factors that permute rows by one XOR mask form a run, and
+    diagonal factors join any run.  For p an involution, (a2, b2, p) after
+    (a1, b1, p) is (a2 a1 + b2 b1[p], a2 b1 + b2 a1[p], p): a run costs
+    O(2^n) a factor, and makes at most one O(4^n) pass however long it
+    is.  A factor with another permutation (the cnot) ends the run and
+    comes out as it is, as does a diagonal factor that finds no run open.
+    """
+    a = b = None
+    mask = 0  # of the open run; 0 while none is open
+    for fa, fb, fp in factors:
+        if fb is None:
+            if not mask:
+                yield fa, None, None
+                continue
+            a, b = None if a is None else fa * a, fa * b
+        elif isinstance(fp, int) and fp == mask:
+            a, b = _then(a, b, fa, fb, idx ^ mask)
+        else:
+            if mask:
+                yield from _settled(a, b, idx ^ mask, idx)
+            if isinstance(fp, int):
+                a, b, mask = fa, fb, fp
+            else:
+                mask = 0
+                yield fa, fb, fp
+    if mask:
+        yield from _settled(a, b, idx ^ mask, idx)
 
 
 def _mix(u: np.ndarray, buf: np.ndarray, a: np.ndarray, c: np.ndarray, g: np.ndarray):
@@ -155,17 +266,18 @@ def _mix(u: np.ndarray, buf: np.ndarray, a: np.ndarray, c: np.ndarray, g: np.nda
 
 
 def _fold(factors, n: int) -> np.ndarray:
-    """Product of (a, b, p) factors in time order (later factors on the left).
+    """Product of factors in time order (later factors on the left).
 
-    The product is held as m = e[:, None] * u[src]; only mixing factors
-    touch u.  With k = inv[j] the frame row that reads u row j, a mixing
-    factor needs u'[j] = a[k] u[j] + b[k] e[p[k]] conj(e[k]) u[src[p[k]]].
+    The product is held as m = e[:, None] * u[src]; only the runs of
+    factors that mix touch u (see `_runs`).  With k = inv[j] the frame row
+    that reads u row j, a mixing factor needs
+    u'[j] = a[k] u[j] + b[k] e[p[k]] conj(e[k]) u[src[p[k]]].
     """
     dim = 1 << n
     idx, _ = _basis(n)
     e, src, inv = np.ones(dim, dtype=complex), idx, np.empty_like(idx)
     u, buf = np.eye(dim, dtype=complex), np.empty((dim, dim), dtype=complex)
-    for a, b, p in factors:
+    for a, b, p in _runs(factors, idx):
         if b is None:
             e *= a
         elif a is None:
@@ -185,45 +297,58 @@ def _fold(factors, n: int) -> np.ndarray:
     return buf
 
 
-# A build keeps the factors of at most this many rows' worth of distinct
-# items: 512 factors at n = 7, 64 at n = 10, and at most 32 bytes a row, so
-# 2 MiB.  A long list of distinct rotations, such as a deep circuit's pi/8
-# list, then cannot make a build's memory grow with its length.  Items do
-# repeat: in the 48 seeded n = 7, 100-gate circuits of bench's verify-small
-# (seeds 1-3), 37-38% of gates, 57-58% of Clifford-trace rotations and
-# 23-28% of pi/8 rotations repeat an earlier item, and verify_canonical_form
-# took a median of 7.6 ms a call with the memo and 8.7 ms without it (12
-# alternating runs over all 48, 2-core host).
+# A build holds the factors of at most this many rows' worth of distinct
+# items, at most 24 bytes a row (a rotation about an axis with an X bit
+# keeps only b, its a being one float), so 1.5 MiB.  It takes its items in
+# segments of at most half that many rows' worth of distinct items, 256 at
+# n = 7 and 32 at n = 10, builds each segment's in one batch and drops
+# them once the segment is used; while the next segment is built, a run
+# left open on the last factor still holds the one before.  So a long list
+# of distinct rotations, such as a deep circuit's pi/8 list, cannot make a
+# build's memory grow with its length.  Items do repeat, and each distinct
+# item of a segment is built once: in the 48 seeded n = 7, 100-gate
+# circuits of bench's verify-small (seeds 1-3), 37-38% of gates, 57-58% of
+# Clifford-trace rotations and 23-28% of pi/8 rotations repeat an earlier
+# item, and every build there is one segment.
 _MEMO_ROWS = 1 << 16
 
 
 def _memoized(build, items, n: int):
-    """build(item) for each item; the first distinct items, up to the row
-    budget, are built once and kept, any later new item each time it comes."""
-    memo, room = {}, _MEMO_ROWS >> n
-    for item in items:
-        factor = memo.get(item)
-        if factor is None:
-            factor = build(item)
-            if len(memo) < room:
-                memo[item] = factor
-        yield factor
+    """The factor of each item in order, from build(distinct items)."""
+    items, room, start = tuple(items), _MEMO_ROWS >> (n + 1), 0
+    while start < len(items):
+        slot, order = {}, []
+        for item in islice(items, start, None):
+            i = slot.get(item)
+            if i is None:
+                if len(slot) == room:
+                    break
+                i = slot[item] = len(slot)
+            order.append(i)
+        factors = build(list(slot))
+        yield from map(factors.__getitem__, order)
+        del factors  # before the next segment's are built
+        start += len(order)
 
 
 def unitary_of_gates(gc: GateCircuit) -> np.ndarray:
     """Product of gate matrices in time order (later gates on the left)."""
     _check_size(gc.n)
-    return _fold(_memoized(lambda g: _gate_factor(g, gc.n), gc.gates, gc.n), gc.n)
+
+    def build(gates):
+        return [_gate_factor(g, gc.n) for g in gates]
+
+    return _fold(_memoized(build, gc.gates, gc.n), gc.n)
 
 
 def unitary_of_rotations(rotations, n: int) -> np.ndarray:
     """Ordered product of rotation matrices (time order, later on the left)."""
     _check_size(n)
 
-    def build(rot):
-        if rot.axis.n != n:
+    def build(batch):
+        if any(rot.axis.n != n for rot in batch):
             raise ValueError("rotation axis length does not match n")
-        return _rotation_factor(rot)
+        return _rotation_factors(batch, n)
 
     return _fold(_memoized(build, rotations, n), n)
 

@@ -1,6 +1,8 @@
 """Dense-matrix oracle: unitarity, phase-invariant equivalence, negative controls."""
 
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pauliflow import oracle
 from pauliflow.canonical import CanonicalForm, CliffordTableau, canonicalize
-from pauliflow.circuits import Gate, GateCircuit, PauliRotation
+from pauliflow.circuits import Gate, GateCircuit, PauliRotation, gate_to_rotations
 from pauliflow.oracle import (
     equivalent_up_to_phase,
     unitary_of_gates,
@@ -319,6 +321,91 @@ def h_between_runs(draw, max_qubits=6):
     return GateCircuit(n, tuple(gates))
 
 
+@st.composite
+def same_mask_runs(draw, max_qubits=5):
+    """Blocks of rotations that share one X mask, with Z-only rotations
+    on other qubits inside them: pi/4 pairs whose product is a
+    permutation, H H, and pi/8 runs whose product is a monomial only up
+    to rounding, or is near one."""
+    n = draw(st.integers(1, max_qubits))
+    top = (1 << n) - 1
+    num = st.sampled_from([1, -1, 3, -3])
+
+    def rotation(x, z, num, den):
+        return PauliRotation(PauliString(n, x, z), num, den)
+
+    def with_diagonals(block, x):
+        # Z-only rotations off the mask's qubits, between the block's rotations
+        out = []
+        for rot in block:
+            out.append(rot)
+            z = draw(st.integers(0, top)) & ~x
+            if z and draw(st.booleans()):
+                out.append(rotation(0, z, draw(num), draw(st.sampled_from([4, 8]))))
+        return out
+
+    seq = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, z = draw(st.integers(1, top)), draw(st.integers(0, top))
+        kind = draw(st.sampled_from(["pi/4 pair", "h h", "pi/8"]))
+        if kind == "pi/4 pair":
+            # about P and then P D, D diagonal and commuting with P: the
+            # product is 1 where D is 1 and -iP where D is -1
+            d = draw(st.integers(0, top))
+            if (d & x).bit_count() % 2:
+                d ^= x & -x
+            sign = draw(st.sampled_from([1, -1]))
+            block = [rotation(x, z, sign, 4), rotation(x, z ^ d, -sign, 4)]
+        elif kind == "h h":
+            x &= -x  # one qubit
+            h = [rotation(0, x, 1, 4), rotation(x, 0, 1, 4), rotation(0, x, 1, 4)]
+            block = h + h
+        else:
+            axes = st.sampled_from([z, draw(st.integers(0, top))])
+            block = [rotation(x, draw(axes), draw(st.sampled_from([1, -1])), 8)
+                     for _ in range(draw(st.integers(2, 6)))]
+        seq += with_diagonals(block, x)
+    return n, seq
+
+
+def split_runs(items, mask):
+    """Items in the runs the fold multiplies out: consecutive items of one
+    nonzero mask, with mask-0 (diagonal) items joining an open run and a
+    mask of None (another permutation) ending it."""
+    runs, open_mask = [], 0
+    for item in items:
+        m = mask(item)
+        if open_mask and m in (0, open_mask):
+            runs[-1].append(item)
+        elif m:
+            runs.append([item])
+            open_mask = m
+        elif m is None:
+            open_mask = 0
+    return runs
+
+
+def mixing_runs(runs, product):
+    """How many runs' Kronecker products have two nonzero entries in a row."""
+    return sum(
+        bool((np.count_nonzero(np.abs(product(run)) > 1e-9, axis=1) > 1).any())
+        for run in runs
+    )
+
+
+def gate_mask(gate):
+    if gate.kind == "cnot":
+        return None
+    return 1 << gate.qubits[0] if gate.kind in ("h", "x", "y") else 0
+
+
+def dense_gates(gates, n):
+    expected = np.eye(1 << n, dtype=complex)
+    for gate in gates:
+        expected = dense_gate(gate, n) @ expected
+    return expected
+
+
 class TestMonomialFrame:
     """The pending phase-and-permutation frame against dense products, and
     the count of the O(4^n) passes it makes."""
@@ -392,18 +479,111 @@ class TestMonomialFrame:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_only_mixing_factors_make_dense_passes(self, monkeypatch, seed):
+        # one pass for each run whose Kronecker product mixes
         rng = random.Random(seed)
         gc = random_circuit(5, 60, rng)
         cf = canonicalize(gc)
         calls = self.count_mixing_passes(monkeypatch)
         unitary_of_gates(gc)
-        assert len(calls) == sum(g.kind == "h" for g in gc.gates)
+        runs = split_runs(gc.gates, gate_mask)
+        assert len(calls) == mixing_runs(runs, lambda run: dense_gates(run, gc.n))
         for rotations in (cf.clifford_trace, cf.pi8):
             calls.clear()
             unitary_of_rotations(rotations, gc.n)
-            assert len(calls) == sum(
-                1 for r in rotations if r.axis.x and r.den in (4, 8)
+            runs = split_runs(rotations, lambda r: r.axis.x)
+            assert len(calls) == mixing_runs(
+                runs, lambda run: dense_rotations(run, gc.n)
             )
+
+    @given(same_mask_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_same_mask_runs_match_dense_fold(self, n_rotations):
+        n, rotations = n_rotations
+        np.testing.assert_allclose(
+            unitary_of_rotations(rotations, n), dense_rotations(rotations, n),
+            atol=1e-10,
+        )
+
+    @staticmethod
+    def permutation_gates(rng, n, count):
+        gates = []
+        for _ in range(count):
+            kind = rng.choice(["cnot", "cz", "s", "sdg", "x", "y", "z"])
+            qubits = rng.sample(range(n), 2) if kind in TWO_QUBIT else [rng.randrange(n)]
+            gates.append(Gate(kind, tuple(qubits)))
+        return gates
+
+    def test_permutation_trace_makes_no_dense_pass(self, monkeypatch):
+        # a cnot's three rotations multiply to a permutation exactly, as
+        # do those of cz, s, sdg, x, y and z
+        n = 6
+        gc = GateCircuit(n, tuple(self.permutation_gates(random.Random(29), n, 300)))
+        trace = canonicalize(gc).clifford_trace
+        calls = self.count_mixing_passes(monkeypatch)
+        u = unitary_of_rotations(trace, n)
+        assert len(calls) == 0
+        np.testing.assert_allclose(u, dense_rotations(trace, n), atol=1e-10)
+        assert (np.count_nonzero(u, axis=1) == 1).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_isolated_h_makes_one_dense_pass(self, monkeypatch, seed):
+        # the h's Z X Z, alone and among permutation gates, whose
+        # rotations about its qubit join its run
+        rng, n = random.Random(seed), 5
+        gates = self.permutation_gates(rng, n, 40)
+        gates.insert(rng.randrange(len(gates) + 1), Gate("h", (rng.randrange(n),)))
+        calls = self.count_mixing_passes(monkeypatch)
+        for trace in (
+            gate_to_rotations(Gate("h", (seed,)), n),
+            canonicalize(GateCircuit(n, tuple(gates))).clifford_trace,
+        ):
+            calls.clear()
+            u = unitary_of_rotations(trace, n)
+            assert len(calls) == 1
+            np.testing.assert_allclose(u, dense_rotations(trace, n), atol=1e-10)
+
+    def test_h_t_h_gate_run_makes_no_dense_pass(self, monkeypatch):
+        # h q, t r, h q (r != q) is one run, whose product is diagonal
+        n = 3
+        calls = self.count_mixing_passes(monkeypatch)
+        for q, r in itertools.permutations(range(n), 2):
+            gates = (Gate("h", (q,)), Gate("t", (r,)), Gate("h", (q,)))
+            calls.clear()
+            u = unitary_of_gates(GateCircuit(n, gates))
+            assert len(calls) == 0
+            np.testing.assert_allclose(u, dense_gates(gates, n), atol=1e-12)
+
+    def test_rounded_cancellation_still_mixes(self, monkeypatch):
+        # four pi/8 rotations about one axis make -iP, a monomial, but
+        # their product keeps 2e-16 where -iP has zeros: a monomial test
+        # with a tolerance would drop what is left, and this one is exact
+        rotations = [PauliRotation(PauliString.from_label("XZ"), 1, 8)] * 4
+        calls = self.count_mixing_passes(monkeypatch)
+        u = unitary_of_rotations(rotations, 2)
+        assert len(calls) == 1
+        np.testing.assert_allclose(u, dense_rotations(rotations, 2), atol=1e-12)
+
+    def test_distinct_rotations_stay_in_memory_budget(self):
+        # 2000 distinct pi/8 rotations at n = 10, in four runs of one X
+        # mask each, so four dense passes; their factors are built in 63
+        # segments.  Bound: the two 2^n x 2^n buffers and 32 bytes a row
+        # of _MEMO_ROWS (2 MiB).  This build peaks 1.47 MB above the
+        # buffers; one that kept the first 64 items' factors for the whole
+        # build, with a float a and an index array each, peaked 2.37 MB
+        # above them
+        n = 10
+        rotations = [
+            PauliRotation(PauliString(n, 1 << (k // 500), 2 * (k % 500) + 1), 1, 8)
+            for k in range(2000)
+        ]
+        assert len(set(rotations)) == 2000
+        tracemalloc.start()
+        try:
+            unitary_of_rotations(rotations, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * 4**n + 32 * oracle._MEMO_ROWS
 
 
 def elementwise_verify(gc, cf, tol=1e-9):
