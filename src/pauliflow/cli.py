@@ -2,7 +2,8 @@
 
 Each stage reads the previous stage's JSON, so transformations can be
 inspected and re-verified independently.  Exit codes: 0 success, 1
-verification failure, 2 usage error, 3 infeasible or guard exceeded.
+verification failure, 2 usage error, 3 infeasible, guard exceeded, or
+out of memory or recursion depth.
 Machine-readable JSON goes to the -o path ("-" for standard output);
 otherwise a short human summary is printed.
 """
@@ -425,6 +426,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RecursionError) as exc:  # never verify's FAIL code
+        print(f"error: {type(exc).__name__}" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

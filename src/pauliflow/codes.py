@@ -59,13 +59,14 @@ so the exact p_L of a campaign is a polynomial in p whose enumerated
 part is exact and whose rest is bounded by the binomial tail (Bravyi &
 Vargo, arXiv:1308.6270).  An error's word is its lowest qubit's letter
 word XOR a word one weight lighter on the qubits above, so no support
-is built in Python.  Both check the decoder and pack its table in one
-pass (_decoder_arrays), or read the kept words of a decoder that
-build_lookup made and nothing has touched (see LookupDecoder).
+is built in Python.  Both read a decoder's packed errors and letter
+words (_decoder_arrays); a hand-built table is checked and packed once,
+when LookupDecoder.from_table makes its decoder.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -74,7 +75,8 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Collection, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -269,38 +271,57 @@ def syndrome(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
     return tuple(int(error.anticommutes(g)) for g in code.generators)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LookupDecoder:
-    """Syndrome keys (tuples of m bits) and their corrections for `code`.
-
-    build_lookup's decoder keeps its errors as integers and builds `table`
-    from them when it is first read.  Campaigns read those integers until
-    `table` is read or assigned (the dict may then be edited), and only
-    while `code` is the code they were built for; otherwise they check
-    and pack `table` as they do a hand-built one."""
+    """A lookup decoder for `code`, made by build_lookup or, from a
+    hand-built table, by from_table; both hand over read-only fields.
+    errors[s] corrects the syndrome s (bit i = syndrome bit i), packed as
+    one int: its letter word (m syndrome bits, then 2k logical
+    parities), x bits from bit m + 2k, z bits n above them.  words is
+    _letter_words(code).  `table`, built when first read, is a read-only
+    view of errors: tuple keys of m bits and PauliString corrections
+    (phases dropped), in the same order."""
 
     code: StabilizerCode
-    table: dict[tuple[int, ...], PauliString]
+    errors: Mapping[int, int]
     max_weight: int
+    words: tuple[int, ...] = field(compare=False, repr=False)
 
-
-def _read_table(dec: LookupDecoder) -> dict[tuple[int, ...], PauliString]:
-    if dec._kept is not None:  # build_lookup's (code, letter words, {syndrome: error})
-        code, _, first = dec._kept
+    @functools.cached_property
+    def table(self) -> Mapping[tuple[int, ...], PauliString]:
+        code, errors = self.code, self.errors
         n, shift, qubits = code.n, code.m + 2 * code.k, (1 << code.n) - 1
-        fixes = (PauliString(n, e >> shift & qubits, e >> (shift + n)) for e in first.values())
-        dec._table = dict(zip(_syndrome_keys(first, len(first), code.m), fixes))
-        dec._kept = None
-    return dec._table
+        fixes = (PauliString(n, e >> shift & qubits, e >> (shift + n)) for e in errors.values())
+        return MappingProxyType(dict(zip(_syndrome_keys(errors, len(errors), code.m), fixes)))
 
-
-def _write_table(dec: LookupDecoder, table: dict[tuple[int, ...], PauliString]) -> None:
-    dec._table, dec._kept = table, None
-
-
-# a property, so that reading or assigning the table ends the use of
-# build_lookup's integers; dataclass's __init__, __repr__ and __eq__ use it
-LookupDecoder.table = property(_read_table, _write_table)
+    @classmethod
+    def from_table(cls, code: StabilizerCode, table: Mapping[tuple[int, ...], PauliString],
+                   max_weight: int) -> LookupDecoder:
+        """The decoder of a hand-built table, checked and packed once.
+        ValueError names the code's first structural failure, more than
+        64 generators (keys are packed in 64 bits), or the first entry
+        whose key is not a tuple of m bits or whose correction is not an
+        n-qubit PauliString, else the first whose correction does not
+        clear its key."""
+        failures = _structural_failures(code)
+        if failures:
+            raise ValueError(f"invalid code: {failures[0]}")
+        n, m = code.n, code.m
+        if m > 64:
+            raise ValueError(f"decoder table keys are packed in 64 bits, so need "
+                             f"m <= 64 generators, got m = {m}")
+        fixes = list(table.values())
+        if not all(isinstance(fix, PauliString) and fix.n == n for fix in fixes):
+            raise ValueError(_first_bad_entry(code, table.items()))
+        words = anticommutation_rows(fixes, code.generators + code.logical_x + code.logical_z)
+        keys = list(map(((1 << m) - 1).__and__, words))
+        if not all(map(operator.eq, table, _syndrome_keys(keys, len(keys), m))):
+            wants = _syndrome_keys(keys, len(keys), m)
+            raise ValueError(_first_bad_entry(code, table.items(), wants))
+        shift = m + 2 * code.k
+        errors = {key: word | fix.x << shift | fix.z << (shift + n)
+                  for key, word, fix in zip(keys, words, fixes)}
+        return cls(code, MappingProxyType(errors), max_weight, tuple(_letter_words(code)))
 
 
 def _letter_words(code: StabilizerCode) -> list[int]:
@@ -374,9 +395,7 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
                 errors = [e ^ letter for e in errors for letter in letters[q]]
             for e in errors:
                 first.setdefault(e & syn, e)
-    dec = LookupDecoder(code=code, table=None, max_weight=max_weight)
-    dec._kept = (code, words, first)  # `table` is built from these when read
-    return dec
+    return LookupDecoder(code, MappingProxyType(first), max_weight, tuple(words))
 
 
 def decode(dec: LookupDecoder, s: tuple[int, ...]) -> Optional[PauliString]:
@@ -451,7 +470,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 def _first_bad_entry(code: StabilizerCode, items, wants=itertools.repeat(None)) -> str:
-    """Why the first bad (key, correction) of items cannot be campaigned:
+    """Why from_table refuses the first bad (key, correction) of items:
     a key that is not m bits, a correction that is not an n-qubit Pauli,
     or (given its correction's syndrome, want) a key the correction does
     not clear.  The caller has seen that one is bad."""
@@ -468,36 +487,15 @@ def _first_bad_entry(code: StabilizerCode, items, wants=itertools.repeat(None)) 
     raise AssertionError("no bad entry")
 
 
-def _pauli_words(word: list[int], n: int, paulis: Collection[PauliString]):
-    """The word of each n-qubit Pauli, as uint64: the XOR of the X words
-    of its x bits and the Z words of its z bits, a Y's word being its X's
-    XOR its Z's.  Each byte of qubits reads its XOR from a table of 256
-    (the four Russians' method, as in `anticommutation_rows`)."""
-    acc = np.zeros(len(paulis), dtype=np.uint64)
-    for name, letter in (("x", 0), ("z", 2)):
-        bits = np.fromiter(map(operator.attrgetter(name), paulis), np.uint64, len(paulis))
-        for start in range(0, n, 8):
-            table = [0]
-            for q in range(start, min(start + 8, n)):
-                table += [entry ^ word[3 * q + letter] for entry in table]
-            acc ^= np.array(table, dtype=np.uint64)[bits >> np.uint64(start) & np.uint64(255)]
-    return acc
-
-
 def _decoder_arrays(dec: LookupDecoder):
-    """The campaign's tables, from one pass over dec's corrections: n, m,
-    the table's syndromes as sorted uint64 keys (bit i = syndrome bit i),
-    fix[j] the 2k logical parities of key j's correction, and the
-    _letter_words of dec.code.
+    """The campaign's tables: n, m, dec's syndromes as sorted uint64 keys
+    (bit i = syndrome bit i), fix[j] the 2k logical parities of key j's
+    correction, and dec's letter words.
 
-    A decoder that a campaign would misread is refused first.  dec.code
-    must pass validate_code and have n <= MONTE_CARLO_MAX_N qubits, and
-    dec.table must be non-empty, every key a tuple of m bits and every
-    correction an n-qubit PauliString whose syndrome is its key;
-    otherwise ValueError names the first failure, the limit, or the
-    first entry whose key or correction is malformed, else the first
-    whose correction does not clear its key.  The code checks come first
-    even for build_lookup's kept words, which need no table check."""
+    dec's entries were checked when it was made.  A decoder a campaign
+    cannot run is refused here, in this order: a code of more than
+    MONTE_CARLO_MAX_N qubits, one that fails validate_code (its first
+    failure named), an empty table."""
     code = dec.code
     n, m = code.n, code.m
     if n > MONTE_CARLO_MAX_N:
@@ -508,26 +506,14 @@ def _decoder_arrays(dec: LookupDecoder):
     report = validate_code(code)
     if not report.ok:
         raise ValueError(f"invalid code: {report.failures[0]}")
-    built = dec._kept is not None and dec._kept[0] is code
-    if built:  # build_lookup's errors, each its word in the low m + 2k bits
-        _, word, first = dec._kept
-        acc = np.fromiter(map(((1 << (m + 2 * code.k)) - 1).__and__, first.values()),
-                          np.uint64, len(first))
-    else:
-        if not dec.table:
-            raise ValueError("decoder table is empty")
-        corrections = list(dec.table.values())
-        if not (all(map(isinstance, corrections, itertools.repeat(PauliString)))
-                and set(map(operator.attrgetter("n"), corrections)) == {n}):
-            raise ValueError(_first_bad_entry(code, dec.table.items()))
-        word = _letter_words(code)
-        acc = _pauli_words(word, n, corrections)
+    if not dec.errors:
+        raise ValueError("decoder table is empty")
+    # each error's word is its low m + 2k bits
+    acc = np.fromiter(map(((1 << (m + 2 * code.k)) - 1).__and__, dec.errors.values()),
+                      np.uint64, len(dec.errors))
     synd = acc & np.uint64((1 << m) - 1)
-    if not built and not all(map(operator.eq, dec.table, _syndrome_keys(synd, len(synd), m))):
-        wants = _syndrome_keys(synd, len(synd), m)
-        raise ValueError(_first_bad_entry(code, dec.table.items(), wants))
     order = np.argsort(synd)
-    return n, m, synd[order], (acc >> np.uint64(m))[order], np.array(word, dtype=np.uint64)
+    return n, m, synd[order], (acc >> np.uint64(m))[order], np.array(dec.words, dtype=np.uint64)
 
 
 def _sample_errors(seeds, count: int, n: int, noise: NoiseModel):
@@ -631,10 +617,8 @@ def monte_carlo(
     both the logical_error class and detected-uncorrectable table misses.
 
     dec must hold a valid code of at most MONTE_CARLO_MAX_N qubits and a
-    non-empty table of m-bit keys, each corrected by an n-qubit Pauli
-    with that syndrome; otherwise ValueError names the first failure.
-    The check and the campaign's tables come from one pass over the
-    corrections, or from build_lookup's kept integers (_decoder_arrays).
+    non-empty table; otherwise ValueError names the first failure.  The
+    campaign's tables are read from dec's packed errors (_decoder_arrays).
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.

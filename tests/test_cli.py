@@ -1226,6 +1226,29 @@ class TestWrongGateRule:
         assert main(["verify", str(src), str(payload)]) == EXIT_OK
 
 
+class TestResourceExhaustion:
+    """Running out of memory or stack exits 3, never 1, which is verify's
+    FAIL code, with one error line that names what ran out."""
+
+    @pytest.mark.parametrize("command", ["transpile", "verify"])
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: MemoryError\n"),
+        (MemoryError("no room"), "error: MemoryError: no room\n"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: RecursionError: maximum recursion depth exceeded\n"),
+    ])
+    def test_exits_3_with_one_line(self, circuit_file, monkeypatch, capsys,
+                                   command, exc, line):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+        argv = [command, str(circuit_file)] + ([str(circuit_file)] if command == "verify" else [])
+        assert main(argv) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line)
+
+
 class TestDeterminism:
     def test_identical_outputs_for_same_seed(self, circuit_file, tmp_path):
         canonical = tmp_path / "canonical.json"

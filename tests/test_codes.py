@@ -1,8 +1,10 @@
 """Stabilizer codes, syndromes, lookup decoding, and Monte Carlo campaigns."""
 
+import dataclasses
 import functools
 import itertools
 import math
+import operator
 import re
 import signal
 import sys
@@ -177,10 +179,14 @@ class TestValidateCode:
         assert report.failures == ["+ZZ is not a Hermitian length-3 Pauli"]
         assert not (report.ok or report.structural or report.commuting
                     or report.independent or report.logicals)
-        dec = LookupDecoder(code, build_lookup(repetition_code(3), 1).table, 1)
         with pytest.raises(ValueError, match=r"invalid code: \+ZZ is not a "
                            "Hermitian length-3 Pauli"):
-            monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+            LookupDecoder.from_table(code, build_lookup(repetition_code(3), 1).table, 1)
+        # the campaign names it too, for a decoder made without the check
+        with pytest.raises(ValueError, match=r"invalid code: \+ZZ is not a "
+                           "Hermitian length-3 Pauli"):
+            monte_carlo(LookupDecoder(code, {0: 0}, 1, ()), NoiseModel("bitflip", 0.1),
+                        1000, seed=1)
         # build_lookup names the same operator, not a bare count mismatch
         with pytest.raises(ValueError, match=r"^invalid code: \+ZZ is not a "
                            r"Hermitian length-3 Pauli$"):
@@ -630,13 +636,25 @@ class TestMonteCarloGuards:
         assert failure_counts(dec, "depolarizing", 1).p_logical_bounds(p) == (p, p)
 
     def test_more_than_32_qubits_rejected(self):
+        # a hand-built table past the campaign's limit still decodes
         code = repetition_code(33)
-        dec = LookupDecoder(
-            code=code, table={(0,) * code.m: PauliString.identity(33)},
-            max_weight=0,
-        )
+        x0 = PauliString.single(33, 0, "X")
+        dec = LookupDecoder.from_table(
+            code, {(0,) * code.m: PauliString.identity(33), syndrome(code, x0): x0}, 1)
+        assert decode(dec, syndrome(code, x0)) == x0
+        assert decode(dec, (0,) * code.m) == PauliString.identity(33)
         with pytest.raises(ValueError, match="n <= 32 qubits"):
             monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+
+    def test_more_than_64_generators_rejected(self):
+        # keys are packed in 64 bits: unrefused, this one's bit 65 raised
+        # numpy's OverflowError
+        code = repetition_code(67)
+        x66 = PauliString.single(67, 66, "X")
+        table = {syndrome(code, x66): x66}
+        with pytest.raises(ValueError, match=r"packed in 64 bits, so need m <= 64 "
+                           r"generators, got m = 66"):
+            LookupDecoder.from_table(code, table, 0)
 
 
 class TestMalformedTable:
@@ -645,7 +663,7 @@ class TestMalformedTable:
 
     @staticmethod
     def _run(rep3, table):
-        dec = LookupDecoder(rep3, table, 1)
+        dec = LookupDecoder.from_table(rep3, table, 1)
         return monte_carlo(dec, NoiseModel("bitflip", 0.1), 100, seed=1)
 
     def test_key_of_wrong_length(self, rep3):
@@ -676,7 +694,7 @@ class TestMalformedTable:
     def test_code_checks_keep_precedence(self):
         code = repetition_code(33)
         with pytest.raises(ValueError, match="n <= 32 qubits"):
-            monte_carlo(LookupDecoder(code, {}, 0), NoiseModel("bitflip", 0.1),
+            monte_carlo(LookupDecoder.from_table(code, {}, 0), NoiseModel("bitflip", 0.1),
                         100, seed=1)
 
     def test_correction_that_does_not_clear_its_key(self, rep3):
@@ -707,7 +725,8 @@ class TestMalformedTable:
         table[keys[10]], table[keys[11]] = table[keys[11]], table[keys[10]]
         with pytest.raises(ValueError, match=rf"for key {re.escape(repr(keys[10]))} has "
                            rf"syndrome {re.escape(repr(keys[11]))}"):
-            monte_carlo(LookupDecoder(code, table, 2), NoiseModel("bitflip", 0.1), 100, 1)
+            monte_carlo(LookupDecoder.from_table(code, table, 2), NoiseModel("bitflip", 0.1),
+                        100, 1)
 
     def test_bits_compare_as_decode_looks_them_up(self, rep3):
         # True and 1.0 find the key (1, 0), so the table is the built one
@@ -718,7 +737,7 @@ class TestMalformedTable:
     def test_failure_counts_checks_the_decoder(self, rep3):
         table = {key: PauliString.identity(3) for key in build_lookup(rep3, 1).table}
         with pytest.raises(ValueError, match=r"key \(1, 0\) has syndrome \(0, 0\)"):
-            failure_counts(LookupDecoder(rep3, table, 1), "bitflip", 3)
+            failure_counts(LookupDecoder.from_table(rep3, table, 1), "bitflip", 3)
 
     @pytest.mark.parametrize("name", ["rep3", "rep5", "surface3", "surface5", "odd"])
     def test_decoder_arrays_match_reference(self, name):
@@ -728,7 +747,7 @@ class TestMalformedTable:
         table = dict(dec.table)
         if name == "odd":  # the zero syndrome "corrected" by the logical X
             table[(0,) * code.m] = code.logical_x[0]
-        dec = LookupDecoder(code, table, dec.max_weight)
+        dec = LookupDecoder.from_table(code, table, dec.max_weight)
         keys = _pack(np.array(list(table), dtype=np.uint8))
         fix = np.array(anticommutation_rows(list(table.values()),
                                             code.logical_x + code.logical_z), dtype=np.uint64)
@@ -741,12 +760,8 @@ class TestMalformedTable:
 
 
 class TestBuiltDecoderWords:
-    """A campaign reads build_lookup's kept words while they describe the
-    decoder, and checks its table as a hand-built one once it may not."""
-
-    @staticmethod
-    def _refuse(dec):
-        return monte_carlo(dec, NoiseModel("bitflip", 0.1), 100, seed=1)
+    """A campaign reads build_lookup's packed errors as it reads those of
+    a checked hand-built table, and no decoder can be changed after."""
 
     @pytest.mark.parametrize("name, max_weight", [
         *((name, w) for name in ("rep3", "rep5", "surface3", "surface5") for w in range(4)),
@@ -757,10 +772,10 @@ class TestBuiltDecoderWords:
                 else _BUILDERS[name][0]())
         dec = build_lookup(code, max_weight)
         with monkeypatch.context() as patch:
-            for attr in ("_pauli_words", "_syndrome_keys"):
-                patch.setattr(codes, attr, None)  # the kept words need neither
+            patch.setattr(codes, "_syndrome_keys", None)  # the packed errors need no keys
             got = codes._decoder_arrays(dec)
-        checked = codes._decoder_arrays(LookupDecoder(code, dict(dec.table), max_weight))
+        checked = codes._decoder_arrays(LookupDecoder.from_table(code, dict(dec.table),
+                                                                 max_weight))
         assert got[:2] == checked[:2]
         for have, want in zip(got[2:], checked[2:]):
             assert have.dtype == want.dtype and have.tolist() == want.tolist()
@@ -768,45 +783,47 @@ class TestBuiltDecoderWords:
     def test_campaigns_need_no_table(self, monkeypatch):
         code, dec = _code_and_decoder("surface5")
         noise = NoiseModel("depolarizing", 0.01)
-        want = (monte_carlo(LookupDecoder(code, dict(dec.table), 2), noise, 70_000, 3),
-                failure_counts(LookupDecoder(code, dict(dec.table), 2), "depolarizing", 3))
+        checked = LookupDecoder.from_table(code, dict(dec.table), 2)
+        want = (monte_carlo(checked, noise, 70_000, 3),
+                failure_counts(checked, "depolarizing", 3))
 
         def reached(*args):
             raise AssertionError("the table was checked")
 
-        monkeypatch.setattr(codes, "_pauli_words", reached)
         monkeypatch.setattr(codes, "_syndrome_keys", reached)
         fresh = build_lookup(code, 2)
         assert monte_carlo(fresh, noise, 70_000, 3) == want[0]
         assert failure_counts(fresh, "depolarizing", 3) == want[1]
 
-    def test_table_edited_in_place(self, rep3):
+    def test_table_cannot_be_edited(self, rep3):
         dec = build_lookup(rep3, 1)
-        dec.table[(1, 0)], dec.table[(0, 1)] = dec.table[(0, 1)], dec.table[(1, 0)]
-        with pytest.raises(ValueError, match=r"correction \+IIX for key \(1, 0\) has "
-                           r"syndrome \(0, 1\), so it does not clear its key"):
-            self._refuse(dec)
+        with pytest.raises(TypeError):
+            dec.table[(1, 0)] = dec.table[(0, 1)]
+        with pytest.raises(TypeError):
+            LookupDecoder.from_table(rep3, dict(dec.table), 1).table[(1, 0)] = None
+        for made in (dec, LookupDecoder.from_table(rep3, dict(dec.table), 1)):
+            with pytest.raises(TypeError):
+                made.errors[0] = 0
+            with pytest.raises(TypeError):
+                made.words[0] = 0
+        assert decode(dec, (1, 0)) == PauliString.from_label("XII")
 
-    def test_table_assigned(self, rep3):
+    def test_table_cannot_be_assigned(self, rep3):
         dec = build_lookup(rep3, 1)
-        dec.table = {(1, 0): PauliString.identity(3)}
-        with pytest.raises(ValueError, match=r"key \(1, 0\) has syndrome \(0, 0\)"):
-            self._refuse(dec)
-        assert len(build_lookup(rep3, 1).table) == 4  # assignment left build_lookup alone
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.table = {(1, 0): PauliString.identity(3)}
+        assert len(dec.table) == 4
 
-    def test_code_replaced(self, rep3):
+    def test_code_cannot_be_replaced(self, rep3):
         dec = build_lookup(rep3, 1)
-        dec.code = repetition_code(5)
-        with pytest.raises(ValueError, match=r"decoder table key \(0, 0\) is not a "
-                           r"4-bit syndrome"):
-            self._refuse(dec)
-        # the table is still the one built for rep3
-        assert dec.table == LookupDecoder(rep3, build_lookup(rep3, 1).table, 1).table
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.code = repetition_code(5)
+        assert dec.code == rep3
 
     def test_decoder_reads_as_built(self, rep3):
         dec = build_lookup(rep3, 1)
-        assert dec == LookupDecoder(rep3, dict(build_lookup(rep3, 1).table), 1)
-        assert repr(dec) == repr(LookupDecoder(rep3, dict(dec.table), 1))
+        assert dec == LookupDecoder.from_table(rep3, dict(build_lookup(rep3, 1).table), 1)
+        assert repr(dec) == repr(LookupDecoder.from_table(rep3, dict(dec.table), 1))
 
 
 _BUILDERS = {
@@ -1119,7 +1136,7 @@ class TestPackedDecodePath:
         code, dec = _code_and_decoder("rep5")
         table = dict(dec.table)
         table[(0,) * code.m] = code.logical_x[0]
-        odd = LookupDecoder(code=code, table=table, max_weight=dec.max_weight)
+        odd = LookupDecoder.from_table(code, table, dec.max_weight)
         noise, count, seed, shard = NoiseModel(kind, 0.05), 3000, 5, 2
         args = (codes._decoder_arrays(odd), noise, count, seed, shard)
         got = codes._run_shard(args)
@@ -1426,7 +1443,7 @@ class TestFailureCounts:
         # shot is a logical error
         table = dict(dec.table)
         table[(0,) * code.m] = code.logical_x[0]
-        odd = LookupDecoder(code, table, dec.max_weight)
+        odd = LookupDecoder.from_table(code, table, dec.max_weight)
         got = failure_counts(odd, kind, 0)
         assert (got.n, got.kind, got.counts) == (code.n, kind, ((0, 1, 0),))
         assert got.p_logical_bounds(0.0) == (1.0, 1.0)
@@ -1447,16 +1464,18 @@ class TestFailureCounts:
 
 
 class TestOneDecoderPass:
-    """A campaign and the failure counts check a decoder and build their
-    tables from its corrections in one pass."""
+    """from_table checks a hand-built table and packs it in one pass, and
+    a campaign or the failure counts read any decoder's packed errors."""
 
     @staticmethod
     def _calls(monkeypatch):
-        calls = {"_letter_words": 0, "_pauli_words": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(codes, name)):
-                calls[_name] += 1
-                return _real(*args)
+        # each _letter_words call's n, each anticommutation_rows call's rows
+        calls = {"_letter_words": [], "anticommutation_rows": []}
+        for name, size in (("_letter_words", operator.attrgetter("n")),
+                           ("anticommutation_rows", len)):
+            def counted(first, *args, _name=name, _real=getattr(codes, name), _size=size):
+                calls[_name].append(_size(first))
+                return _real(first, *args)
             monkeypatch.setattr(codes, name, counted)
         return calls
 
@@ -1465,10 +1484,21 @@ class TestOneDecoderPass:
         lambda dec: failure_counts(dec, "depolarizing", 2),
     ], ids=["monte_carlo", "failure_counts"])
     def test_one_pass(self, monkeypatch, run):
-        _, dec = _code_and_decoder("surface3")
+        code, dec = _code_and_decoder("surface3")
+        checked = LookupDecoder.from_table(code, dec.table, dec.max_weight)
         calls = self._calls(monkeypatch)
         run(dec)
-        assert calls == {"_letter_words": 1, "_pauli_words": 1}
+        run(checked)
+        # only validate_code's pass over the code's m + 2k = 10 operators
+        assert calls == {"_letter_words": [], "anticommutation_rows": [10, 10]}
+
+    def test_from_table_one_pass(self, monkeypatch):
+        code, dec = _code_and_decoder("surface3")
+        calls = self._calls(monkeypatch)
+        LookupDecoder.from_table(code, dec.table, dec.max_weight)
+        # one pass for every correction, and one for the 27 letter words
+        assert calls == {"_letter_words": [9],
+                         "anticommutation_rows": [len(dec.table), 27]}
 
     def test_keys_unpack_across_chunks(self, monkeypatch):
         # the table's keys are unpacked a shard's worth at a time: chunks
@@ -1478,7 +1508,7 @@ class TestOneDecoderPass:
         table = build_lookup(code, dec.max_weight).table
         assert list(table.items()) == list(dec.table.items())
         # and the check compares them chunk by chunk
-        monte_carlo(LookupDecoder(code, table, dec.max_weight),
+        monte_carlo(LookupDecoder.from_table(code, table, dec.max_weight),
                     NoiseModel("bitflip", 0.1), 100, 1)
 
 
