@@ -59,9 +59,9 @@ so the exact p_L of a campaign is a polynomial in p whose enumerated
 part is exact and whose rest is bounded by the binomial tail (Bravyi &
 Vargo, arXiv:1308.6270).  An error's word is its lowest qubit's letter
 word XOR a word one weight lighter on the qubits above, so no support
-is built in Python.  Both read a decoder's packed errors and letter
-words (_decoder_arrays); a hand-built table is checked and packed once,
-when LookupDecoder.from_table makes its decoder.
+is built in Python.  Both read a decoder's packed errors and its code's
+letter words (_decoder_arrays); a hand-built table is checked and
+packed once, when LookupDecoder.from_table makes its decoder.
 """
 
 from __future__ import annotations
@@ -273,26 +273,33 @@ def syndrome(code: StabilizerCode, error: PauliString) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LookupDecoder:
-    """A lookup decoder for `code`, made by build_lookup or, from a
-    hand-built table, by from_table; both hand over read-only fields.
-    errors[s] corrects the syndrome s (bit i = syndrome bit i), packed as
-    one int: its letter word (m syndrome bits, then 2k logical
-    parities), x bits from bit m + 2k, z bits n above them.  words is
-    _letter_words(code).  `table`, built when first read, is a read-only
-    view of errors: tuple keys of m bits and PauliString corrections
-    (phases dropped), in the same order."""
+    """A lookup decoder for `code`.  errors[s] corrects the syndrome s
+    (bit i = syndrome bit i), packed as one int: its letter word (m
+    syndrome bits, then 2k logical parities), x bits from bit m + 2k, z
+    bits n above them; it is held as a read-only view.  `table`, built
+    when first read, is a read-only view of the same corrections as
+    PauliStrings (phases dropped), keyed by tuples of their low m bits.
+
+    The constructor trusts its inputs; build_lookup and from_table make
+    checked decoders."""
 
     code: StabilizerCode
     errors: Mapping[int, int]
     max_weight: int
-    words: tuple[int, ...] = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "errors", MappingProxyType(self.errors))
+
+    def __reduce__(self):  # a MappingProxyType does not pickle
+        return type(self), (self.code, dict(self.errors), self.max_weight)
 
     @functools.cached_property
     def table(self) -> Mapping[tuple[int, ...], PauliString]:
-        code, errors = self.code, self.errors
-        n, shift, qubits = code.n, code.m + 2 * code.k, (1 << code.n) - 1
-        fixes = (PauliString(n, e >> shift & qubits, e >> (shift + n)) for e in errors.values())
-        return MappingProxyType(dict(zip(_syndrome_keys(errors, len(errors), code.m), fixes)))
+        code, errors = self.code, self.errors.values()
+        n, m, shift, qubits = code.n, code.m, code.m + 2 * code.k, (1 << code.n) - 1
+        fixes = (PauliString(n, e >> shift & qubits, e >> (shift + n)) for e in errors)
+        keys = _syndrome_keys(map(((1 << m) - 1).__and__, errors), len(errors), m)
+        return MappingProxyType(dict(zip(keys, fixes)))
 
     @classmethod
     def from_table(cls, code: StabilizerCode, table: Mapping[tuple[int, ...], PauliString],
@@ -306,7 +313,7 @@ class LookupDecoder:
         failures = _structural_failures(code)
         if failures:
             raise ValueError(f"invalid code: {failures[0]}")
-        n, m = code.n, code.m
+        n, m, shift = code.n, code.m, code.m + 2 * code.k
         if m > 64:
             raise ValueError(f"decoder table keys are packed in 64 bits, so need "
                              f"m <= 64 generators, got m = {m}")
@@ -318,10 +325,9 @@ class LookupDecoder:
         if not all(map(operator.eq, table, _syndrome_keys(keys, len(keys), m))):
             wants = _syndrome_keys(keys, len(keys), m)
             raise ValueError(_first_bad_entry(code, table.items(), wants))
-        shift = m + 2 * code.k
         errors = {key: word | fix.x << shift | fix.z << (shift + n)
                   for key, word, fix in zip(keys, words, fixes)}
-        return cls(code, MappingProxyType(errors), max_weight, tuple(_letter_words(code)))
+        return cls(code, errors, max_weight)
 
 
 def _letter_words(code: StabilizerCode) -> list[int]:
@@ -378,10 +384,8 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
     if failures:
         raise ValueError(f"invalid code: {failures[0]}")
     n, m = code.n, code.m
-    # an error is one int: its letter word (m syndrome bits, then 2k
-    # logical parities), x bits from bit m + 2k, z bits n above them;
-    # letters on distinct qubits set disjoint bits, so XOR multiplies
-    # errors (phases ignored)
+    # errors packed as LookupDecoder.errors holds them: letters on distinct
+    # qubits set disjoint bits, so XOR multiplies errors (phases ignored)
     syn, shift, words = (1 << m) - 1, m + 2 * code.k, _letter_words(code)
     letters = [[words[3 * q + l] | xb << (shift + q) | zb << (shift + n + q)
                 for l, (xb, zb) in enumerate(((1, 0), (1, 1), (0, 1)))]
@@ -395,7 +399,7 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
                 errors = [e ^ letter for e in errors for letter in letters[q]]
             for e in errors:
                 first.setdefault(e & syn, e)
-    return LookupDecoder(code, MappingProxyType(first), max_weight, tuple(words))
+    return LookupDecoder(code, first, max_weight)
 
 
 def decode(dec: LookupDecoder, s: tuple[int, ...]) -> Optional[PauliString]:
@@ -490,12 +494,11 @@ def _first_bad_entry(code: StabilizerCode, items, wants=itertools.repeat(None)) 
 def _decoder_arrays(dec: LookupDecoder):
     """The campaign's tables: n, m, dec's syndromes as sorted uint64 keys
     (bit i = syndrome bit i), fix[j] the 2k logical parities of key j's
-    correction, and dec's letter words.
+    correction, and the code's letter words.
 
-    dec's entries were checked when it was made.  A decoder a campaign
-    cannot run is refused here, in this order: a code of more than
-    MONTE_CARLO_MAX_N qubits, one that fails validate_code (its first
-    failure named), an empty table."""
+    A decoder a campaign cannot run is refused here, in this order: a
+    code of more than MONTE_CARLO_MAX_N qubits, one that fails
+    validate_code (its first failure named), an empty table."""
     code = dec.code
     n, m = code.n, code.m
     if n > MONTE_CARLO_MAX_N:
@@ -513,7 +516,8 @@ def _decoder_arrays(dec: LookupDecoder):
                       np.uint64, len(dec.errors))
     synd = acc & np.uint64((1 << m) - 1)
     order = np.argsort(synd)
-    return n, m, synd[order], (acc >> np.uint64(m))[order], np.array(dec.words, dtype=np.uint64)
+    word = np.array(_letter_words(code), dtype=np.uint64)
+    return n, m, synd[order], (acc >> np.uint64(m))[order], word
 
 
 def _sample_errors(seeds, count: int, n: int, noise: NoiseModel):
