@@ -73,6 +73,7 @@ from .circuits import (
 )
 from .layers import Layering
 from .pauli import PauliString, anticommutation_rows, merged_rotation_axis, raw_product
+from .scheduling import ENUMERATION_GUARD, EnumerationGuardError
 
 
 @dataclass(frozen=True)
@@ -327,8 +328,17 @@ def canonicalize(gc: GateCircuit) -> CanonicalForm:
     """The canonical form of `gc` in one walk of its gates: a Clifford
     gate applies its rule and joins the trace, as its dictionary
     expansion; a T or Tdg on qubit q reads its axis from zs[q].  Equal
-    to push_cliffords(to_rotation_circuit(gc))."""
+    to push_cliffords(to_rotation_circuit(gc)).
+
+    A width with n^2 over ENUMERATION_GUARD is refused before any row is
+    built: the 2n rows hold n-bit masks, and the payload n bases of n
+    letters each.
+    """
     n = gc.n
+    if n * n > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"n = {n} qubits: the tableau has n^2 = {n * n} entries, "
+            f"over the guard of {ENUMERATION_GUARD}")
     xs, zs = _identity_rows(n)
     pi8, cliffords = [], []
     for gate in gc.gates:

@@ -32,16 +32,18 @@ products (the cost model of Burgholzer and Wille, arXiv:2004.08420:
 the dense passes, not the gates, set the cost).
 
 `verify_canonical_form` builds the circuit unitary U, the pi/8 product
-W and the trace unitary V once each, so one verification makes a single
-2^n x 2^n matrix product, V @ W.  Both of its checks are overlaps held
-against 1 - tol, with tol in (0, 1): the fidelity |<U, V W>| / 2^n, and
-for each of the 2n generators g with tableau image T(g) the agreement
-Re<V, g V T(g)> / 2^n.  V is Clifford, so V^dag g V is a signed Pauli,
-and the agreement is the normalized trace of its product with T(g):
-1 if the image is right, -1 if only its sign is wrong and 0 otherwise.
-The real part keeps the sign a modulus would lose, and V's global phase
-cancels.  g V T(g) is V with its rows and columns permuted and scaled
-by phases, so each generator costs two gathers and one reduction.
+W and the Clifford unitary V once each, V from the circuit's Clifford
+gates (every gate but t and tdg, in order), not from the payload's
+trace; so one verification makes a single 2^n x 2^n matrix product,
+V @ W.  The fidelity |<U, V W>| / 2^n is held against 1 - tol, with tol
+in (0, 1).  The tableau is checked twice: it must be the one the trace
+gives (`tableau_from_trace`), and each of the 2n generators g with
+image T(g) must satisfy Re<V e_k, g V T(g) e_k> >= 1 - tol at the n + 1
+basis columns k in {0, 2^0, ..., 2^(n-1)}.  V is Clifford, so
+R = V^dag g V T(g) is a Pauli with a phase, and <k|R|k> is 1 at every
+k iff R = I, which is iff T(g) = V^dag g V; otherwise its real part is
+at most 0 at one of those k (see `_images_hold`).  Judged on n + 1
+columns, all 2n images cost one batched O(n^2 2^n) gather and reduction.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from itertools import islice
 
 import numpy as np
 
-from .canonical import CanonicalForm
+from .canonical import CanonicalForm, CliffordTableau, tableau_from_trace
 from .circuits import Gate, GateCircuit, PauliRotation
 from .pauli import PauliString
 
@@ -379,18 +381,56 @@ class Verdict:
         return self.ok
 
 
+def _images_hold(v: np.ndarray, tableau: CliffordTableau, tol: float) -> bool:
+    """True iff each generator g's image T(g) passes, V being Clifford:
+    Re<V e_k, g V T(g) e_k> >= 1 - tol at every k in {0, 2^0, ..., 2^(n-1)}.
+
+    Why n + 1 columns suffice: R = V^dag g V T(g) is a product of two
+    Hermitian Paulis, so R = c P for a Pauli P = X^a Z^b (basis-index
+    masks a, b) and c in {1, -1, i, -i}, and <k|R|k> = c (-1)^|k & b|
+    if a = 0, else 0.  If R = I every value is 1.  Otherwise a != 0 puts
+    0 everywhere; c = +-i puts a real part 0 everywhere; c = -1 gives -1
+    at k = 0; and c = 1 with b != 0 gives -1 at k = 2^j for a bit j of b.
+    So the rule passes iff R = I, for every tol in (0, 1), which is the
+    verdict of the whole-matrix agreement Re tr(R) / 2^n >= 1 - tol.
+
+    g is Hermitian, so the value is <g V e_k, V T(g) e_k>: X_q moves row
+    i of V e_k to i ^ b_q and Z_q signs it by (-1)^|i & b_q|, b_q being
+    qubit q's basis-index bit, and V T(g) e_k is d_t[k] V[:, k ^ x_t] for
+    T(g)|k> = d_t[k] |k ^ x_t>.  One (2^n, 2n, n + 1) gather of V's
+    columns serves all 2n images, reduced over the rows.
+    """
+    n = tableau.n
+    idx, masks = _basis(n)
+    bits = 1 << (n - 1 - np.arange(n))
+    cols = np.concatenate(([0], bits))
+    images = tableau.x_images + tableau.z_images
+    image_x = masks[[p.x for p in images]]
+    image_z = masks[[p.z for p in images]]
+    # vt[i, g, c] = V[i, k_c ^ x_t] for g = X_0 .. X_(n-1), then Z_0 .. Z_(n-1)
+    vt = np.take(v, (cols ^ image_x[:, None]).ravel(), axis=1)
+    vt = vt.reshape(1 << n, 2 * n, n + 1)
+    vk = v[:, cols].conj()
+    values = np.concatenate((
+        np.einsum("iqc,iqc->qc", vk[idx[:, None] ^ bits], vt[:, :n]),
+        np.einsum("ic,iq,iqc->qc", vk, _signs(idx[:, None] & bits), vt[:, n:])))
+    values *= np.array([_coefficient(p) for p in images])[:, None]
+    values *= _signs(cols & image_z[:, None])
+    return bool((values.real >= 1 - tol).all())
+
+
 def verify_canonical_form(
     gc: GateCircuit, cf: CanonicalForm, tol: float = DEFAULT_TOL
 ) -> Verdict:
     """Check a canonical form against the original circuit.
 
-    One rule, for tol in (0, 1): a check passes iff its overlap is at
+    One rule, for tol in (0, 1): a check passes iff its value is at
     least 1 - tol.  (1) The fidelity |<U, V W>| / 2^n of the original
-    unitary U against the pi/8 prefix W followed by the Clifford trace
-    V.  (2) For each generator g, the agreement Re<V, g V T(g)> / 2^n
-    of its tableau image T(g): with V^dag g V the image the trace gives,
-    it is 1 if T(g) equals it, sign included, -1 if only the sign
-    differs and 0 if it is another Pauli.  The fidelity is reported.
+    unitary U against the pi/8 prefix W followed by V, the unitary of
+    the circuit's Clifford gates in order.  (2) The tableau: it must
+    equal the one the Clifford trace gives, and each generator g's image
+    T(g) must pass `_images_hold`, that is, equal V^dag g V, sign
+    included.  The fidelity is reported.
     """
     _check_tol(tol)
     if gc.n != cf.n:
@@ -398,23 +438,10 @@ def verify_canonical_form(
     _check_size(gc.n)
     original = unitary_of_gates(gc)
     w = unitary_of_rotations(cf.pi8, cf.n)
-    v = unitary_of_rotations(cf.clifford_trace, cf.n)
+    v = unitary_of_gates(GateCircuit(gc.n, tuple(
+        g for g in gc.gates if g.kind not in ("t", "tdg"))))
     fidelity = overlap(original, v @ w)
-    if fidelity < 1 - tol:
-        return Verdict(fidelity, False)
-    del original, w  # the tableau check's buffers take their memory
-    t, dim = cf.tableau, v.shape[0]
-    v_conj, rows, gvt = v.conj(), np.empty_like(v), np.empty_like(v)
-    for q in range(cf.n):
-        for letter, image in (("X", t.x_images[q]), ("Z", t.z_images[q])):
-            # (g V T(g))[i, j] = dg[pg[i]] V[pg[i], pt[j]] dt[j]; every
-            # index is idx ^ mask < 2^n, so 'clip' clips nothing, and the
-            # default 'raise' would copy through a buffer to guard `out`
-            pg, dg = _pauli_columns(PauliString.single(cf.n, q, letter))
-            pt, dt = _pauli_columns(image)
-            np.take(v, pg, axis=0, out=rows, mode="clip")
-            np.take(rows, pt, axis=1, out=gvt, mode="clip")
-            gvt *= v_conj
-            if (dg[pg] @ (gvt @ dt)).real / dim < 1 - tol:
-                return Verdict(fidelity, False)
-    return Verdict(fidelity, True)
+    ok = (fidelity >= 1 - tol
+          and tableau_from_trace(cf.n, cf.clifford_trace) == cf.tableau
+          and _images_hold(v, cf.tableau, tol))
+    return Verdict(fidelity, ok)

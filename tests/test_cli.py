@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,18 @@ s 1
 def circuit_file(tmp_path):
     path = tmp_path / "example.qc"
     path.write_text(CIRCUIT)
+    return path
+
+
+@pytest.fixture
+def negated_form(circuit_file, tmp_path):
+    """The circuit's own transpile payload with its first pi/8 negated:
+    fidelity 0.707106781187, its Clifford part intact."""
+    path = tmp_path / "negated.json"
+    main(["transpile", str(circuit_file), "-o", str(path)])
+    obj = json.loads(path.read_text())
+    obj["pi8"][0]["num"] *= -1
+    path.write_text(json.dumps(obj))
     return path
 
 
@@ -77,6 +90,22 @@ class TestTranspile:
         assert "line 2: non-integer qubit index" in capsys.readouterr().err
 
 
+    def test_width_over_the_guard_exits_3(self, tmp_path, capsys):
+        # refused before the 2n tableau rows of n bits are built: unguarded,
+        # qubits 10000 took 1.4 s and 511 MB and wrote a 100 MB file
+        src, out = tmp_path / "wide.qc", tmp_path / "wide.json"
+        src.write_text("qubits 100000\nh 0\nt 99999\n")
+        start = time.perf_counter()
+        assert main(["transpile", str(src), "-o", str(out)]) == EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n = 100000 qubits: the tableau has n^2 = 10000000000 entries, "
+            f"over the guard of {scheduling.ENUMERATION_GUARD}\n")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_matching_pair(self, circuit_file, tmp_path, capsys):
         out = tmp_path / "canonical.json"
@@ -92,20 +121,19 @@ class TestVerify:
         assert main(["verify", str(circuit_file), str(out)]) == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 
-    def test_tol_flag_beats_tolerance_key(self, circuit_file, tmp_path, capsys):
-        # fidelity 0.135 passes only under a loose tolerance
-        other = tmp_path / "other.qc"
-        other.write_text("qubits 2\nt 0\n")
-        out, cfg = tmp_path / "canonical.json", tmp_path / "loose.cfg"
-        main(["transpile", str(other), "-o", str(out)])
+    def test_tol_flag_beats_tolerance_key(self, circuit_file, negated_form, tmp_path,
+                                          capsys):
+        # fidelity 0.707 passes only under a loose tolerance
+        cfg = tmp_path / "loose.cfg"
         cfg.write_text("tolerance = 0.9\n")
-        argv = ["verify", str(circuit_file), str(out), "--config", str(cfg)]
+        argv = ["verify", str(circuit_file), str(negated_form), "--config", str(cfg)]
         assert main(argv) == EXIT_OK
         assert main(argv + ["--tol", "1e-9"]) == EXIT_VERIFY_FAILED
         assert main(argv[:3] + ["--tol", "0.9"]) == EXIT_OK
 
     def test_golden_fidelity_lines(self, circuit_file, tmp_path, capsys):
-        # both lines as the matrix-product oracle printed them
+        # the first line as the matrix-product oracle printed it; the second
+        # since V is built from the circuit's Clifford gates, not the trace
         out = tmp_path / "canonical.json"
         main(["transpile", str(circuit_file), "-o", str(out)])
         capsys.readouterr()
@@ -116,7 +144,7 @@ class TestVerify:
         main(["transpile", str(other), "-o", str(out)])
         capsys.readouterr()
         assert main(["verify", str(circuit_file), str(out)]) == EXIT_VERIFY_FAILED
-        assert capsys.readouterr().out == "fidelity=0.135299025037 FAIL\n"
+        assert capsys.readouterr().out == "fidelity=0.788580507475 FAIL\n"
 
     @pytest.mark.parametrize("method", ["asap", "ga", "greedy"])
     def test_accepts_layered_output(self, circuit_file, tmp_path, capsys, method):
@@ -148,6 +176,30 @@ class TestVerify:
         assert main(["verify", str(src), str(canonical_json)]) == EXIT_VERIFY_FAILED
         assert capsys.readouterr().out == "fidelity=0.707106781187 FAIL\n"
 
+    @pytest.mark.parametrize("edit", ["negated", "dropped"])
+    def test_altered_trace_fails_the_tableau_check(self, circuit_file, tmp_path, capsys,
+                                                   edit):
+        # the file's first trace rotation (a pi/4) negated or dropped, and its
+        # bases rewritten to the altered trace's Z images, so the reader
+        # accepts it; V comes from the circuit's gates, so the fidelity is
+        # still 1 and only the tableau check can object (with V from the
+        # trace, the fidelity read 0 and 0.707106781187)
+        path = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(path)])
+        obj = json.loads(path.read_text())
+        trace = obj["clifford_trace"]
+        if edit == "negated":
+            trace[0]["num"] *= -1
+        else:
+            del trace[0]
+        rotations = canonical.rotations_from_json(trace, obj["n"], "trace")
+        obj["measurement_bases"] = [
+            str(p) for p in canonical.tableau_from_trace(obj["n"], rotations).z_images]
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", str(circuit_file), str(path)]) == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().out == "fidelity=1.000000000000 FAIL\n"
+
     @pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan", "-1e-9"])
     def test_tol_outside_unit_interval_is_usage(self, circuit_file, tmp_path,
                                                 capsys, tol):
@@ -164,15 +216,13 @@ class TestVerify:
             f"error: tolerance must be in (0, 1), got {float(tol)!r}\n"
         )
 
-    def test_tolerance_key_of_one_is_usage(self, circuit_file, tmp_path, capsys):
-        # the pair reads fidelity 0.135; a tol of 1 passed it
-        other = tmp_path / "other.qc"
-        other.write_text("qubits 2\nt 0\n")
-        out, cfg = tmp_path / "canonical.json", tmp_path / "one.cfg"
-        main(["transpile", str(other), "-o", str(out)])
+    def test_tolerance_key_of_one_is_usage(self, circuit_file, negated_form, tmp_path,
+                                          capsys):
+        # the pair reads fidelity 0.707; a tol of 1 passed it
+        cfg = tmp_path / "one.cfg"
         cfg.write_text("tolerance = 1\n")
         capsys.readouterr()
-        argv = ["verify", str(circuit_file), str(out)]
+        argv = ["verify", str(circuit_file), str(negated_form)]
         assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
         assert "tolerance must be in (0, 1), got 1.0" in capsys.readouterr().err
         assert main(argv + ["--tol", "1"]) == EXIT_USAGE

@@ -694,3 +694,67 @@ class TestOnePassRule:
             verify_canonical_form(gc, cf, tol)
         with pytest.raises(ValueError, match=message):
             equivalent_up_to_phase(u, u, tol)
+
+
+def clifford_part(gc):
+    """The circuit without its t and tdg gates: the V that verify builds."""
+    return GateCircuit(gc.n, tuple(g for g in gc.gates if g.kind not in ("t", "tdg")))
+
+
+def whole_matrix_images_hold(v, tableau, tol):
+    """Re<V, g V T(g)> / 2^n >= 1 - tol for every generator g, from dense
+    Pauli matrices: the whole-matrix rule that the n + 1 columns replace."""
+    n, dim = tableau.n, v.shape[0]
+    generators = [PauliString.single(n, q, letter) for letter in "XZ" for q in range(n)]
+    images = tableau.x_images + tableau.z_images
+    return all(np.vdot(v, dense_pauli(g) @ v @ dense_pauli(t)).real / dim >= 1 - tol
+               for g, t in zip(generators, images))
+
+
+@st.composite
+def altered_tableaux(draw, tableau):
+    """The tableau with up to three edits: an image negated, a qubit's X
+    and Z images swapped, an image times c Z^b (c = +-1 if Z^b commutes
+    with it, +-i if not, so that it stays Hermitian: then R = c Z^b, the
+    case that needs the columns 2^j), or an image replaced by a random
+    Hermitian Pauli."""
+    n = tableau.n
+    rows = {"x": list(tableau.x_images), "z": list(tableau.z_images)}
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.integers(0, n - 1))
+        images = rows[draw(st.sampled_from("xz"))]
+        kind = draw(st.sampled_from(["negate", "swap", "diagonal", "random"]))
+        if kind == "negate":
+            images[q] = images[q].negated()
+        elif kind == "swap":
+            rows["x"][q], rows["z"][q] = rows["z"][q], rows["x"][q]
+        elif kind == "diagonal":
+            d = PauliString(n, 0, draw(st.integers(1, (1 << n) - 1)))
+            turn = 0 if d.commutes(images[q]) else 1
+            c = draw(st.sampled_from([turn, turn + 2]))
+            images[q] = images[q] * PauliString(n, 0, d.z, c)
+        else:
+            images[q] = draw(paulis(n, (0, 2)))
+    return CliffordTableau(n, tuple(rows["x"]), tuple(rows["z"]))
+
+
+class TestColumnRule:
+    """`_images_hold` judges each image on n + 1 columns of V; it must give
+    the whole-matrix verdict at every tol, and that verdict is exactly
+    whether every image is V^dag g V."""
+
+    @given(clifford_t_circuits(max_qubits=6, max_gates=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_matrix_rule(self, gc, data):
+        cf = canonicalize(gc)
+        tableau = data.draw(altered_tableaux(cf.tableau))
+        right = tableau == cf.tableau
+        v = unitary_of_gates(clifford_part(gc))
+        for tol in (1e-9, 0.5):
+            assert oracle._images_hold(v, tableau, tol) == right
+            assert whole_matrix_images_hold(v, tableau, tol) == right
+        # the whole verdict, against the elementwise reference, whose V
+        # comes from the trace; at tol 0.5 that reference passes any image
+        form = with_images(cf, tableau.x_images, tableau.z_images)
+        assert bool(verify_canonical_form(gc, form)) == elementwise_verify(gc, form) == right
+        assert bool(verify_canonical_form(gc, form, tol=0.5)) == right
