@@ -65,6 +65,7 @@ import json
 from dataclasses import dataclass
 
 from .circuits import (
+    PI8_NUM,
     SCHEMA_VERSION,
     GateCircuit,
     PauliRotation,
@@ -321,7 +322,6 @@ def _cz(xs: list, zs: list, a: int, b: int) -> None:
 
 GATE_RULES = {"h": _h, "s": _s, "sdg": _sdg, "x": _x, "y": _y, "z": _z,
               "cnot": _cnot, "cz": _cz}
-_PI8_NUM = {"t": 1, "tdg": -1}
 
 
 def canonicalize(gc: GateCircuit) -> CanonicalForm:
@@ -348,7 +348,7 @@ def canonicalize(gc: GateCircuit) -> CanonicalForm:
             cliffords.append(gate)
         else:
             pi8.append(PauliRotation(PauliString(n, *zs[gate.qubits[0]]),
-                                     _PI8_NUM[gate.kind], 8))
+                                     PI8_NUM[gate.kind], 8))
     return CanonicalForm(n, tuple(pi8), _expand(cliffords, n), _tableau(n, xs, zs))
 
 

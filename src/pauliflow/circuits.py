@@ -40,6 +40,9 @@ _LOCAL_ROTATIONS = {
     for kind, entry in _GATE_ROTATIONS.items()
 }
 _GATE_ARITY = {kind: len(entry[0][0]) for kind, entry in _GATE_ROTATIONS.items()}
+# the pi/8 gate kinds, each a single den-8 entry: kind -> its numerator
+PI8_NUM = {kind: entry[0][1] for kind, entry in _GATE_ROTATIONS.items()
+           if entry[0][2] == 8}
 
 VALID_DENOMINATORS = (2, 4, 8)
 
@@ -86,7 +89,7 @@ class GateCircuit:
                 )
 
     def t_gate_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind in ("t", "tdg"))
+        return sum(g.kind in PI8_NUM for g in self.gates)
 
 
 @dataclass(frozen=True)

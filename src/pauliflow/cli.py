@@ -97,34 +97,24 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-# the tuning flags each optimize method uses
-_METHOD_FLAGS = {"asap": (), "greedy": ("beta",), "ga": [f.name for f in _GA_KNOBS]}
+# the flag that picks a command's mode -> {flag: the modes that read it}
+_READERS = {
+    "method": {**{f.name: ("ga",) for f in _GA_KNOBS}, "beta": ("greedy", "ga")},
+    "algo": {"max_rounds": ("brute", "dp"), "weight": ("brute",), "seed": ("random",)},
+    "dump_code": dict.fromkeys(
+        ("noise", "p", "shots", "seed", "workers", "max_weight", "output"), (None,)),
+}
 
 
-def _reject_unused_flags(args):
-    """A tuning flag the chosen method ignores is a usage error.
+def _reject_unused_flags(args, choice: str):
+    """A flag the chosen mode ignores is a usage error.
 
     Config-file keys are not checked: one file serves every command.
     """
-    used = _METHOD_FLAGS[args.method]
-    for f in _GA_KNOBS:
-        if getattr(args, f.name) is not None and f.name not in used:
-            raise ConfigError(f"{_flag(f.name)} is not used by --method {args.method}")
-
-
-# the schedule flags each planner reads, beyond -M, --p-raw and --catalog;
-# brute reads --weight only for the balanced objective
-_ALGO_FLAGS = {"max_rounds": ("brute", "dp"), "weight": ("brute",), "seed": ("random",)}
-
-
-def _reject_unused_schedule_flags(args, objective: str):
-    """A flag the chosen planner ignores is a usage error, as in optimize."""
-    for key, algos in _ALGO_FLAGS.items():
-        if getattr(args, key) is not None and args.algo not in algos:
-            raise ConfigError(f"{_flag(key)} is not used by --algo {args.algo}")
-    if args.weight is not None and objective != "balanced":
-        raise ConfigError(f"--weight is not used by --algo brute with the "
-                          f"{objective} objective")
+    chosen = getattr(args, choice)
+    for key, readers in _READERS[choice].items():
+        if getattr(args, key) is not None and chosen not in readers:
+            raise ConfigError(f"{_flag(key)} is not used by {_flag(choice)} {chosen}")
 
 
 def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
@@ -170,7 +160,7 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    _reject_unused_flags(args)
+    _reject_unused_flags(args, "method")
     cfg_file = load_config(args.config) if args.config else {}
     cf = _load_canonical(args.canonical, "optimize")
     # a Clifford-only circuit has the empty layering, of T-depth zero
@@ -212,7 +202,10 @@ def cmd_schedule(args) -> int:
             f"the {args.algo} planner {aim}; use --algo brute for "
             f"the {args.objective} objective"
         )
-    _reject_unused_schedule_flags(args, objective)
+    _reject_unused_flags(args, "algo")
+    if args.weight is not None and objective != "balanced":
+        raise ConfigError(f"--weight is not used by --algo brute with the "
+                          f"{objective} objective")
     # only random reads a seed, from the flag or the config file
     seed = _setting(args, cfg_file, "seed", 0) if args.algo == "random" else 0
     max_rounds = 6 if args.max_rounds is None else args.max_rounds
@@ -282,9 +275,10 @@ _CODES = {
 
 
 def cmd_decode(args) -> int:
+    _reject_unused_flags(args, "dump_code")
     codes = _codes()
     code = _CODES[args.code]()
-    if args.dump_code:
+    if args.dump_code is not None:
         _emit(code.to_json(), args.dump_code,
               f"{args.code}: [[{code.n}, {code.k}, {code.distance}]]")
         return EXIT_OK
@@ -292,11 +286,13 @@ def cmd_decode(args) -> int:
         raise ConfigError("decode requires --noise and --p")
     max_weight = (resources.correctable_weight(code.distance)
                   if args.max_weight is None else args.max_weight)
+    shots = 100_000 if args.shots is None else args.shots
+    seed = 0 if args.seed is None else args.seed
     # refuse --p, --shots, --seed and --workers before the table
     noise = codes.NoiseModel(args.noise, args.p)
-    codes._check_campaign(args.shots, args.seed, args.workers)
+    codes._check_campaign(shots, seed, args.workers)
     dec = codes.build_lookup(code, max_weight)
-    result = codes.monte_carlo(dec, noise, args.shots, args.seed, args.workers)
+    result = codes.monte_carlo(dec, noise, shots, seed, args.workers)
     payload = result.to_json()
     payload.update(
         {"code": args.code, "noise": args.noise, "p": args.p,
@@ -308,7 +304,7 @@ def cmd_decode(args) -> int:
         args.output,
         f"{args.code} {args.noise} p={args.p}: p_logical="
         f"{result.p_logical_estimate:.3e} (95% CI {lo:.3e}..{hi:.3e}, "
-        f"{args.shots} shots)",
+        f"{shots} shots)",
     )
     return EXIT_OK
 
@@ -389,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", choices=sorted(_CODES), required=True)
     p.add_argument("--noise", choices=("bitflip", "depolarizing"))
     p.add_argument("--p", type=float)
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", type=int, help="shot count (default 100000)")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument("--workers", type=int,
                    help="worker threads (default: one per usable CPU); "
                         "counts are bit-identical for any value")

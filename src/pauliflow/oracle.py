@@ -56,7 +56,7 @@ from itertools import islice
 import numpy as np
 
 from .canonical import CanonicalForm, CliffordTableau, tableau_from_trace
-from .circuits import Gate, GateCircuit, PauliRotation
+from .circuits import PI8_NUM, Gate, GateCircuit, PauliRotation
 from .pauli import PauliString
 
 MAX_ORACLE_QUBITS = 10
@@ -309,9 +309,9 @@ def _fold(factors, n: int) -> np.ndarray:
 # of distinct rotations, such as a deep circuit's pi/8 list, cannot make a
 # build's memory grow with its length.  Items do repeat, and each distinct
 # item of a segment is built once: in the 48 seeded n = 7, 100-gate
-# circuits of bench's verify-small (seeds 1-3), 37-38% of gates, 57-58% of
-# Clifford-trace rotations and 23-28% of pi/8 rotations repeat an earlier
-# item, and every build there is one segment.
+# circuits of bench's verify-small (seeds 1-3), 37-38% of gates (U's build),
+# 35-36% of Clifford gates (V's) and 23-28% of pi/8 rotations (W's) repeat
+# an earlier item, and every build there is one segment.
 _MEMO_ROWS = 1 << 16
 
 
@@ -439,7 +439,7 @@ def verify_canonical_form(
     original = unitary_of_gates(gc)
     w = unitary_of_rotations(cf.pi8, cf.n)
     v = unitary_of_gates(GateCircuit(gc.n, tuple(
-        g for g in gc.gates if g.kind not in ("t", "tdg"))))
+        g for g in gc.gates if g.kind not in PI8_NUM)))
     fidelity = overlap(original, v @ w)
     ok = (fidelity >= 1 - tol
           and tableau_from_trace(cf.n, cf.clifford_trace) == cf.tableau

@@ -1066,6 +1066,21 @@ class TestDecode:
         obj = json.loads(capsys.readouterr().out)
         assert obj["generators"] == ["+ZZI", "+IZZ"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise", "bitflip"), ("--p", "7"), ("--shots", "-5"), ("--seed", "3"),
+        ("--workers", "0"), ("--max-weight", "-3"), ("-o", "out.json"),
+    ])
+    def test_dump_code_refuses_campaign_flags(self, tmp_path, capsys, flag, value):
+        # each was ignored, an invalid value included, and the code written
+        dump, out = tmp_path / "code.json", tmp_path / "out.json"
+        value = str(out) if flag == "-o" else value
+        argv = ["decode", "--code", "rep3", "--dump-code", str(dump), flag, value]
+        assert main(argv) == EXIT_USAGE
+        name = "--output" if flag == "-o" else flag
+        assert capsys.readouterr() == (
+            "", f"error: {name} is not used by --dump-code {dump}\n")
+        assert not dump.exists() and not out.exists()
+
     def test_missing_noise_is_usage(self, capsys):
         assert main(["decode", "--code", "rep3"]) == EXIT_USAGE
 
@@ -1210,6 +1225,76 @@ class TestConfig:
         assert main([
             "optimize", str(canonical), "--config", str(cfg),
         ]) == EXIT_USAGE
+
+
+class TestRefusals:
+    """Refusals of malformed files and out-of-range values, each pinned
+    by its exit code and its whole stderr line."""
+
+    def test_config_comment_and_blank_lines_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("# planner settings\n\nseed = 3  # for random\n")
+        argv = ["schedule", "--algo", "random", "-M", "4", "--config", str(cfg),
+                "-o", "-"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["seed"] == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("beta 0.25\n", "1: expected key = value"),
+        ("population_size = 1e3\n", "1: cannot parse '1e3' as int"),
+    ])
+    def test_malformed_config_line(self, circuit_file, tmp_path, capsys, text,
+                                   message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        canonical = tmp_path / "canonical.json"
+        main(["transpile", str(circuit_file), "-o", str(canonical)])
+        capsys.readouterr()
+        assert main(["optimize", str(canonical), "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {cfg}:{message}\n")
+
+    def test_circuit_of_comments_only(self, tmp_path, capsys):
+        path = tmp_path / "comments.qc"
+        path.write_text("# no header\n# and no gates\n")
+        assert main(["transpile", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", 'error: line 1: missing "qubits N" header\n')
+
+    @pytest.mark.parametrize("text, message", [
+        ("# comments only\n", "catalog contains no protocols"),
+        ("a 11 x 1 15 35 3\n",
+         "catalog line 1: invalid literal for int() with base 10: 'x'"),
+        ("a 11 11 1 15 35 3\na 14 17 4 20 1 2\n", "duplicate protocol name 'a'"),
+    ], ids=["empty", "non-integer", "duplicate-name"])
+    def test_malformed_catalog(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cat"
+        path.write_text(text)
+        argv = ["schedule", "--algo", "dp", "-M", "4", "--catalog", str(path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_verify_against_a_form_of_another_width(self, tmp_path, capsys):
+        two, three = tmp_path / "two.qc", tmp_path / "three.qc"
+        two.write_text("qubits 2\nh 0\nt 1\n")
+        three.write_text("qubits 3\nh 0\nt 1\n")
+        form = tmp_path / "three.json"
+        main(["transpile", str(three), "-o", str(form)])
+        capsys.readouterr()
+        assert main(["verify", str(two), str(form)]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: qubit count mismatch between circuit and canonical form\n")
+
+    def test_balanced_weight_out_of_range(self, capsys):
+        argv = ["schedule", "--algo", "brute", "-M", "4", "--objective", "balanced",
+                "--weight", "7"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: balanced weight must be in [0, 1]\n")
+
+    def test_estimate_target_out_of_reach(self, capsys):
+        argv = ["estimate", "--distance", "3", "--p", "0.0099999", "--target", "1e-300"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: no distance up to 10001 reaches 1e-300 at p=0.0099999\n")
 
 
 # sha256 of `transpile -o` and `optimize -o` (asap) output for the seeded
