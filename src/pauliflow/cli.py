@@ -117,12 +117,6 @@ def _reject_unused_flags(args, choice: str):
             raise ConfigError(f"{_flag(key)} is not used by {_flag(choice)} {chosen}")
 
 
-def _ga_config(args, cfg_file: dict) -> layers.GAConfig:
-    return layers.GAConfig(**{
-        f.name: _setting(args, cfg_file, f.name, f.default) for f in _GA_KNOBS
-    })
-
-
 def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
     """Canonical form from the `transpile` or `optimize` JSON at `path`."""
     expects = f"{command} expects the JSON written by transpile or optimize"
@@ -162,6 +156,9 @@ def cmd_transpile(args) -> int:
 def cmd_optimize(args) -> int:
     _reject_unused_flags(args, "method")
     cfg_file = load_config(args.config) if args.config else {}
+    # GAConfig refuses its knobs before the input is read
+    cfg = layers.GAConfig(**{
+        f.name: _setting(args, cfg_file, f.name, f.default) for f in _GA_KNOBS})
     cf = _load_canonical(args.canonical, "optimize")
     # a Clifford-only circuit has the empty layering, of T-depth zero
     layering = (layers.singleton_layering(cf.pi8) if cf.pi8
@@ -170,10 +167,10 @@ def cmd_optimize(args) -> int:
     if args.method == "asap":
         result = asap
     elif args.method == "ga":
-        result = layers.ga_optimize(layering, _ga_config(args, cfg_file))
+        result = layers.ga_optimize(layering, cfg)
     else:
         # greedy uses beta alone, under GAConfig's bound
-        result = layers.greedy_collapse(layering, _ga_config(args, cfg_file).beta)
+        result = layers.greedy_collapse(layering, cfg.beta)
     final = result.layering
     final.validate()
     layer_rotations = [[final.rotations[i] for i in layer] for layer in final.layers]

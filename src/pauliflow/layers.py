@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 from .circuits import PauliRotation
 from .pauli import PauliString, anticommutation_rows, set_bits
+from .scheduling import _guard
 
 
 @dataclass
@@ -278,6 +279,9 @@ class GAConfig:
             raise ValueError("max_generations must be >= 1")
         if self.stagnation_limit < 1:
             raise ValueError("stagnation_limit must be >= 1")
+        children = self.population_size * self.max_generations  # in one GA round
+        _guard(children, f"population_size * max_generations = {self.population_size}"
+                         f" * {self.max_generations} = {children} GA children")
 
 
 @dataclass

@@ -237,7 +237,7 @@ def _balanced_key(feasible: list[Schedule], weight: float):
     return key
 
 
-_UNREACHED = (float("inf"), 0)
+_UNREACHED = float("inf")
 
 
 def dp_schedule(
@@ -257,6 +257,8 @@ def dp_schedule(
     with names visited in sorted order and only a strictly smaller key
     replacing the current choice.  If best[M] needs at most max_rounds
     rounds (default M), its rounds are rebuilt from the stored choices.
+    A key is held as cost * (M + 1) + rounds, ordered and added as the
+    pair: each round delivers a state, so a key for s has <= s <= M rounds.
 
     This is the schedule of the bounded table C(i, s) over exactly i
     rounds, which takes the fewest rounds i among the minimum-cost
@@ -278,10 +280,9 @@ def dp_schedule(
     matches brute_force("tiles") exactly.
 
     The guard bounds the 1-D pass's (M + 1) * |P| cells, which admits
-    M < 5 * 10^6 for the shipped catalog (0.74 GB peak RSS at
-    M = 4 999 999), and, before the table is built, its
-    (L + 1) * (M + 1) * |P| cells, whose move indices then take at most
-    80 MB.
+    M < 5 * 10^6 for the shipped catalog (0.37 GB peak RSS at M = 4 999 999),
+    and, before the table is built, its (L + 1) * (M + 1) * |P| cells,
+    whose move indices then take at most 80 MB.
     """
     protos = _by_name(catalog)
     m = demand.states_required
@@ -289,23 +290,23 @@ def dp_schedule(
     if bound < 1:
         raise ValueError("round bound must be >= 1")
     ordered = [protos[name] for name in sorted(protos)]
-    moves = [(j, p.outputs, p.tiles * p.steps) for j, p in enumerate(ordered)]
+    moves = [(j, p.outputs, p.tiles * p.steps * (m + 1) + 1) for j, p in enumerate(ordered)]
     cells = (m + 1) * len(moves)
     _guard(cells, f"demand {m}: {cells} DP cells")
-    best, picks = [(0, 0)] * (m + 1), [0] * (m + 1)
+    best, picks = [0] * (m + 1), [0] * (m + 1)
     _relax(moves, best, best, picks)
-    plan = [picks] * best[m][1]  # plan[i][s]: the move ending round i + 1 at s
+    plan = [picks] * (best[m] % (m + 1))  # plan[i][s]: the move ending round i + 1 at s
     if len(plan) > bound:
         cells *= bound + 1
         _guard(cells, f"demand {m} within {bound} rounds: {cells} DP table cells")
         _require_feasible(protos, m, bound)
-        prev, plan, least = [(0, 0)] + [_UNREACHED] * m, [], _UNREACHED
+        prev, plan, least = [0] + [_UNREACHED] * m, [], _UNREACHED
         for _ in range(bound):
             row, picks = [_UNREACHED] * (m + 1), [0] * (m + 1)
             _relax(moves, prev, row, picks)
             plan.append(picks)
             least, prev = min(least, row[m]), row
-        del plan[least[1]:]
+        del plan[least % (m + 1):]
     rounds, s = [], m
     for picks in reversed(plan):
         p = ordered[picks[s]]
@@ -315,20 +316,19 @@ def dp_schedule(
 
 
 def _relax(moves: list[tuple], prev: list, row: list, picks: list) -> None:
-    """row[s] = min over moves (j, k_j, D_j * S_j) of
-    prev[max(0, s - k_j)] + (D_j * S_j, 1) for s = 1..M, keys compared
-    as (tile cost, rounds), the first j on ties; picks[s] = j.
+    """row[s] = min over moves (j, k_j, D_j * S_j * (M + 1) + 1) of
+    prev[max(0, s - k_j)] + that step for s = 1..M, keys as in
+    dp_schedule, the first j on ties; picks[s] = j.
 
     With row = prev this is the 1-D pass in place (each read at
     s - k_j < s sees this pass's value); with a fresh row it is row i
     of the bounded table, read from row i - 1.
     """
     for s in range(1, len(row)):
-        key = None
-        for j, outputs, cost in moves:
-            prev_cost, prev_rounds = prev[s - outputs if s > outputs else 0]
-            candidate = (prev_cost + cost, prev_rounds + 1)
-            if key is None or candidate < key:
+        key, pick = _UNREACHED, 0
+        for j, outputs, step in moves:
+            candidate = prev[s - outputs if s > outputs else 0] + step
+            if candidate < key:
                 key, pick = candidate, j
         row[s] = key
         picks[s] = pick

@@ -507,6 +507,33 @@ class TestOptimize:
                      flag, value]) == EXIT_USAGE
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "knobs, product",
+        [(["--population-size", "99999999999999999999", "--elite-k", "1"],
+          "99999999999999999999 * 200 = 19999999999999999999800"),
+         (["--max-generations", "99999999999999999999",
+           "--stagnation-limit", "99999999999999999999"],
+          "64 * 99999999999999999999 = 6399999999999999999936"),
+         (["--config", "big.cfg"],
+          "99999999999999999999 * 200 = 19999999999999999999800")],
+    )
+    def test_ga_work_over_the_guard_exits_3(self, tmp_path, capsys, monkeypatch,
+                                            knobs, product):
+        # the children a GA round can build, refused before the input is read
+        monkeypatch.chdir(tmp_path)
+        Path("c.qc").write_text("qubits 3\nh 0\nt 0\nt 1\nt 2\ncnot 0 1\nt 1\ntdg 2\n")
+        Path("big.cfg").write_text("population_size = 99999999999999999999\n")
+        assert main(["transpile", "c.qc", "-o", "canonical.json"]) == EXIT_OK
+        capsys.readouterr()
+        start = time.perf_counter()
+        argv = ["optimize", "canonical.json", "--method", "ga", *knobs, "-o", "out.json"]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == ("", (
+            f"error: population_size * max_generations = {product} GA children, "
+            "over the guard of 10000000\n"))
+        assert not Path("out.json").exists()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_asap_is_default_and_minimal(self, tmp_path, seed):
         gc = random_circuit(6, 120, random.Random(seed))

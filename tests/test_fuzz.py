@@ -8,10 +8,12 @@ must end in success (0), a usage error (2) or a refusal (3), or, for
 `error:` line and nothing else.  Out of memory counts as a failure: an
 input must be refused before it exhausts memory.
 
-The GA is not run on mutated config files: its knobs bound no work
-(`population_size = 99999999999999999999` passes GAConfig and runs on
-without end), so the config files go through `optimize --method greedy`,
-which checks every key and reads only beta.
+The GA is not run on mutated config files.  GAConfig refuses a
+population_size * max_generations over the enumeration guard, and the
+two command lines that ran on without end before it are in the corpus;
+but a product just under the guard still lets the GA build 10^7
+children a round, far past the alarm.  So the config files go through
+`optimize --method greedy`, which checks every key and reads only beta.
 """
 
 import json
@@ -168,6 +170,10 @@ def corpus(directory: Path) -> list[list[str]]:
             method = ("asap", "greedy", "ga")[i % 3]
             runs += [["optimize", path, "--method", method, "-o", out],
                      ["verify", base_qc, path]]
+    huge = "99999999999999999999"
+    for knobs in (["--population-size", huge, "--elite-k", "1"],
+                  ["--max-generations", huge, "--stagnation-limit", huge]):
+        runs.append(["optimize", base_json, "--method", "ga", *knobs, "-o", out])
     for i in range(50):
         path = f"{d}/k{i}.cat"
         Path(path).write_text(mutate_text(CATALOG, rng))

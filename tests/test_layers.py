@@ -31,6 +31,7 @@ from pauliflow.layers import (
 from pauliflow.layers import _score
 from pauliflow.oracle import equivalent_up_to_phase, unitary_of_rotations
 from pauliflow.pauli import PauliString
+from pauliflow.scheduling import EnumerationGuardError
 from test_canonical import random_circuit
 
 
@@ -451,6 +452,15 @@ class TestGAConfig:
             GAConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             GAConfig(beta=1.0)
+
+    def test_children_per_round_bounded_by_the_guard(self):
+        # population_size * max_generations children a round, at most the guard
+        GAConfig(population_size=10**4, max_generations=10**3)
+        with pytest.raises(EnumerationGuardError) as info:
+            GAConfig(population_size=10**4 + 1, max_generations=10**3)
+        assert str(info.value) == (
+            "population_size * max_generations = 10001 * 1000 = 10001000 "
+            "GA children, over the guard of 10000000")
 
 
 def test_ga_tdepth_benchmark_script_asap_is_minimal(tmp_path):

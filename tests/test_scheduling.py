@@ -193,6 +193,18 @@ class TestDpSchedule:
         with pytest.raises(InfeasibleScheduleError):
             dp_schedule([P15], Demand(5), max_rounds=2)
 
+    def test_memory_per_state(self):
+        # one integer key and one pick a state, about 60 bytes; a
+        # (cost, rounds) tuple a state reads 144 bytes, 27.4 MiB
+        catalog = default_catalog()
+        tracemalloc.start()
+        try:
+            dp_schedule(catalog, Demand(200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"{peak / 200_001:.0f} bytes a state"
+
 
 def _dp_table_reference(catalog, demand, max_rounds=None):
     """The (rounds, states) table dp_schedule filled before its 1-D pass.
