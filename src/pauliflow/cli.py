@@ -256,8 +256,8 @@ def cmd_estimate(args) -> int:
 
 
 def _codes():
-    """pauliflow.codes, imported on first use: it imports numpy, which no
-    other command needs."""
+    """pauliflow.codes, imported on first use: it imports numpy, which only
+    decode and (through pauliflow.oracle) verify need."""
     from . import codes
 
     return codes

@@ -31,8 +31,8 @@ of how many workers the shards are spread across; every campaign runs
 on a thread pool, by default of one thread per usable CPU.  Each takes
 the next shard from a shared counter and sums its own counts, until a
 worker's error or Ctrl-C stops them all within a shard.  A shot is
-classified by one uint64 word, the XOR of its drawn letters' words
-(m + 2k <= 2n, so campaigns need n <= 32).  The residual a table hit
+classified by one uint64 word of m + 2k <= 64 bits, the XOR of its drawn
+letters' words; table keys are m <= 64 bits.  The residual a table hit
 leaves commutes with every generator; for a code that passes
 validate_code it is a logical_error iff it anticommutes with one of the
 2k logical operators, that is iff the shot's logical parities differ
@@ -91,11 +91,9 @@ from .pauli import (
     symplectic_vector,
 )
 
-LOOKUP_GUARD_M = 24
 # surface5 weight 4 (1 089 526): 0.4 s to keep 45 MiB of integers; the
 # tuple-keyed table, if read, is 175 MiB and 1.3 s more
 LOOKUP_GUARD_ERRORS = 1 << 22
-MONTE_CARLO_MAX_N = 32  # m + 2k <= 2n bits per uint64 shot word
 _SHARD_SHOTS = 65536
 # a shard is drawn and classified in blocks of about this many errors
 # (at most a shard, at least one shot), so 64 KiB a numpy array at any p
@@ -293,13 +291,16 @@ class LookupDecoder:
     def __reduce__(self):  # a MappingProxyType does not pickle
         return type(self), (self.code, dict(self.errors), self.max_weight)
 
+    def _correction(self, e: int) -> PauliString:
+        """The correction that the packed error e holds."""
+        n, shift = self.code.n, self.code.m + 2 * self.code.k
+        return PauliString(n, e >> shift & ((1 << n) - 1), e >> (shift + n))
+
     @functools.cached_property
     def table(self) -> Mapping[tuple[int, ...], PauliString]:
-        code, errors = self.code, self.errors.values()
-        n, m, shift, qubits = code.n, code.m, code.m + 2 * code.k, (1 << code.n) - 1
-        fixes = (PauliString(n, e >> shift & qubits, e >> (shift + n)) for e in errors)
+        errors, m = self.errors.values(), self.code.m
         keys = _syndrome_keys(map(((1 << m) - 1).__and__, errors), len(errors), m)
-        return MappingProxyType(dict(zip(keys, fixes)))
+        return MappingProxyType(dict(zip(keys, map(self._correction, errors))))
 
     @classmethod
     def from_table(cls, code: StabilizerCode, table: Mapping[tuple[int, ...], PauliString],
@@ -314,9 +315,7 @@ class LookupDecoder:
         if failures:
             raise ValueError(f"invalid code: {failures[0]}")
         n, m, shift = code.n, code.m, code.m + 2 * code.k
-        if m > 64:
-            raise ValueError(f"decoder table keys are packed in 64 bits, so need "
-                             f"m <= 64 generators, got m = {m}")
+        _check_key_width(m)
         fixes = list(table.values())
         if not all(isinstance(fix, PauliString) and fix.n == n for fix in fixes):
             raise ValueError(_first_bad_entry(code, table.items()))
@@ -357,6 +356,13 @@ def _enumeration_top(n: int, max_weight: int, letters: int, what: str, verb: str
     return top
 
 
+def _check_key_width(m: int) -> None:
+    """Keys are m bits of a uint64 (_syndrome_keys, a campaign's keys)."""
+    if m > 64:
+        raise ValueError(f"decoder table keys are packed in 64 bits, so need "
+                         f"m <= 64 generators, got m = {m}")
+
+
 def _syndrome_keys(ints, count: int, m: int):
     """Yield each of the count syndromes of ints (bit i = syndrome bit i)
     as the key a table holds, a tuple with bit i at index i.  A shard's
@@ -375,10 +381,7 @@ def _syndrome_keys(ints, count: int, m: int):
 
 def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
     """Enumerate low-weight errors; first error per syndrome is its correction."""
-    if code.m > LOOKUP_GUARD_M:
-        raise ValueError(
-            f"lookup table needs m <= {LOOKUP_GUARD_M} generators, got {code.m}"
-        )
+    _check_key_width(code.m)
     top = _enumeration_top(code.n, max_weight, 3, "lookup table", "enumerates")
     failures = _structural_failures(code)  # as monte_carlo words it
     if failures:
@@ -403,10 +406,12 @@ def build_lookup(code: StabilizerCode, max_weight: int) -> LookupDecoder:
 
 
 def decode(dec: LookupDecoder, s: tuple[int, ...]) -> Optional[PauliString]:
-    """Correction for a syndrome, or None when detected-uncorrectable."""
+    """Correction for a syndrome, or None when detected-uncorrectable.  Its
+    bits compare as `table`'s keys do (1 == True == 1.0), but no table is built."""
     if len(s) != dec.code.m:
         raise ValueError(f"syndrome length {len(s)} != {dec.code.m}")
-    return dec.table.get(tuple(s))
+    e = dec.errors.get(sum(1 << i for i, bit in enumerate(s) if bit == 1))
+    return None if e is None or not all(bit in (0, 1) for bit in s) else dec._correction(e)
 
 
 def residual_class(
@@ -497,22 +502,20 @@ def _decoder_arrays(dec: LookupDecoder):
     correction, and the code's letter words.
 
     A decoder a campaign cannot run is refused here, in this order: a
-    code of more than MONTE_CARLO_MAX_N qubits, one that fails
+    shot word (m + 2k bits) wider than its uint64, a code that fails
     validate_code (its first failure named), an empty table."""
     code = dec.code
-    n, m = code.n, code.m
-    if n > MONTE_CARLO_MAX_N:
-        raise ValueError(
-            f"monte_carlo needs n <= {MONTE_CARLO_MAX_N} qubits (2n bits per "
-            f"uint64 row), got n = {n}"
-        )
+    n, m, bits = code.n, code.m, code.m + 2 * code.k
+    if bits > 64:
+        raise ValueError(f"a shot word is packed in 64 bits, so monte_carlo needs "
+                         f"m + 2k <= 64, got m + 2k = {bits}")
     report = validate_code(code)
     if not report.ok:
         raise ValueError(f"invalid code: {report.failures[0]}")
     if not dec.errors:
         raise ValueError("decoder table is empty")
     # each error's word is its low m + 2k bits
-    acc = np.fromiter(map(((1 << (m + 2 * code.k)) - 1).__and__, dec.errors.values()),
+    acc = np.fromiter(map(((1 << bits) - 1).__and__, dec.errors.values()),
                       np.uint64, len(dec.errors))
     synd = acc & np.uint64((1 << m) - 1)
     order = np.argsort(synd)
@@ -620,9 +623,9 @@ def monte_carlo(
     """Sample errors on dec.code, decode, classify; logical failure counts
     both the logical_error class and detected-uncorrectable table misses.
 
-    dec must hold a valid code of at most MONTE_CARLO_MAX_N qubits and a
-    non-empty table; otherwise ValueError names the first failure.  The
-    campaign's tables are read from dec's packed errors (_decoder_arrays).
+    dec must hold a valid code whose shot words (m + 2k bits) fit in 64
+    bits, and a non-empty table; otherwise ValueError names the first
+    failure.  The tables are read from dec's packed errors (_decoder_arrays).
 
     Shots are processed in fixed-size shards with RNG streams derived
     from (seed, shard), so counts do not depend on the worker count.

@@ -1144,19 +1144,17 @@ class TestDecode:
             in capsys.readouterr().err
         )
 
-    def test_more_than_32_qubits_is_usage(self, capsys, monkeypatch):
-        # lift the lookup guard (m = 32 here) so the campaign's own
-        # qubit limit is what refuses the code
-        monkeypatch.setattr(codes, "LOOKUP_GUARD_M", 32)
+    def test_shot_word_over_64_bits_is_usage(self, capsys, monkeypatch):
+        # rep65's table keys (m = 64) fit, its 66-bit shot words do not
         monkeypatch.setitem(
-            cli._CODES, "rep3", lambda: codes.repetition_code(33)
+            cli._CODES, "rep3", lambda: codes.repetition_code(65)
         )
         code = main([
             "decode", "--code", "rep3", "--noise", "bitflip", "--p", "0.05",
             "--shots", "1000", "--max-weight", "0",
         ])
         assert code == EXIT_USAGE
-        assert "n <= 32 qubits" in capsys.readouterr().err
+        assert "monte_carlo needs m + 2k <= 64, got m + 2k = 66" in capsys.readouterr().err
 
 
 class TestConfig:

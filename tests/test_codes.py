@@ -267,8 +267,9 @@ class TestSyndrome:
 
 
 def _wide_code():
-    """n = 34 > MONTE_CARLO_MAX_N with one ZZ check: too wide for a
-    campaign's uint64 rows, yet build_lookup runs the same kernel path."""
+    """n = 34 with one ZZ check and k = 33: its 67-bit shot words (m + 2k)
+    are too wide for a campaign's uint64, yet build_lookup runs the same
+    kernel path."""
     n = 34
     zz = PauliString(n, 0, 0b11)
     return StabilizerCode(
@@ -351,9 +352,12 @@ class TestBuildLookup:
         assert list(table.items()) == list(expected.items())
 
     def test_guard(self):
-        code = rotated_surface_code(7)  # m = 48
-        with pytest.raises(ValueError, match="m <= 24"):
-            build_lookup(code, max_weight=1)
+        # keys are m bits of a uint64: surface7 (m = 48) builds, surface9
+        # (m = 80) is refused
+        assert len(build_lookup(rotated_surface_code(7), max_weight=1).errors) == 136
+        with pytest.raises(ValueError, match=r"packed in 64 bits, so need m <= 64 "
+                           r"generators, got m = 80"):
+            build_lookup(rotated_surface_code(9), max_weight=1)
 
     def test_error_count_guard(self, monkeypatch):
         # surface5 at weight 5 would enumerate 14 000 116 errors, 13 times
@@ -414,6 +418,37 @@ class TestDecode:
         dec = build_lookup(rep3, 1)
         with pytest.raises(ValueError):
             decode(dec, (0, 0, 0))
+
+    def test_answers_as_the_table(self):
+        # hits, misses, and bits that compare as the table's keys do: True
+        # and 1.0 find 1, and a bit equal to neither 0 nor 1 finds nothing
+        dec = build_lookup(rotated_surface_code(3), 1)
+        probes = list(itertools.product((0, 1), repeat=8))
+        probes += [tuple(map(float, s)) for s in probes[::7]]
+        probes += [tuple(map(bool, s)) for s in probes[::5]]
+        probes += [s[:3] + (bad,) + s[4:] for s in probes[::9]
+                   for bad in (2, -1, 0.5, "1", None, float("nan"))]
+        probes += [list(s) for s in probes[::11]] + [np.array(s) for s in probes[::13]]
+        got = [decode(dec, s) for s in probes]
+        assert "table" not in vars(dec)
+        assert got == [dec.table.get(tuple(s)) for s in probes]
+        assert got.count(None) not in (0, len(got))
+
+    def test_no_table_built(self):
+        # the tuple-keyed view of a weight-4 surface5 table, built to answer
+        # one syndrome, took 1.19 s and 193 MB
+        dec = build_lookup(rotated_surface_code(5), 4)
+        x0 = PauliString.single(25, 0, "X")
+        s = syndrome(dec.code, x0)
+        tracemalloc.start()
+        try:
+            fix = decode(dec, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "table" not in vars(dec)
+        assert peak < 1 << 20, peak
+        assert fix == x0
 
 
 class TestResidualClass:
@@ -637,16 +672,24 @@ class TestMonteCarloGuards:
         assert abs(result.p_logical_estimate - p) <= 5 * math.sqrt(p * (1 - p) / shots)
         assert failure_counts(dec, "depolarizing", 1).p_logical_bounds(p) == (p, p)
 
-    def test_more_than_32_qubits_rejected(self):
-        # a hand-built table past the campaign's limit still decodes
+    def test_shot_word_over_64_bits_rejected(self):
+        # a shot word is m + 2k bits: rep33's 34 bits run, rep65's 66 do not
         code = repetition_code(33)
         x0 = PauliString.single(33, 0, "X")
         dec = LookupDecoder.from_table(
             code, {(0,) * code.m: PauliString.identity(33), syndrome(code, x0): x0}, 1)
         assert decode(dec, syndrome(code, x0)) == x0
         assert decode(dec, (0,) * code.m) == PauliString.identity(33)
-        with pytest.raises(ValueError, match="n <= 32 qubits"):
+        result = monte_carlo(dec, NoiseModel("bitflip", 0.01), 1000, seed=1)
+        assert result.counts == {SUCCESS: 725, LOGICAL_ERROR: 0, DETECTED_UNCORRECTABLE: 275}
+        code = repetition_code(65)
+        dec = LookupDecoder.from_table(code, {(0,) * code.m: PauliString.identity(65)}, 0)
+        assert decode(dec, (0,) * code.m) == PauliString.identity(65)
+        message = r"packed in 64 bits, so monte_carlo needs m \+ 2k <= 64, got m \+ 2k = 66"
+        with pytest.raises(ValueError, match=message):
             monte_carlo(dec, NoiseModel("bitflip", 0.1), 1000, seed=1)
+        with pytest.raises(ValueError, match=message):
+            failure_counts(dec, "bitflip", 1)
 
     def test_more_than_64_generators_rejected(self):
         # keys are packed in 64 bits: unrefused, this one's bit 65 raised
@@ -694,8 +737,8 @@ class TestMalformedTable:
             self._run(rep3, {})
 
     def test_code_checks_keep_precedence(self):
-        code = repetition_code(33)
-        with pytest.raises(ValueError, match="n <= 32 qubits"):
+        code = repetition_code(65)
+        with pytest.raises(ValueError, match=r"m \+ 2k <= 64, got m \+ 2k = 66"):
             monte_carlo(LookupDecoder.from_table(code, {}, 0), NoiseModel("bitflip", 0.1),
                         100, seed=1)
 
@@ -1653,3 +1696,63 @@ class TestDefaultWorkers:
                              workers=workers)
         assert sum(result.counts.values()) == shots
         assert sizes == ([] if pool is None else [pool])
+
+
+def _z_code(n):
+    """[[n, 0]]: Z on each qubit, so m = n generators and no logicals."""
+    gens = tuple(PauliString(n, 0, 1 << q) for q in range(n))
+    return StabilizerCode(n, 0, gens, (), (), 1)
+
+
+@functools.cache
+def _surface7():
+    return build_lookup(rotated_surface_code(7), 3)
+
+
+class TestWordWidths:
+    """A syndrome key is m bits and a shot word m + 2k bits, each packed
+    in a uint64: codes at those widths run, and one bit past is refused."""
+
+    def test_sixty_four_bit_shot_words(self):
+        # rep63: m = 62, k = 1
+        dec = build_lookup(repetition_code(63), 2)
+        exact = failure_counts(dec, "bitflip", 4)
+        assert exact.counts == ((1, 0, 0), (63, 0, 0), (1953, 0, 0), (0, 0, 39711),
+                                (0, 0, 595665))
+        runs = [monte_carlo(dec, NoiseModel("bitflip", 0.01), 1 << 17, 7, workers=w)
+                for w in (1, 3)]
+        assert runs[0] == runs[1]
+        assert runs[0].counts == {SUCCESS: 127740, LOGICAL_ERROR: 0,
+                                  DETECTED_UNCORRECTABLE: 3332}
+        assert _within_z5(3332, 1 << 17, exact.p_logical_bounds(0.01))
+
+    def test_sixty_four_bit_keys(self):
+        # k = 0 and m = 64: the logical parities are a uint64 shifted by 64
+        dec = build_lookup(_z_code(64), 1)
+        assert validate_code(dec.code).ok and len(dec.errors) == 65
+        runs = [monte_carlo(dec, NoiseModel("depolarizing", 0.01), 1 << 17, 3, workers=w)
+                for w in (1, 3)]
+        assert runs[0] == runs[1]
+        assert runs[0].counts == {SUCCESS: 122208, LOGICAL_ERROR: 0,
+                                  DETECTED_UNCORRECTABLE: 8864}
+        exact = failure_counts(dec, "depolarizing", 2)
+        assert _within_z5(8864, 1 << 17, exact.p_logical_bounds(0.01))
+
+    def test_surface7(self):
+        # n = 49, m = 48, m + 2k = 50: no failure up to weight 3
+        dec = _surface7()
+        assert len(dec.errors) == 368760
+        exact = failure_counts(dec, "depolarizing", 3)
+        assert exact.counts == ((1, 0, 0), (147, 0, 0), (10584, 0, 0), (497448, 0, 0))
+        result = monte_carlo(dec, NoiseModel("depolarizing", 0.01), 1 << 16, 20251017)
+        failures = result.counts[LOGICAL_ERROR] + result.counts[DETECTED_UNCORRECTABLE]
+        assert _within_z5(failures, 1 << 16, exact.p_logical_bounds(0.01))
+
+    @pytest.mark.parametrize("code, m", [(rotated_surface_code(9), 80),
+                                         (repetition_code(67), 66)])
+    def test_keys_over_64_bits_refused(self, code, m):
+        message = rf"packed in 64 bits, so need m <= 64 generators, got m = {m}"
+        with pytest.raises(ValueError, match=message):
+            build_lookup(code, 0)
+        with pytest.raises(ValueError, match=message):
+            LookupDecoder.from_table(code, {(0,) * m: PauliString.identity(code.n)}, 0)

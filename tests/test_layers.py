@@ -28,7 +28,7 @@ from pauliflow.layers import (
     random_rotations,
     singleton_layering,
 )
-from pauliflow.layers import _score
+from pauliflow.layers import _ga_round, _greedy_from, _score
 from pauliflow.oracle import equivalent_up_to_phase, unitary_of_rotations
 from pauliflow.pauli import PauliString
 from pauliflow.scheduling import EnumerationGuardError
@@ -408,6 +408,20 @@ class TestGaOptimize:
             assert all(
                 b >= a for a, b in zip(round_history, round_history[1:])
             )
+
+    def test_round_improves_on_its_initial_best(self):
+        # seeded ga_optimize runs on random_rotations never beat a round's
+        # initial best, so this ranked list is fed to one round: greedy
+        # keeps 3 pairs, and the third generation finds a perfect matching
+        ranked = [(1, 4), (0, 6), (3, 5), (1, 7), (4, 5), (6, 7), (1, 3), (4, 7),
+                  (1, 2), (5, 7)]
+        cfg = GAConfig(population_size=3, elite_k=0, max_generations=10,
+                       stagnation_limit=10, seed=30)
+        history = []
+        best = _ga_round(ranked, cfg, 0, history)
+        assert len(_greedy_from(ranked)) == 3
+        assert history == [[3, 3, 3] + [4] * 8]
+        assert best == {(0, 6), (1, 2), (3, 5), (4, 7)}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_fitness_history_per_applied_round(self, seed):
