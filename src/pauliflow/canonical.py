@@ -20,11 +20,13 @@ boundary: each pi/8 axis, and the 2n final images, which
 
 The payload also carries the Clifford trace C_1 ... C_k: the dictionary
 expansion (`circuits.gate_to_rotations`) of the Clifford gates, in time
-order.  A reader rebuilds the tableau from that trace alone and checks
-the payload's measurement bases against it, so it checks a tableau that
-the writer computed another way.  The trace path crosses Clifford
-rotations: one with axis P and angle theta rewrites a later rotation
-axis P' to
+order.  Only the codec holds it, as a `Trace` (`clifford_trace` for
+transpile, `canonical_from_json` for its readers); a `CanonicalForm` is
+(n, pi8, tableau).  A reader rebuilds the tableau from that trace alone
+and checks the payload's measurement bases against it, so it checks a
+tableau that the writer computed another way.  The trace path crosses
+Clifford rotations: one with axis P and angle theta rewrites a later
+rotation axis P' to
 
     P'                      if P and P' commute,
     exp(2i*theta*P) * P'    if they anticommute,
@@ -70,7 +72,7 @@ from .circuits import (
     GateCircuit,
     PauliRotation,
     RotationCircuit,
-    gate_to_rotations,
+    gate_rotation_fields,
 )
 from .layers import Layering
 from .pauli import PauliString, anticommutation_rows, merged_rotation_axis, raw_product
@@ -114,14 +116,11 @@ class CliffordTableau:
 class CanonicalForm:
     n: int
     pi8: tuple[PauliRotation, ...]
-    clifford_trace: tuple[PauliRotation, ...]
     tableau: CliffordTableau
 
     def __post_init__(self):
         if any(not r.is_pi8 for r in self.pi8):
             raise ValueError("pi8 section may only contain pi/8 rotations")
-        if any(not r.is_clifford for r in self.clifford_trace):
-            raise ValueError("trace may only contain Clifford rotations")
 
     @property
     def measurement_bases(self) -> tuple[PauliString, ...]:
@@ -130,24 +129,41 @@ class CanonicalForm:
         return self.tableau.z_images
 
 
-def _expand(gates, n: int) -> tuple[PauliRotation, ...]:
-    """Concatenate the dictionary expansion of `gates`, in time order.
+@dataclass(frozen=True)
+class Trace:
+    """Rotations as the codec carries them, entry k being distinct[order[k]]:
+    each distinct rotation is built, checked and rendered once."""
 
-    Each distinct gate is expanded once; repeats share its rotations.
-    """
-    expansions: dict = {}
-    rotations: list[PauliRotation] = []
+    distinct: tuple[PauliRotation, ...]
+    order: tuple[int, ...]
+
+    def rotations(self) -> tuple[PauliRotation, ...]:
+        return tuple(map(self.distinct.__getitem__, self.order))
+
+
+def _expand(gates, n: int) -> Trace:
+    """The dictionary expansion of `gates`, in time order; each distinct
+    gate is expanded once, and each distinct rotation built once."""
+    index, runs, order = {}, {}, []  # fields -> place in distinct; gate -> places
     for gate in gates:
-        expansion = expansions.get(gate)
-        if expansion is None:
-            expansion = expansions[gate] = gate_to_rotations(gate, n)
-        rotations.extend(expansion)
-    return tuple(rotations)
+        run = runs.get(gate)
+        if run is None:
+            run = runs[gate] = tuple(index.setdefault(f, len(index))
+                                     for f in gate_rotation_fields(gate))
+        order.extend(run)
+    return Trace(tuple(PauliRotation(PauliString(n, x, z), num, den)
+                       for x, z, num, den in index), tuple(order))
 
 
 def to_rotation_circuit(gc: GateCircuit) -> RotationCircuit:
     """The dictionary expansion of every gate, in time order."""
-    return RotationCircuit(gc.n, _expand(gc.gates, gc.n))
+    return RotationCircuit(gc.n, _expand(gc.gates, gc.n).rotations())
+
+
+def clifford_trace(gc: GateCircuit) -> Trace:
+    """The payload's Clifford trace: the dictionary expansion of the
+    Clifford gates, in time order."""
+    return _expand([g for g in gc.gates if g.kind in GATE_RULES], gc.n)
 
 
 def conjugate_axis(mover: PauliRotation, axis: PauliString) -> PauliString:
@@ -232,14 +248,13 @@ def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
     Walks the rotations in time order with a running tableau of the
     Cliffords seen so far.  Each arriving pi/8 axis is mapped through
     that tableau (one product per letter of the axis); each Clifford
-    joins the trace and rewrites the at most 2w generator images its
-    weight-w axis anticommutes with.  Total cost O(T*w + |trace|*w).
+    rewrites the at most 2w generator images its weight-w axis
+    anticommutes with.  Total cost O(T*w + C*w) for C Cliffords.
     The pi/8 count is preserved exactly.
     """
     n = rc.n
     xs, zs = _identity_rows(n)
     pi8: list[PauliRotation] = []
-    trace: list[PauliRotation] = []
     for rot in rc.rotations:
         if rot.is_pi8:
             axis = rot.axis
@@ -247,8 +262,7 @@ def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
             pi8.append(PauliRotation(PauliString(n, *image), rot.num, 8))
         else:
             _cross(xs, zs, rot)
-            trace.append(rot)
-    return CanonicalForm(n, tuple(pi8), tuple(trace), _tableau(n, xs, zs))
+    return CanonicalForm(n, tuple(pi8), _tableau(n, xs, zs))
 
 
 def tableau_from_trace(n: int, trace: list[PauliRotation]) -> CliffordTableau:
@@ -326,9 +340,8 @@ GATE_RULES = {"h": _h, "s": _s, "sdg": _sdg, "x": _x, "y": _y, "z": _z,
 
 def canonicalize(gc: GateCircuit) -> CanonicalForm:
     """The canonical form of `gc` in one walk of its gates: a Clifford
-    gate applies its rule and joins the trace, as its dictionary
-    expansion; a T or Tdg on qubit q reads its axis from zs[q].  Equal
-    to push_cliffords(to_rotation_circuit(gc)).
+    gate applies its rule; a T or Tdg on qubit q reads its axis from
+    zs[q].  Equal to push_cliffords(to_rotation_circuit(gc)).
 
     A width with n^2 over ENUMERATION_GUARD is refused before any row is
     built: the 2n rows hold n-bit masks, and the payload n bases of n
@@ -340,16 +353,15 @@ def canonicalize(gc: GateCircuit) -> CanonicalForm:
             f"n = {n} qubits: the tableau has n^2 = {n * n} entries, "
             f"over the guard of {ENUMERATION_GUARD}")
     xs, zs = _identity_rows(n)
-    pi8, cliffords = [], []
+    pi8 = []
     for gate in gc.gates:
         rule = GATE_RULES.get(gate.kind)
         if rule is not None:
             rule(xs, zs, *gate.qubits)
-            cliffords.append(gate)
         else:
             pi8.append(PauliRotation(PauliString(n, *zs[gate.qubits[0]]),
                                      PI8_NUM[gate.kind], 8))
-    return CanonicalForm(n, tuple(pi8), _expand(cliffords, n), _tableau(n, xs, zs))
+    return CanonicalForm(n, tuple(pi8), _tableau(n, xs, zs))
 
 
 # -- JSON ----------------------------------------------------------------
@@ -365,18 +377,18 @@ def _container_text(items: list[str], depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def canonical_to_json(cf: CanonicalForm, layers: list | None = None,
+def canonical_to_json(cf: CanonicalForm, trace: Trace, layers: list | None = None,
                       tail: dict | None = None) -> str:
     """The transpile payload, or, given `layers` (lists of rotations), the
-    optimize payload, which holds the pi/8 rotations as those layers;
-    `tail`'s keys follow the measurement bases.
+    optimize payload, which holds the pi/8 rotations as those layers; with
+    the Clifford `trace`, and `tail`'s keys after the measurement bases.
 
     Returns exactly json.dumps(payload, indent=2) of the payload as a
     dict, with each distinct rotation's entry rendered once per depth.
     """
     memos: dict = {}
 
-    def rotations_text(rotations, depth: int) -> str:
+    def rotations_text(rotations, depth: int, order=None) -> str:
         memo = memos.setdefault(depth, {})
         pad = "  " * (depth + 1)
         entries = []
@@ -392,14 +404,14 @@ def canonical_to_json(cf: CanonicalForm, layers: list | None = None,
                     f'{{\n{pad}  "axis": "{axis}",\n'
                     f'{pad}  "num": {rot.num},\n{pad}  "den": {rot.den}\n{pad}}}')
             entries.append(text)
-        return _container_text(entries, depth)
+        return _container_text(entries if order is None else [entries[k] for k in order], depth)
 
     texts = {"schema_version": json.dumps(SCHEMA_VERSION), "n": json.dumps(cf.n)}
     if layers is None:
         texts["pi8"] = rotations_text(cf.pi8, 1)
     else:
         texts["layers"] = _container_text([rotations_text(layer, 2) for layer in layers], 1)
-    texts["clifford_trace"] = rotations_text(cf.clifford_trace, 1)
+    texts["clifford_trace"] = rotations_text(trace.distinct, 1, trace.order)
     rest = {"measurement_bases": [str(b) for b in cf.measurement_bases], **(tail or {})}
     for key, value in rest.items():
         # one level deeper than json.dumps puts it: a JSON string holds no raw newline
@@ -419,37 +431,43 @@ def rotation_fields(obj: dict) -> tuple[str, int, int]:
     return obj["axis"], obj["num"], obj["den"]
 
 
-def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...]:
-    """Rotations whose axes must act on n qubits; errors name `field`."""
+def _read_rotations(entries, n: int, field: str) -> Trace:
+    """Rotations, as a `Trace`, whose axes must act on n qubits; errors name `field`."""
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of rotations, got {entries!r}")
-    # one PauliRotation per distinct entry, looked up only once the
-    # entry's fields have their exact types (True == 1 would hash alike);
-    # the inline test passes every well-formed entry, and rotation_fields
-    # raises for the rest
-    memo: dict = {}
-    rotations = []
+    # one PauliRotation per distinct entry, looked up only once the entry's
+    # fields have their exact types (True == 1 would hash alike); the inline
+    # test passes every well-formed entry, and rotation_fields raises for the rest
+    memo: dict = {}  # (axis, num, den) -> place in distinct
+    distinct, order = [], []
     for entry in entries:
-        key = ((entry.get("axis"), entry.get("num"), entry.get("den"))
-               if type(entry) is dict else ())
-        if tuple(map(type, key)) != (str, int, int):
+        axis, num, den = key = ((entry.get("axis"), entry.get("num"), entry.get("den"))
+                                if type(entry) is dict else (None,) * 3)
+        if type(axis) is not str or type(num) is not int or type(den) is not int:
             key = rotation_fields(entry)
-        rotation = memo.get(key)
-        if rotation is None:
+        i = memo.get(key)
+        if i is None:
             axis, num, den = key
-            rotation = memo[key] = PauliRotation(PauliString.from_label(axis), num, den)
-        rotations.append(rotation)
+            i = memo[key] = len(distinct)
+            distinct.append(PauliRotation(PauliString.from_label(axis), num, den))
+        order.append(i)
+    read = Trace(tuple(distinct), tuple(order))
     # checked once per distinct rotation; the index is looked for only on failure
-    if any(r.axis.n != n for r in memo.values()):
-        i, r = next((i, r) for i, r in enumerate(rotations) if r.axis.n != n)
-        raise ValueError(f"{field} entry {i}: "
-                         f"qubit count mismatch: {r.axis.n} vs {n}")
-    return tuple(rotations)
+    if any(r.axis.n != n for r in distinct):
+        i, r = next((i, r) for i, r in enumerate(read.rotations()) if r.axis.n != n)
+        raise ValueError(f"{field} entry {i}: qubit count mismatch: {r.axis.n} vs {n}")
+    return read
 
 
-def canonical_from_json(obj: dict) -> CanonicalForm:
-    """Inverse of canonical_to_json for either payload; ValueError names
-    the first field that is malformed or disagrees with `n`.
+def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...]:
+    """Rotations whose axes must act on n qubits; errors name `field`."""
+    return _read_rotations(entries, n, field).rotations()
+
+
+def canonical_from_json(obj: dict) -> tuple[CanonicalForm, Trace]:
+    """Inverse of canonical_to_json for either payload, the trace normalized
+    entry by entry; ValueError names the first field that is malformed or
+    disagrees with `n`.
 
     A payload with both `pi8` and `layers` is refused.  One with `layers`
     gives its layers, in order, as the pi/8 list: layers only reorder
@@ -467,7 +485,7 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
         raise ValueError(f"field 'n' must be an integer >= 1, got {n!r}")
     pi8 = () if layered else rotations_from_json(obj["pi8"], n, "field 'pi8'")
-    trace = rotations_from_json(obj["clifford_trace"], n, "field 'clifford_trace'")
+    trace = _read_rotations(obj["clifford_trace"], n, "field 'clifford_trace'")
     labels = obj["measurement_bases"]
     if not isinstance(labels, list) or len(labels) != n or not all(
         isinstance(b, str) for b in labels
@@ -478,7 +496,7 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
         if p.n != n:
             raise ValueError(f"field 'measurement_bases' entry {i}: "
                              f"qubit count mismatch: {p.n} vs {n}")
-    tableau = tableau_from_trace(n, trace)
+    tableau = tableau_from_trace(n, trace.rotations())
     if bases != tableau.z_images:
         raise ValueError("measurement bases inconsistent with Clifford trace")
     if layered:  # errors name the layer and the entry within it
@@ -492,7 +510,7 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"field 'schema_version' must be the integer "
                          f"{SCHEMA_VERSION}, got {version!r}")
-    cf = CanonicalForm(n, pi8, trace, tableau)
+    cf = CanonicalForm(n, pi8, tableau)
     if layered:  # the check optimize runs before it writes
         ends = itertools.accumulate(map(len, groups))
         indices = tuple(tuple(range(e - len(g), e)) for g, e in zip(groups, ends))
@@ -500,4 +518,4 @@ def canonical_from_json(obj: dict) -> CanonicalForm:
             Layering(n, pi8, indices).validate()
         except ValueError as exc:
             raise ValueError(f"field 'layers': {exc}") from None
-    return cf
+    return cf, trace

@@ -14,6 +14,7 @@ gate's arity is the letter count of its entry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .pauli import PauliString
@@ -154,16 +155,21 @@ class RotationCircuit:
                 raise ValueError("rotation axis length does not match circuit")
 
 
-def gate_to_rotations(gate: Gate, n: int) -> list[PauliRotation]:
-    """Expand one gate into its `_GATE_ROTATIONS` entry on `n` qubits."""
-    rotations = []
+def gate_rotation_fields(gate: Gate) -> Iterator[tuple[int, int, int, int]]:
+    """(x, z, num, den) of each rotation of the gate's `_GATE_ROTATIONS` entry,
+    normalized as in a PauliRotation: equal fields are equal rotations."""
     for local, num, den in _LOCAL_ROTATIONS[gate.kind]:
         x = z = 0
         for j, q in enumerate(gate.qubits):  # local qubit j is qubit q
             x |= (local.x >> j & 1) << q
             z |= (local.z >> j & 1) << q
-        rotations.append(PauliRotation(PauliString(n, x, z), num, den))
-    return rotations
+        yield x, z, num, den
+
+
+def gate_to_rotations(gate: Gate, n: int) -> list[PauliRotation]:
+    """Expand one gate into its `_GATE_ROTATIONS` entry on `n` qubits."""
+    return [PauliRotation(PauliString(n, x, z), num, den)
+            for x, z, num, den in gate_rotation_fields(gate)]
 
 
 # -- text format ---------------------------------------------------------

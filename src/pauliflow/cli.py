@@ -117,8 +117,8 @@ def _reject_unused_flags(args, choice: str):
             raise ConfigError(f"{_flag(key)} is not used by {_flag(choice)} {chosen}")
 
 
-def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
-    """Canonical form from the `transpile` or `optimize` JSON at `path`."""
+def _load_canonical(path: str, command: str) -> tuple[canonical.CanonicalForm, canonical.Trace]:
+    """Canonical form and Clifford trace of the `transpile` or `optimize` JSON at `path`."""
     expects = f"{command} expects the JSON written by transpile or optimize"
     try:
         obj = json.loads(Path(path).read_text())
@@ -139,16 +139,14 @@ def _load_canonical(path: str, command: str) -> canonical.CanonicalForm:
 
 def cmd_transpile(args) -> int:
     gc = circuits.parse_circuit(Path(args.circuit).read_text())
-    cf = canonical.canonicalize(gc)
-    metrics = circuits.circuit_metrics(
-        circuits.RotationCircuit(cf.n, cf.pi8)
-    )
+    cf, trace = canonical.canonicalize(gc), canonical.clifford_trace(gc)
+    metrics = circuits.circuit_metrics(circuits.RotationCircuit(cf.n, cf.pi8))
     _emit(
-        canonical.canonical_to_json(cf, tail={"metrics": metrics}),
+        canonical.canonical_to_json(cf, trace, tail={"metrics": metrics}),
         args.output,
         f"canonicalized {args.circuit}: n={cf.n} t_count={metrics['t_count']} "
         f"naive_t_depth={metrics['naive_t_depth']} "
-        f"clifford_trace={len(cf.clifford_trace)}",
+        f"clifford_trace={len(trace.order)}",
     )
     return EXIT_OK
 
@@ -159,7 +157,7 @@ def cmd_optimize(args) -> int:
     # GAConfig refuses its knobs before the input is read
     cfg = layers.GAConfig(**{
         f.name: _setting(args, cfg_file, f.name, f.default) for f in _GA_KNOBS})
-    cf = _load_canonical(args.canonical, "optimize")
+    cf, trace = _load_canonical(args.canonical, "optimize")
     # a Clifford-only circuit has the empty layering, of T-depth zero
     layering = (layers.singleton_layering(cf.pi8) if cf.pi8
                 else layers.Layering(cf.n, (), ()))
@@ -177,7 +175,7 @@ def cmd_optimize(args) -> int:
     report = {**result.report(), "asap_t_depth": asap.final_t_depth}
     _emit(
         canonical.canonical_to_json(
-            cf, layer_rotations, {"report": report, "method": args.method}),
+            cf, trace, layer_rotations, {"report": report, "method": args.method}),
         args.output,
         f"{args.method}: t_depth {report['initial_t_depth']} -> "
         f"{report['final_t_depth']}",
@@ -312,7 +310,7 @@ def cmd_verify(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
     tol = _setting(args, cfg_file, "tolerance", oracle.DEFAULT_TOL)
     gc = circuits.parse_circuit(Path(args.circuit).read_text())
-    cf = _load_canonical(args.canonical, "verify")
+    cf, _ = _load_canonical(args.canonical, "verify")
     verdict = oracle.verify_canonical_form(gc, cf, tol)
     print(f"fidelity={verdict.fidelity:.12f} {'PASS' if verdict.ok else 'FAIL'}")
     return EXIT_OK if verdict.ok else EXIT_VERIFY_FAILED

@@ -36,8 +36,8 @@ W and the Clifford unitary V once each, V from the circuit's Clifford
 gates (every gate but t and tdg, in order), not from the payload's
 trace; so one verification makes a single 2^n x 2^n matrix product,
 V @ W.  The fidelity |<U, V W>| / 2^n is held against 1 - tol, with tol
-in (0, 1).  The tableau is checked twice: it must be the one the trace
-gives (`tableau_from_trace`), and each of the 2n generators g with
+in (0, 1).  The tableau is checked once, against V (the reader has
+checked its bases against the trace): each of the 2n generators g with
 image T(g) must satisfy Re<V e_k, g V T(g) e_k> >= 1 - tol at the n + 1
 basis columns k in {0, 2^0, ..., 2^(n-1)}.  V is Clifford, so
 R = V^dag g V T(g) is a Pauli with a phase, and <k|R|k> is 1 at every
@@ -55,7 +55,7 @@ from itertools import islice
 
 import numpy as np
 
-from .canonical import CanonicalForm, CliffordTableau, tableau_from_trace
+from .canonical import CanonicalForm, CliffordTableau
 from .circuits import PI8_NUM, Gate, GateCircuit, PauliRotation
 from .pauli import PauliString
 
@@ -427,10 +427,10 @@ def verify_canonical_form(
     One rule, for tol in (0, 1): a check passes iff its value is at
     least 1 - tol.  (1) The fidelity |<U, V W>| / 2^n of the original
     unitary U against the pi/8 prefix W followed by V, the unitary of
-    the circuit's Clifford gates in order.  (2) The tableau: it must
-    equal the one the Clifford trace gives, and each generator g's image
-    T(g) must pass `_images_hold`, that is, equal V^dag g V, sign
-    included.  The fidelity is reported.
+    the circuit's Clifford gates in order.  (2) The tableau: each
+    generator g's image T(g) must pass `_images_hold`, that is, equal
+    V^dag g V, sign included.  The form holds no Clifford trace, so none
+    is replayed here.  The fidelity is reported.
     """
     _check_tol(tol)
     if gc.n != cf.n:
@@ -441,7 +441,5 @@ def verify_canonical_form(
     v = unitary_of_gates(GateCircuit(gc.n, tuple(
         g for g in gc.gates if g.kind not in PI8_NUM)))
     fidelity = overlap(original, v @ w)
-    ok = (fidelity >= 1 - tol
-          and tableau_from_trace(cf.n, cf.clifford_trace) == cf.tableau
-          and _images_hold(v, cf.tableau, tol))
+    ok = fidelity >= 1 - tol and _images_hold(v, cf.tableau, tol)
     return Verdict(fidelity, ok)

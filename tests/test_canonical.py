@@ -12,9 +12,11 @@ from pauliflow.canonical import (
     GATE_RULES,
     CanonicalForm,
     CliffordTableau,
+    Trace,
     canonical_from_json,
     canonical_to_json,
     canonicalize,
+    clifford_trace,
     conjugate_axis,
     push_cliffords,
     rotations_from_json,
@@ -54,6 +56,18 @@ def sweep_through_trace(trace, p):
     for mover in reversed(trace):
         p = conjugate_axis(mover, p)
     return p
+
+
+def as_trace(rotations):
+    """A Trace with one distinct entry per rotation, in order."""
+    rotations = tuple(rotations)
+    return Trace(rotations, tuple(range(len(rotations))))
+
+
+def transpiled(gc, layers=None):
+    """The payload that transpile (optimize, given layers) writes for gc,
+    as a JSON object, without its tail."""
+    return json.loads(canonical_to_json(canonicalize(gc), clifford_trace(gc), layers))
 
 
 def reference_push(rc):
@@ -130,7 +144,8 @@ class TestRunningTableauMatchesSweep:
         assert cf.pi8 == pi8
         assert cf.tableau == CliffordTableau(gc.n, xs, zs)
         assert cf.measurement_bases == zs
-        assert canonical_from_json(json.loads(canonical_to_json(cf))) == cf
+        trace = clifford_trace(gc)
+        assert canonical_from_json(json.loads(canonical_to_json(cf, trace))) == (cf, trace)
         if gc.n >= 16:
             cf.tableau.validate()
 
@@ -141,7 +156,9 @@ class TestRunningTableauMatchesSweep:
         pi8, xs, zs = reference_push(rc)
         assert cf.pi8 == pi8
         assert cf.tableau == CliffordTableau(rc.n, xs, zs)
-        assert canonical_from_json(json.loads(canonical_to_json(cf))) == cf
+        trace = as_trace(r for r in rc.rotations if r.is_clifford)
+        restored, read = canonical_from_json(json.loads(canonical_to_json(cf, trace)))
+        assert restored == cf and read.rotations() == trace.rotations()
 
 
 class TestRunningTableauKernel:
@@ -178,7 +195,29 @@ class TestGateRules:
         # the rules compute the tableau; the payload's trace stays the
         # Clifford entries of the rotation circuit, which readers replay
         rotations = to_rotation_circuit(gc).rotations
-        assert canonicalize(gc).clifford_trace == tuple(r for r in rotations if r.is_clifford)
+        assert transpiled(gc)["clifford_trace"] == [
+            {"axis": str(r.axis), "num": r.num, "den": r.den}
+            for r in rotations if r.is_clifford]
+
+    def test_repeated_gates_build_each_trace_rotation_once(self, monkeypatch):
+        # h 0 and s 0 share +Z/4 on qubit 0, and cnot 0 1 and cz 1 0 share
+        # its -Z/4: the old per-gate expansion built 10 rotations for 7
+        gates = (Gate("h", (0,)), Gate("s", (0,)), Gate("cnot", (0, 1)),
+                 Gate("cz", (1, 0)), Gate("t", (1,)))
+        gc = GateCircuit(2, gates * 50)
+        built = []
+        post_init = PauliRotation.__post_init__
+
+        def counting(rot):
+            built.append(rot)
+            post_init(rot)
+
+        monkeypatch.setattr(PauliRotation, "__post_init__", counting)
+        canonicalize(gc)
+        assert len(built) == gc.t_gate_count()
+        trace = clifford_trace(gc)
+        assert len(trace.distinct) == len(set(trace.distinct)) == 7
+        assert len(built) <= len(trace.distinct) + gc.t_gate_count()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_gate_conjugates_each_generator(self, n):
@@ -238,7 +277,6 @@ class TestPushCliffords:
         rot = PauliRotation(PauliString.from_label("Z"), 1, 8)
         cf = push_cliffords(RotationCircuit(1, (rot,)))
         assert cf.pi8 == (rot,)
-        assert cf.clifford_trace == ()
         assert cf.tableau == CliffordTableau.identity(1)
 
     def test_h_conjugates_z_to_x(self):
@@ -289,7 +327,7 @@ class TestPushCliffords:
         cf = canonicalize(gc)
         again = push_cliffords(RotationCircuit(cf.n, cf.pi8))
         assert again.pi8 == cf.pi8
-        assert again.clifford_trace == ()
+        assert again.tableau == CliffordTableau.identity(cf.n)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_oracle_equivalence_random(self, seed):
@@ -325,9 +363,7 @@ class TestPushCliffords:
                 ),
             )
             cf = push_cliffords(rc)
-            rebuilt = unitary_of_rotations(
-                list(cf.pi8) + list(cf.clifford_trace), n
-            )
+            rebuilt = unitary_of_rotations(list(cf.pi8) + [mover], n)
             assert equivalent_up_to_phase(
                 unitary_of_rotations(rc.rotations, n), rebuilt, 1e-9
             )
@@ -343,7 +379,7 @@ class TestTableauConjugate:
         rng = random.Random(seed)
         n = rng.randint(1, 3)
         gc = random_circuit(n, rng.randint(1, 20), rng)
-        trace = canonicalize(gc).clifford_trace
+        trace = clifford_trace(gc).rotations()
         v = unitary_of_rotations(trace, n)
         for _ in range(10):
             x, z = rng.getrandbits(n), rng.getrandbits(n)
@@ -425,26 +461,27 @@ class TestJson:
     def test_roundtrip(self):
         rng = random.Random(3)
         gc = random_circuit(3, 20, rng)
-        cf = canonicalize(gc)
-        restored = canonical_from_json(json.loads(canonical_to_json(cf)))
+        cf, trace = canonicalize(gc), clifford_trace(gc)
+        restored, read = canonical_from_json(json.loads(canonical_to_json(cf, trace)))
         assert restored.pi8 == cf.pi8
-        assert restored.clifford_trace == cf.clifford_trace
+        assert read == trace
         assert restored.measurement_bases == cf.measurement_bases
 
     @given(st.integers(1, 6), st.integers(0, 60), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_layered_roundtrip(self, n, n_gates, seed):
         # the layered payload reads back with its layers, in order, as pi8
-        cf = canonicalize(random_circuit(n, n_gates, random.Random(seed)))
+        gc = random_circuit(n, n_gates, random.Random(seed))
+        cf = canonicalize(gc)
         layering = build_layers(cf.pi8) if cf.pi8 else None
         layers = [[layering.rotations[i] for i in layer]
                   for layer in layering.layers] if layering else []
-        obj = json.loads(canonical_to_json(cf, layers))
+        obj = transpiled(gc, layers)
         assert "pi8" not in obj
         assert [len(layer) for layer in obj["layers"]] == [len(layer) for layer in layers]
-        restored = canonical_from_json(obj)
+        restored, read = canonical_from_json(obj)
         assert restored.pi8 == tuple(r for layer in layers for r in layer)
-        assert restored.clifford_trace == cf.clifford_trace
+        assert read == clifford_trace(gc)
         assert restored.tableau == cf.tableau
         assert restored.measurement_bases == cf.tableau.z_images
 
@@ -491,9 +528,8 @@ class TestJson:
     )
     def test_layers_must_form_a_layering(self, layers, message):
         # t h t: two pi/8 rotations, Z then X, which ASAP puts in two layers
-        cf = canonicalize(GateCircuit(1, (Gate("t", (0,)), Gate("h", (0,)),
-                                          Gate("t", (0,)))))
-        obj = json.loads(canonical_to_json(cf, [[r] for r in cf.pi8]))
+        gc = GateCircuit(1, (Gate("t", (0,)), Gate("h", (0,)), Gate("t", (0,))))
+        obj = transpiled(gc, [[r] for r in canonicalize(gc).pi8])
         assert [[r["axis"] for r in layer] for layer in obj["layers"]] == [["+Z"], ["+X"]]
         obj["layers"] = [[{"axis": a, "num": 1, "den": 8} for a in layer]
                          for layer in layers]
@@ -509,17 +545,14 @@ class TestJson:
             canonical_from_json(obj)
 
     def test_tampered_bases_rejected(self):
-        cf = canonicalize(GateCircuit(1, (Gate("h", (0,)), Gate("t", (0,)))))
-        obj = json.loads(canonical_to_json(cf))
+        obj = transpiled(GateCircuit(1, (Gate("h", (0,)), Gate("t", (0,)))))
         obj["measurement_bases"] = ["+Z"]
         with pytest.raises(ValueError, match="inconsistent"):
             canonical_from_json(obj)
 
     @pytest.mark.parametrize("n", ["2", 2.0, True, 0, -1, None])
     def test_n_must_be_a_positive_int(self, n):
-        obj = json.loads(canonical_to_json(canonicalize(
-            GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
-        )))
+        obj = transpiled(GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,)))))
         obj["n"] = n
         with pytest.raises(ValueError, match="field 'n' must be an integer >= 1"):
             canonical_from_json(obj)
@@ -527,9 +560,7 @@ class TestJson:
     @pytest.mark.parametrize("field", ["pi8", "clifford_trace"])
     @pytest.mark.parametrize("letters", ["Z", "ZZZ"])
     def test_axes_must_have_n_letters(self, field, letters):
-        obj = json.loads(canonical_to_json(canonicalize(
-            GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
-        )))
+        obj = transpiled(GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,)))))
         obj[field][0]["axis"] = "+" + letters
         with pytest.raises(
             ValueError,
@@ -549,32 +580,31 @@ class TestJson:
         ],
     )
     def test_bases_must_be_n_labels_of_n_letters(self, bases, message):
-        obj = json.loads(canonical_to_json(canonicalize(
-            GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,))))
-        )))
+        obj = transpiled(GateCircuit(2, (Gate("cnot", (0, 1)), Gate("t", (1,)))))
         obj["measurement_bases"] = bases
         with pytest.raises(ValueError, match=message):
             canonical_from_json(obj)
 
     @pytest.mark.parametrize("version", [2, "1", True])
     def test_schema_version_must_be_the_int(self, version):
-        obj = json.loads(canonical_to_json(canonicalize(GateCircuit(1, (Gate("t", (0,)),)))))
+        obj = transpiled(GateCircuit(1, (Gate("t", (0,)),)))
         obj["schema_version"] = version
         with pytest.raises(ValueError, match=f"field 'schema_version' must be the "
                                              f"integer {SCHEMA_VERSION}, got {version!r}"):
             canonical_from_json(obj)
 
     def test_schema_version_is_required(self):
-        obj = json.loads(canonical_to_json(canonicalize(GateCircuit(1, (Gate("t", (0,)),)))))
+        obj = transpiled(GateCircuit(1, (Gate("t", (0,)),)))
         del obj["schema_version"]
         with pytest.raises(KeyError, match="schema_version"):
             canonical_from_json(obj)
 
 
-def _canonical_to_json_reference(cf, layers=None):
+def _canonical_to_json_reference(cf, trace, layers=None):
     """The payload as a dict, as canonical_to_json built it before it
-    rendered the text itself (kept verbatim); the writer's text must be
-    json.dumps(..., indent=2) of it."""
+    rendered the text itself (kept verbatim, but for the trace, which the
+    form no longer holds, given as a list of rotations); the writer's text
+    must be json.dumps(..., indent=2) of it."""
     labels: dict = {}
 
     def entry(rot: PauliRotation) -> dict:
@@ -589,7 +619,7 @@ def _canonical_to_json_reference(cf, layers=None):
         payload["pi8"] = [entry(r) for r in cf.pi8]
     else:
         payload["layers"] = [[entry(r) for r in layer] for layer in layers]
-    payload["clifford_trace"] = [entry(r) for r in cf.clifford_trace]
+    payload["clifford_trace"] = [entry(r) for r in trace]
     payload["measurement_bases"] = [str(b) for b in cf.measurement_bases]
     return payload
 
@@ -610,50 +640,56 @@ OPTIMIZE_TAIL = {
 }
 
 
-def assert_writes_json_dumps(cf, layers=None):
-    """Both payloads of cf, with and without a tail, are the bytes of
-    json.dumps(..., indent=2) of the reference dict."""
+def assert_writes_json_dumps(cf, trace, layers=None):
+    """Both payloads of cf and its trace, with and without a tail, are the
+    bytes of json.dumps(..., indent=2) of the reference dict."""
+    rotations = trace.rotations()
     for tail in ({}, TRANSPILE_TAIL):
-        assert canonical_to_json(cf, tail=tail) == json.dumps(
-            {**_canonical_to_json_reference(cf), **tail}, indent=2)
+        assert canonical_to_json(cf, trace, tail=tail) == json.dumps(
+            {**_canonical_to_json_reference(cf, rotations), **tail}, indent=2)
     if layers is None:
         layers = asap_layers(cf.pi8)
     for tail in ({}, OPTIMIZE_TAIL):
-        assert canonical_to_json(cf, layers, tail) == json.dumps(
-            {**_canonical_to_json_reference(cf, layers), **tail}, indent=2)
+        assert canonical_to_json(cf, trace, layers, tail) == json.dumps(
+            {**_canonical_to_json_reference(cf, rotations, layers), **tail}, indent=2)
 
 
 class TestWriterBytes:
     @given(clifford_t_circuits(max_qubits=8, max_gates=60))
     @settings(max_examples=60, deadline=None)
     def test_gate_circuits(self, gc):
-        assert_writes_json_dumps(canonicalize(gc))
+        assert_writes_json_dumps(canonicalize(gc), clifford_trace(gc))
 
     @given(rotation_circuits())
     @settings(max_examples=60, deadline=None)
     def test_rotation_circuits(self, rc):
-        assert_writes_json_dumps(push_cliffords(rc))
+        assert_writes_json_dumps(push_cliffords(rc),
+                                 as_trace(r for r in rc.rotations if r.is_clifford))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_deep_circuits(self, seed):
         # the compile benchmark's size: n = 16, 2000 gates, many repeats
-        cf = canonicalize(random_circuit(16, 2000, random.Random(seed)))
-        assert len(cf.pi8) > 100 and len(cf.clifford_trace) > 1000
-        assert_writes_json_dumps(cf)
+        gc = random_circuit(16, 2000, random.Random(seed))
+        cf, trace = canonicalize(gc), clifford_trace(gc)
+        assert len(cf.pi8) > 100 and len(trace.order) > 1000
+        assert_writes_json_dumps(cf, trace)
 
     def test_clifford_only(self):
         # empty pi8 and no layers; an empty layer renders as []
-        cf = canonicalize(GateCircuit(2, (Gate("h", (0,)), Gate("cz", (0, 1)))))
-        assert cf.pi8 == () and cf.clifford_trace
-        assert_writes_json_dumps(cf, [])
-        assert_writes_json_dumps(cf, [[]])
+        gc = GateCircuit(2, (Gate("h", (0,)), Gate("cz", (0, 1))))
+        cf, trace = canonicalize(gc), clifford_trace(gc)
+        assert cf.pi8 == () and trace.order
+        assert_writes_json_dumps(cf, trace, [])
+        assert_writes_json_dumps(cf, trace, [[]])
 
     def test_empty_trace(self):
-        cf = canonicalize(GateCircuit(3, (Gate("t", (0,)), Gate("tdg", (2,)))))
-        assert cf.clifford_trace == () and len(cf.pi8) == 2
-        assert_writes_json_dumps(cf)
+        gc = GateCircuit(3, (Gate("t", (0,)), Gate("tdg", (2,))))
+        cf, trace = canonicalize(gc), clifford_trace(gc)
+        assert trace == Trace((), ()) and len(cf.pi8) == 2
+        assert_writes_json_dumps(cf, trace)
 
     @pytest.mark.parametrize("gates", [(), (Gate("t", (0,)),),
                                        (Gate("h", (0,)), Gate("t", (0,)), Gate("x", (0,)))])
     def test_one_qubit(self, gates):
-        assert_writes_json_dumps(canonicalize(GateCircuit(1, gates)))
+        gc = GateCircuit(1, gates)
+        assert_writes_json_dumps(canonicalize(gc), clifford_trace(gc))

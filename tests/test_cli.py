@@ -380,6 +380,31 @@ class TestLoadCanonical:
         assert list(after) == ["schema_version", "n", "layers", "clifford_trace",
                                "measurement_bases", "report", "method"]
 
+    def test_hand_edited_trace_entry_written_back_normalized(self, tmp_path):
+        # -ZI at +pi/4 is +ZI at -pi/4, sdg 0's rotation (and cnot 0 1's
+        # last): the bases stay consistent, and optimize writes the entry
+        # back as PauliRotation normalizes it, the bytes it writes for the
+        # unedited file; the digest is that of the output before the
+        # trace left CanonicalForm
+        src = tmp_path / "c.qc"
+        src.write_text("qubits 2\nsdg 0\nt 1\ncnot 0 1\nt 1\nh 0\n")
+        canonical, edited = tmp_path / "canonical.json", tmp_path / "edited.json"
+        assert main(["transpile", str(src), "-o", str(canonical)]) == EXIT_OK
+        obj = json.loads(canonical.read_text())
+        normalized = {"axis": "+ZI", "num": -1, "den": 4}
+        assert obj["clifford_trace"][0] == obj["clifford_trace"][3] == normalized
+        obj["clifford_trace"][0] = {"axis": "-ZI", "num": 1, "den": 4}
+        edited.write_text(json.dumps(obj))
+        outputs = []
+        for path in (edited, canonical):
+            outputs.append(tmp_path / f"{path.stem}.layered.json")
+            assert main(["optimize", str(path), "-o", str(outputs[-1])]) == EXIT_OK
+        written = outputs[0].read_bytes()
+        assert json.loads(written)["clifford_trace"][0] == normalized
+        assert written == outputs[1].read_bytes()
+        assert hashlib.sha256(written).hexdigest() == (
+            "6d9724a668f5d062a885009dacf318ca82e03808ebef89b70d098de5f7ecc2ae")
+
     @pytest.mark.parametrize("version", [None, 2, "1", True],
                              ids=["missing", "2", "str", "bool"])
     @pytest.mark.parametrize("command", ["optimize", "verify"])

@@ -1,6 +1,7 @@
 """Dense-matrix oracle: unitarity, phase-invariant equivalence, negative controls."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -8,9 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pauliflow import oracle
-from pauliflow.canonical import CanonicalForm, CliffordTableau, canonicalize
-from pauliflow.circuits import Gate, GateCircuit, PauliRotation, gate_to_rotations
+from pauliflow import canonical, cli, oracle
+from pauliflow.canonical import CanonicalForm, CliffordTableau, canonicalize, clifford_trace
+from pauliflow.circuits import (
+    Gate,
+    GateCircuit,
+    PauliRotation,
+    gate_to_rotations,
+    render_circuit,
+)
 from pauliflow.oracle import (
     equivalent_up_to_phase,
     unitary_of_gates,
@@ -78,7 +85,7 @@ class TestKernelsMatchKron:
             expected = dense_gate(gate, gc.n) @ expected
         np.testing.assert_allclose(unitary_of_gates(gc), expected, atol=1e-10)
         cf = canonicalize(gc)
-        rotations = list(cf.pi8) + list(cf.clifford_trace)
+        rotations = list(cf.pi8) + list(clifford_trace(gc).rotations())
         expected = np.eye(1 << gc.n, dtype=complex)
         for rot in rotations:
             phi = rot.num * np.pi / rot.den
@@ -178,9 +185,7 @@ class TestVerifyCanonicalForm:
             idx = rng.randrange(len(cf.pi8))
             bad = list(cf.pi8)
             bad[idx] = PauliRotation(bad[idx].axis, -bad[idx].num, bad[idx].den)
-            corrupted = CanonicalForm(
-                cf.n, tuple(bad), cf.clifford_trace, cf.tableau,
-            )
+            corrupted = CanonicalForm(cf.n, tuple(bad), cf.tableau)
             assert not verify_canonical_form(gc, corrupted, tol=1e-9)
 
     @staticmethod
@@ -189,7 +194,7 @@ class TestVerifyCanonicalForm:
         while count:
             gc = random_circuit(rng.randint(1, 6), rng.randint(5, 40), rng)
             cf = canonicalize(gc)
-            if cf.pi8 and cf.clifford_trace:
+            if cf.pi8 and clifford_trace(gc).order:
                 count -= 1
                 yield rng, gc, cf
 
@@ -204,20 +209,43 @@ class TestVerifyCanonicalForm:
             bad = list(cf.pi8)
             k = rng.randrange(len(bad))
             bad[k] = PauliRotation(bad[k].axis.negated(), bad[k].num, bad[k].den)
-            corrupted = CanonicalForm(
-                cf.n, tuple(bad), cf.clifford_trace, cf.tableau,
-            )
+            corrupted = CanonicalForm(cf.n, tuple(bad), cf.tableau)
             verdict = verify_canonical_form(gc, corrupted)
             assert not verdict and verdict.fidelity < 1 - 1e-9
 
-    def test_dropped_trace_rotation_rejected(self):
-        for rng, gc, cf in self._cases(10):
-            trace = list(cf.clifford_trace)
-            del trace[rng.randrange(len(trace))]
-            corrupted = CanonicalForm(
-                cf.n, cf.pi8, tuple(trace), cf.tableau
-            )
-            assert not verify_canonical_form(gc, corrupted)
+    @pytest.mark.parametrize("edit", ["dropped", "negated"])
+    def test_altered_trace_rejected(self, tmp_path, capsys, edit):
+        # a trace entry dropped or negated in the payload, the bases left
+        # as written: where the altered trace's Z images differ from them,
+        # the reader refuses it (exit 2); where only X images differ, the
+        # reader cannot tell, and verify's tableau check fails (exit 1)
+        src, path, out = tmp_path / "c.qc", tmp_path / "c.json", tmp_path / "out.json"
+        refused = 0
+        for rng, gc, _ in self._cases(10):
+            src.write_text(render_circuit(gc))
+            assert cli.main(["transpile", str(src), "-o", str(path)]) == cli.EXIT_OK
+            obj = json.loads(path.read_text())
+            trace = obj["clifford_trace"]
+            if edit == "dropped":
+                del trace[rng.randrange(len(trace))]
+            else:  # a negated pi/2 rotation is the same up to a global phase
+                quarter_turns = [entry for entry in trace if entry["den"] == 4]
+                rng.choice(quarter_turns)["num"] *= -1
+            path.write_text(json.dumps(obj))
+            rotations = canonical.rotations_from_json(trace, gc.n, "trace")
+            z_images = canonical.tableau_from_trace(gc.n, rotations).z_images
+            capsys.readouterr()
+            if [str(p) for p in z_images] != obj["measurement_bases"]:
+                refused += 1
+                assert cli.main(["optimize", str(path), "-o", str(out)]) == cli.EXIT_USAGE
+                assert cli.main(["verify", str(src), str(path)]) == cli.EXIT_USAGE
+                assert capsys.readouterr().err.count(
+                    "measurement bases inconsistent with Clifford trace") == 2
+                assert not out.exists()
+            else:
+                assert cli.main(["verify", str(src), str(path)]) == cli.EXIT_VERIFY_FAILED
+                assert capsys.readouterr().out == "fidelity=1.000000000000 FAIL\n"
+        assert refused >= 5
 
     def test_flipped_generator_sign_rejected(self):
         # the unitary still matches, so only the tableau check can object;
@@ -230,8 +258,7 @@ class TestVerifyCanonicalForm:
                     images = xs if which == "x" else zs
                     images[q] = images[q].negated()
                     corrupted = CanonicalForm(
-                        cf.n, cf.pi8, cf.clifford_trace,
-                        CliffordTableau(cf.n, tuple(xs), tuple(zs)),
+                        cf.n, cf.pi8, CliffordTableau(cf.n, tuple(xs), tuple(zs)),
                     )
                     verdict = verify_canonical_form(gc, corrupted)
                     assert not verdict, (q, which)
@@ -487,7 +514,7 @@ class TestMonomialFrame:
         unitary_of_gates(gc)
         runs = split_runs(gc.gates, gate_mask)
         assert len(calls) == mixing_runs(runs, lambda run: dense_gates(run, gc.n))
-        for rotations in (cf.clifford_trace, cf.pi8):
+        for rotations in (clifford_trace(gc).rotations(), cf.pi8):
             calls.clear()
             unitary_of_rotations(rotations, gc.n)
             runs = split_runs(rotations, lambda r: r.axis.x)
@@ -518,7 +545,7 @@ class TestMonomialFrame:
         # do those of cz, s, sdg, x, y and z
         n = 6
         gc = GateCircuit(n, tuple(self.permutation_gates(random.Random(29), n, 300)))
-        trace = canonicalize(gc).clifford_trace
+        trace = clifford_trace(gc).rotations()
         calls = self.count_mixing_passes(monkeypatch)
         u = unitary_of_rotations(trace, n)
         assert len(calls) == 0
@@ -535,7 +562,7 @@ class TestMonomialFrame:
         calls = self.count_mixing_passes(monkeypatch)
         for trace in (
             gate_to_rotations(Gate("h", (seed,)), n),
-            canonicalize(GateCircuit(n, tuple(gates))).clifford_trace,
+            clifford_trace(GateCircuit(n, tuple(gates))).rotations(),
         ):
             calls.clear()
             u = unitary_of_rotations(trace, n)
@@ -594,7 +621,7 @@ def elementwise_verify(gc, cf, tol=1e-9):
         raise ValueError("qubit count mismatch between circuit and canonical form")
     original = unitary_of_gates(gc)
     w = unitary_of_rotations(cf.pi8, cf.n)
-    v = unitary_of_rotations(cf.clifford_trace, cf.n)
+    v = unitary_of_rotations(clifford_trace(gc).rotations(), cf.n)
     fidelity = oracle.overlap(original, v @ w)
     if fidelity < 1 - tol:
         return False
@@ -621,9 +648,7 @@ def elementwise_verify(gc, cf, tol=1e-9):
 
 
 def with_images(cf, xs, zs):
-    return CanonicalForm(
-        cf.n, cf.pi8, cf.clifford_trace, CliffordTableau(cf.n, tuple(xs), tuple(zs))
-    )
+    return CanonicalForm(cf.n, cf.pi8, CliffordTableau(cf.n, tuple(xs), tuple(zs)))
 
 
 def negated_image(cf, q, which):
