@@ -215,14 +215,22 @@ def _cross(xs: list, zs: list, mover: PauliRotation) -> None:
     anticommutes with the mover's axis becomes i*A*F(g) for num = 1 mod 4,
     -i*A*F(g) for num = 3 mod 4, and -F(g) for den = 2.  X_q anticommutes
     with the axis iff it has a z bit on q, Z_q iff it has an x bit there;
-    only those images change.
+    only those images change.  A pi/4 mover about +-X_q (+-Z_q) moves
+    F(Z_q) (F(X_q)) alone, with A = +-F(X_q) (+-F(Z_q)) read off its row.
     """
     axis = mover.axis
     if mover.den == 2:
         a, turn = None, 2
     else:
-        a = _conjugate(xs, zs, axis.x, axis.z, axis.phase)
         turn = 1 if mover.num % 4 == 1 else 3
+        x, z = axis.x, axis.z
+        if not (x and z) and (x | z).bit_count() == 1:
+            q = (x | z).bit_length() - 1
+            rows, moved = (xs, zs) if x else (zs, xs)
+            x, z, phase = raw_product(rows[q], moved[q])
+            moved[q] = (x, z, (phase + axis.phase + turn) % 4)
+            return
+        a = _conjugate(xs, zs, axis.x, axis.z, axis.phase)
     for images, bits in ((xs, axis.z), (zs, axis.x)):
         while bits:
             low = bits & -bits
@@ -496,7 +504,13 @@ def canonical_from_json(obj: dict) -> tuple[CanonicalForm, Trace]:
         if p.n != n:
             raise ValueError(f"field 'measurement_bases' entry {i}: "
                              f"qubit count mismatch: {p.n} vs {n}")
-    tableau = tableau_from_trace(n, trace.rotations())
+    # tableau_from_trace by index, each distinct entry checked once (widths above)
+    if not all(r.is_clifford for r in trace.distinct):
+        raise ValueError("only Clifford rotations may be moved across")
+    xs, zs = _identity_rows(n)
+    for i in trace.order:
+        _cross(xs, zs, trace.distinct[i])
+    tableau = _tableau(n, xs, zs)
     if bases != tableau.z_images:
         raise ValueError("measurement bases inconsistent with Clifford trace")
     if layered:  # errors name the layer and the entry within it

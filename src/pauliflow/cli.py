@@ -319,93 +319,101 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("transpile", "optimize", "schedule", "estimate", "decode", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given one of COMMANDS, of that one
+    alone, which words its usage, help and errors as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="pauliflow",
         description="Clifford+T canonicalization, T-depth optimization, "
         "distillation scheduling, and surface-code estimates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = command in COMMANDS  # its usage still names every command
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(COMMANDS) if one else None)
 
-    p = sub.add_parser("transpile", help="circuit file -> canonical JSON")
-    p.add_argument("circuit")
-    p.add_argument("-o", "--output", help="JSON path, or - for stdout")
-    p.set_defaults(func=cmd_transpile)
+    def add(name: str, help: str):
+        return sub.add_parser(name, help=help) if not one or name == command else None
 
-    p = sub.add_parser("optimize", help="canonical JSON -> layered JSON")
-    p.add_argument("canonical")
-    p.add_argument("-o", "--output")
-    p.add_argument(
-        "--method", choices=("asap", "greedy", "ga"), default="asap",
-        help="asap (default): the minimum-depth layering, one placement "
-        "pass; greedy and ga: the paper's merge-based baselines",
-    )
-    p.add_argument("--config", help="key = value config file")
-    for f in _GA_KNOBS:
-        p.add_argument(_flag(f.name), dest=f.name, type=type(f.default))
-    p.set_defaults(func=cmd_optimize)
+    if p := add("transpile", "circuit file -> canonical JSON"):
+        p.add_argument("circuit")
+        p.add_argument("-o", "--output", help="JSON path, or - for stdout")
+        p.set_defaults(func=cmd_transpile)
 
-    p = sub.add_parser("schedule", help="plan distillation rounds")
-    p.add_argument("--algo", choices=("brute", "dp", "greedy", "random"),
-                   required=True)
-    p.add_argument("-M", "--states", type=int, required=True,
-                   help="magic states required")
-    p.add_argument("--p-raw", dest="p_raw", type=float, default=0.0)
-    p.add_argument("--objective", choices=scheduling.OBJECTIVES)
-    p.add_argument("--weight", type=float,
-                   help="tile weight for brute's balanced objective (default 0.5)")
-    p.add_argument("-L", "--max-rounds", dest="max_rounds", type=int,
-                   help="round bound for brute and dp (default 6)")
-    p.add_argument("--catalog", help=f"protocol file (or ${CATALOG_ENV})")
-    p.add_argument("--seed", type=int, help="seed for random (default 0)")
-    p.add_argument("--config")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_schedule)
+    if p := add("optimize", "canonical JSON -> layered JSON"):
+        p.add_argument("canonical")
+        p.add_argument("-o", "--output")
+        p.add_argument(
+            "--method", choices=("asap", "greedy", "ga"), default="asap",
+            help="asap (default): the minimum-depth layering, one placement "
+            "pass; greedy and ga: the paper's merge-based baselines",
+        )
+        p.add_argument("--config", help="key = value config file")
+        for f in _GA_KNOBS:
+            p.add_argument(_flag(f.name), dest=f.name, type=type(f.default))
+        p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("estimate", help="physical resource report")
-    p.add_argument("--distance", type=int, required=True)
-    p.add_argument("--variant", choices=("standard", "ancilla_reuse"),
-                   default="standard")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--t-count", dest="t_count", type=int, default=10**6)
-    p.add_argument("--t-depth", dest="t_depth", type=int, default=10**6)
-    p.add_argument("--target", type=float, default=1e-9,
-                   help="target logical error rate")
-    p.add_argument("--streaming-ratio", dest="streaming_ratio", type=float)
-    p.add_argument("--config")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_estimate)
+    if p := add("schedule", "plan distillation rounds"):
+        p.add_argument("--algo", choices=("brute", "dp", "greedy", "random"),
+                       required=True)
+        p.add_argument("-M", "--states", type=int, required=True,
+                       help="magic states required")
+        p.add_argument("--p-raw", dest="p_raw", type=float, default=0.0)
+        p.add_argument("--objective", choices=scheduling.OBJECTIVES)
+        p.add_argument("--weight", type=float,
+                       help="tile weight for brute's balanced objective (default 0.5)")
+        p.add_argument("-L", "--max-rounds", dest="max_rounds", type=int,
+                       help="round bound for brute and dp (default 6)")
+        p.add_argument("--catalog", help=f"protocol file (or ${CATALOG_ENV})")
+        p.add_argument("--seed", type=int, help="seed for random (default 0)")
+        p.add_argument("--config")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("decode", help="Monte Carlo decoding campaign")
-    p.add_argument("--code", choices=sorted(_CODES), required=True)
-    p.add_argument("--noise", choices=("bitflip", "depolarizing"))
-    p.add_argument("--p", type=float)
-    p.add_argument("--shots", type=int, help="shot count (default 100000)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p.add_argument("--workers", type=int,
-                   help="worker threads (default: one per usable CPU); "
-                        "counts are bit-identical for any value")
-    p.add_argument("--max-weight", dest="max_weight", type=int)
-    p.add_argument("--dump-code", dest="dump_code",
-                   help="write the code definition as JSON and exit")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_decode)
+    if p := add("estimate", "physical resource report"):
+        p.add_argument("--distance", type=int, required=True)
+        p.add_argument("--variant", choices=("standard", "ancilla_reuse"),
+                       default="standard")
+        p.add_argument("--p", type=float, required=True)
+        p.add_argument("--t-count", dest="t_count", type=int, default=10**6)
+        p.add_argument("--t-depth", dest="t_depth", type=int, default=10**6)
+        p.add_argument("--target", type=float, default=1e-9,
+                       help="target logical error rate")
+        p.add_argument("--streaming-ratio", dest="streaming_ratio", type=float)
+        p.add_argument("--config")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser(
-        "verify", help="oracle check: circuit vs canonical or layered JSON"
-    )
-    p.add_argument("circuit")
-    p.add_argument("canonical")
-    p.add_argument("--tol", dest="tolerance", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_verify)
+    if p := add("decode", "Monte Carlo decoding campaign"):
+        p.add_argument("--code", choices=sorted(_CODES), required=True)
+        p.add_argument("--noise", choices=("bitflip", "depolarizing"))
+        p.add_argument("--p", type=float)
+        p.add_argument("--shots", type=int, help="shot count (default 100000)")
+        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+        p.add_argument("--workers", type=int,
+                       help="worker threads (default: one per usable CPU); "
+                            "counts are bit-identical for any value")
+        p.add_argument("--max-weight", dest="max_weight", type=int)
+        p.add_argument("--dump-code", dest="dump_code",
+                       help="write the code definition as JSON and exit")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_decode)
+
+    if p := add("verify", "oracle check: circuit vs canonical or layered JSON"):
+        p.add_argument("circuit")
+        p.add_argument("canonical")
+        p.add_argument("--tol", dest="tolerance", type=float)
+        p.add_argument("--config")
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (

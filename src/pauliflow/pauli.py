@@ -178,13 +178,14 @@ def anticommutation_rows(
     for p in (*ps, *qs):
         if p.n != n:
             raise ValueError(f"qubit count mismatch: {p.n} vs {n}")
-    xcol, zcol = [0] * n, [0] * n
-    for j, p in enumerate(qs):
-        bit = 1 << j
-        for q in set_bits(p.x):
-            xcol[q] |= bit
-        for q in set_bits(p.z):
-            zcol[q] |= bit
+    if not qs:
+        return [0] * len(ps)
+
+    def columns(masks):  # the masks' binary digits transposed, masks[0]'s lowest
+        digits = zip(*(format(mask, f"0{n}b") for mask in reversed(masks)))
+        return [int("".join(col), 2) for col in digits][::-1]
+
+    xcol, zcol = columns([p.x for p in qs]), columns([p.z for p in qs])
     tables = []
     for start in range(0, n, 4):
         pair = []

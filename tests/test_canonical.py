@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import dense_gate, dense_pauli
 from pauliflow.canonical import (
     GATE_RULES,
+    _conjugate,
+    _cross,
     CanonicalForm,
     CliffordTableau,
     Trace,
@@ -32,7 +34,7 @@ from pauliflow.circuits import (
 )
 from pauliflow.layers import build_layers
 from pauliflow.oracle import unitary_of_rotations, verify_canonical_form
-from pauliflow.pauli import PauliString
+from pauliflow.pauli import PauliString, raw_product
 
 ONE_QUBIT = ["h", "s", "sdg", "t", "tdg", "x", "y", "z"]
 TWO_QUBIT = ["cnot", "cz"]
@@ -183,6 +185,67 @@ class TestRunningTableauKernel:
             tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(z, 1, 8)])
         with pytest.raises(ValueError, match="qubit count mismatch: 3 vs 2"):
             tableau_from_trace(2, [PauliRotation(PauliString.from_label("ZZZ"), 1, 4)])
+
+    def test_trace_entries_fail_at_the_first_bad_entry(self):
+        z, zzz = PauliString.from_label("ZI"), PauliString.from_label("ZZZ")
+        with pytest.raises(ValueError, match="only Clifford rotations"):
+            tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(z, 1, 8),
+                                   PauliRotation(zzz, 1, 4)])
+        with pytest.raises(ValueError, match="qubit count mismatch: 3 vs 2"):
+            tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(zzz, 1, 4),
+                                   PauliRotation(z, 1, 8)])
+
+    @given(st.integers(1, 70), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_letter_movers_cross_as_the_general_rule(self, n, data):
+        # any rows, not only a tableau's: the one-letter update is the general
+        # rule's algebra with A read off a row, for movers of both signs
+        row = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
+                        st.integers(0, 3))
+        xs = data.draw(st.lists(row, min_size=n, max_size=n))
+        zs = data.draw(st.lists(row, min_size=n, max_size=n))
+        axis = PauliString.single(n, data.draw(st.integers(0, n - 1)),
+                                  data.draw(st.sampled_from("XZ")))
+        if data.draw(st.booleans()):
+            axis = axis.negated()
+        mover = PauliRotation(axis, data.draw(st.sampled_from([1, -1, 3, -3])), 4)
+        axis = mover.axis  # a negative sign moves into the angle
+        # the general rule: A = F(axis), and each image of a generator that
+        # anticommutes with the axis becomes (+-i) A F(g)
+        a = _conjugate(xs, zs, axis.x, axis.z, axis.phase)
+        turn = 1 if mover.num % 4 == 1 else 3
+        expected_xs, expected_zs = list(xs), list(zs)
+        for q in range(n):
+            for images, letter in ((expected_xs, "X"), (expected_zs, "Z")):
+                if axis.anticommutes(PauliString.single(n, q, letter)):
+                    x, z, phase = raw_product(a, images[q])
+                    images[q] = (x, z, (phase + turn) % 4)
+        _cross(xs, zs, mover)
+        assert (xs, zs) == (expected_xs, expected_zs)
+
+    @given(clifford_t_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_reader_replays_the_trace_by_index(self, gc):
+        # the dictionary expansion repeats its distinct rotations
+        cf, trace = canonical_from_json(transpiled(gc))
+        assert cf.tableau == tableau_from_trace(gc.n, trace.rotations())
+
+    def test_reader_refuses_a_pi8_trace_entry(self):
+        obj = transpiled(GateCircuit(2, (Gate("s", (0,)), Gate("h", (1,)), Gate("t", (1,)))))
+        obj["clifford_trace"][2]["den"] = 8
+        with pytest.raises(ValueError, match="^only Clifford rotations may be moved across$"):
+            canonical_from_json(obj)
+
+    def test_reader_names_the_first_trace_entry_of_the_wrong_width(self):
+        # widths are read before any entry is replayed: the pi/8 at entry 1
+        # is not reached
+        obj = transpiled(GateCircuit(2, (Gate("s", (0,)), Gate("h", (1,)), Gate("t", (1,)))))
+        obj["clifford_trace"][1]["den"] = 8
+        obj["clifford_trace"][2]["axis"] = "+ZZZ"
+        obj["clifford_trace"][3]["axis"] = "+Z"
+        with pytest.raises(ValueError, match="^field 'clifford_trace' entry 2: "
+                                             "qubit count mismatch: 3 vs 2$"):
+            canonical_from_json(obj)
 
 
 class TestGateRules:
@@ -437,6 +500,34 @@ class TestTableauValidate:
                 failed += expected is not None
         # most changes break a relation (X -> Y on a qubit is one that need not)
         assert failed >= 2 * n
+
+
+class TestRefusals:
+    """Each refusal of the tableau and the one-rotation rule, by its message."""
+
+    def test_tableau_needs_one_image_per_generator(self):
+        xs, zs = CliffordTableau.identity(2).x_images, CliffordTableau.identity(2).z_images
+        with pytest.raises(ValueError, match="tableau needs one image per generator"):
+            CliffordTableau(2, xs[:1], zs)
+        with pytest.raises(ValueError, match="tableau needs one image per generator"):
+            CliffordTableau(2, xs, zs + zs[:1])
+
+    def test_tableau_images_must_be_hermitian(self):
+        xs, zs = CliffordTableau.identity(2).x_images, CliffordTableau.identity(2).z_images
+        with pytest.raises(ValueError,
+                           match="tableau images must be Hermitian length-n Paulis"):
+            CliffordTableau(2, (PauliString(2, 1, 0, 1), xs[1]), zs)
+
+    def test_tableau_images_must_have_n_letters(self):
+        xs, zs = CliffordTableau.identity(2).x_images, CliffordTableau.identity(2).z_images
+        with pytest.raises(ValueError,
+                           match="tableau images must be Hermitian length-n Paulis"):
+            CliffordTableau(2, xs, (zs[0], PauliString.from_label("ZZZ")))
+
+    def test_conjugate_axis_refuses_a_pi8_mover(self):
+        z = PauliString.from_label("Z")
+        with pytest.raises(ValueError, match="only Clifford rotations may be moved across"):
+            conjugate_axis(PauliRotation(z, 1, 8), PauliString.from_label("X"))
 
 
 class TestMeasurementBases:

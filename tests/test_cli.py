@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: file-based stages and exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -21,6 +22,7 @@ from pauliflow.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     ConfigError,
+    build_parser,
     load_config,
     main,
 )
@@ -1389,6 +1391,82 @@ class TestRepeatedCalls:
         first, ga, second = (tmp_path / name for name in ("asap1.json", "ga.json", "asap2.json"))
         assert json.loads(ga.read_text())["method"] == "ga"
         assert first.read_bytes() == second.read_bytes()
+
+
+# the arguments each command requires: an unknown flag after them is left to
+# the top-level parser, whose error prints the top-level usage
+REQUIRED_ARGS = {
+    "transpile": ["c.qc"],
+    "optimize": ["c.json"],
+    "schedule": ["--algo", "dp", "-M", "5"],
+    "estimate": ["--distance", "3", "--p", "1e-3"],
+    "decode": ["--code", "rep3"],
+    "verify": ["c.qc", "c.json"],
+}
+
+
+class TestParserPerCommand:
+    """main builds the parser of the named command alone; what it prints
+    and the exit code are the full parser's."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            pytest.fail(f"{argv} parsed")
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["bogus"], ["bogus", "--help"],
+        *([command, "--help"] for command in cli.COMMANDS),
+        *([command, "--bogus"] for command in cli.COMMANDS),
+        *([command, *args, "--bogus"] for command, args in REQUIRED_ARGS.items()),
+    ])
+    def test_words_and_exit_codes_are_the_full_parsers(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = self.outcome(build_parser().parse_args, argv, capsys)
+        assert self.outcome(main, argv, capsys) == expected
+        assert expected[0] in (EXIT_OK, EXIT_USAGE) and expected[1] + expected[2]
+
+    def test_unknown_flag_names_every_command_in_the_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, _, err = self.outcome(main, ["transpile", "c.qc", "--bogus"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"usage: pauliflow [-h] {{{','.join(cli.COMMANDS)}}} ...\n")
+        assert err.endswith("pauliflow: error: unrecognized arguments: --bogus\n")
+
+    def test_every_command_is_in_the_full_parser(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == cli.COMMANDS
+
+    @pytest.mark.parametrize("argv, built, exit_code", [
+        (["transpile", "{circuit}", "-o", "{out}"], 1, EXIT_OK),
+        (["--help"], len(cli.COMMANDS), EXIT_OK),
+        (["bogus"], len(cli.COMMANDS), EXIT_USAGE),
+    ])
+    def test_one_subparser_for_a_named_command(self, argv, built, exit_code, circuit_file,
+                                               tmp_path, monkeypatch, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(action, name, **kwargs):
+            added.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        argv = [a.format(circuit=circuit_file, out=tmp_path / "c.json") for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == exit_code and len(added) == built
+        if built == 1:
+            assert added == ["transpile"] and (tmp_path / "c.json").exists()
 
 
 class TestWrongGateRule:

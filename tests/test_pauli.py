@@ -283,3 +283,54 @@ class TestAnticommutationRows:
             anticommutation_rows(ps, mixed) if in_qs else anticommutation_rows(mixed, ps)
         with pytest.raises(ValueError, match="qubit count mismatch"):
             anticommutation_rows(ps, [odd]) if in_qs else anticommutation_rows([odd], ps)
+
+    @given(st.sampled_from([1, 2, 3, 5, 7, 63, 64, 65, 67, 130]).flatmap(
+        lambda n: st.tuples(st.one_of(st.just([]), pauli_lists(n)),
+                            st.one_of(st.just([]), pauli_lists(n)))))
+    def test_transposed_columns_at_the_edges(self, lists):
+        # one qubit, widths that are no multiple of the four-qubit blocks,
+        # widths past one 64-bit word, and either list empty
+        ps, qs = lists
+        assert anticommutation_rows(ps, qs) == [
+            sum((not p.commutes(q)) << j for j, q in enumerate(qs)) for p in ps]
+
+
+class TestRefusals:
+    """Each refusal of the module, by its message."""
+
+    def test_no_qubits(self):
+        with pytest.raises(ValueError, match=r"qubit count must be >= 1, got 0"):
+            PauliString(0, 0, 0)
+
+    def test_bits_above_n(self):
+        with pytest.raises(ValueError, match="bit vectors exceed qubit count"):
+            PauliString(2, 0b100, 0)
+        with pytest.raises(ValueError, match="bit vectors exceed qubit count"):
+            PauliString(2, 0, 0b100)
+
+    def test_phase_outside_0_to_3(self):
+        with pytest.raises(ValueError, match=r"phase exponent must be in 0\.\.3, got 4"):
+            PauliString(1, 1, 0, 4)
+        with pytest.raises(ValueError, match=r"phase exponent must be in 0\.\.3, got -1"):
+            PauliString(1, 1, 0, -1)
+
+    def test_single_out_of_range_qubit(self):
+        with pytest.raises(ValueError, match="qubit 3 out of range for n=3"):
+            PauliString.single(3, 3, "X")
+        with pytest.raises(ValueError, match="qubit -1 out of range for n=3"):
+            PauliString.single(3, -1, "Z")
+
+    def test_product_of_mismatched_widths(self):
+        with pytest.raises(ValueError, match="qubit count mismatch: 1 vs 2"):
+            PauliString.from_label("Z") * PauliString.from_label("ZZ")
+
+    def test_merged_axis_of_a_non_hermitian_operand(self):
+        z, x = PauliString.from_label("Z"), PauliString.from_label("X")
+        with pytest.raises(ValueError, match="merged axis requires Hermitian operands"):
+            merged_rotation_axis(PauliString(1, 0, 1, 1), x)
+        with pytest.raises(ValueError, match="merged axis requires Hermitian operands"):
+            merged_rotation_axis(z, PauliString(1, 1, 0, 3))
+
+    def test_independent_of_mixed_widths(self):
+        with pytest.raises(ValueError, match="mixed qubit counts in generator set"):
+            independent([PauliString.from_label("ZZ"), PauliString.from_label("Z")])
