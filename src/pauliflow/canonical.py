@@ -21,7 +21,7 @@ boundary: each pi/8 axis, and the 2n final images, which
 The payload also carries the Clifford trace C_1 ... C_k: the dictionary
 expansion (`circuits.gate_to_rotations`) of the Clifford gates, in time
 order.  Only the codec holds it, as a `Trace` (`clifford_trace` for
-transpile, `canonical_from_json` for its readers); a `CanonicalForm` is
+transpile, `rotations_from_json` for its readers); a `CanonicalForm` is
 (n, pi8, tableau).  A reader rebuilds the tableau from that trace alone
 and checks the payload's measurement bases against it, so it checks a
 tableau that the writer computed another way.  The trace path crosses
@@ -39,12 +39,12 @@ appending C_{k+1} with axis A gives F_{k+1} = F_k o f_{k+1}: the new
 image of a generator g that anticommutes with A is the old image crossed
 by a rotation about F_k(A) with the same angle, and every other image is
 unchanged.  A weight-w axis touches at most 2w images.
-`tableau_from_trace` runs that update for the reader;
-`push_cliffords(to_rotation_circuit(gc))` runs it over the whole
-rotation circuit, a second route to what `canonicalize` computes with
-the gate rules.  `conjugate_axis` states the same crossing rule for one
-rotation on objects; folded over a trace it is the reference for the
-running update.
+`tableau_from_trace` runs that update for the reader, by index, checking
+each distinct rotation once; `push_cliffords(to_rotation_circuit(gc))`
+runs it over the whole rotation circuit, a second route to what
+`canonicalize` computes with the gate rules.  `conjugate_axis` states
+the same crossing rule for one rotation on objects; folded over a trace
+it is the reference for the running update.
 
 The final tableau maps each generator g to V^dag g V where V is the
 trace unitary, so measuring Z_q after the full circuit is the same as
@@ -273,16 +273,19 @@ def push_cliffords(rc: RotationCircuit) -> CanonicalForm:
     return CanonicalForm(n, tuple(pi8), _tableau(n, xs, zs))
 
 
-def tableau_from_trace(n: int, trace: list[PauliRotation]) -> CliffordTableau:
+def tableau_from_trace(n: int, trace: Trace) -> CliffordTableau:
     """Tableau of a Clifford trace, built with the same running update
-    as `push_cliffords`: O(|trace|*w) for weight-w axes."""
+    as `push_cliffords`, by index: O(|trace|*w) for weight-w axes.  Each
+    distinct rotation is checked once; a failure names the first bad entry."""
+    if not all(r.is_clifford and r.axis.n == n for r in trace.distinct):
+        for mover in trace.rotations():
+            if not mover.is_clifford:
+                raise ValueError("only Clifford rotations may be moved across")
+            if mover.axis.n != n:
+                raise ValueError(f"qubit count mismatch: {mover.axis.n} vs {n}")
     xs, zs = _identity_rows(n)
-    for mover in trace:
-        if not mover.is_clifford:
-            raise ValueError("only Clifford rotations may be moved across")
-        if mover.axis.n != n:
-            raise ValueError(f"qubit count mismatch: {mover.axis.n} vs {n}")
-        _cross(xs, zs, mover)
+    for i in trace.order:
+        _cross(xs, zs, trace.distinct[i])
     return _tableau(n, xs, zs)
 
 
@@ -428,31 +431,26 @@ def canonical_to_json(cf: CanonicalForm, trace: Trace, layers: list | None = Non
                            0, "{}")
 
 
-def rotation_fields(obj: dict) -> tuple[str, int, int]:
-    """The (axis, num, den) of a rotation's JSON, each of its exact type."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"rotation must be a JSON object, got {obj!r}")
-    for key, kind in (("axis", str), ("num", int), ("den", int)):
-        if type(obj[key]) is not kind:  # type(), not isinstance: bool is no int
-            raise ValueError(f"rotation field {key!r} must be of type {kind.__name__}, "
-                             f"got {obj[key]!r}")
-    return obj["axis"], obj["num"], obj["den"]
-
-
-def _read_rotations(entries, n: int, field: str) -> Trace:
+def rotations_from_json(entries, n: int, field: str) -> Trace:
     """Rotations, as a `Trace`, whose axes must act on n qubits; errors name `field`."""
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of rotations, got {entries!r}")
     # one PauliRotation per distinct entry, looked up only once the entry's
-    # fields have their exact types (True == 1 would hash alike); the inline
-    # test passes every well-formed entry, and rotation_fields raises for the rest
+    # fields have their exact types (True == 1 would hash alike); the slow
+    # path reads a dict subclass, or names a malformed entry's first bad field
     memo: dict = {}  # (axis, num, den) -> place in distinct
     distinct, order = [], []
     for entry in entries:
         axis, num, den = key = ((entry.get("axis"), entry.get("num"), entry.get("den"))
                                 if type(entry) is dict else (None,) * 3)
         if type(axis) is not str or type(num) is not int or type(den) is not int:
-            key = rotation_fields(entry)
+            if not isinstance(entry, dict):
+                raise ValueError(f"rotation must be a JSON object, got {entry!r}")
+            for name, kind in (("axis", str), ("num", int), ("den", int)):
+                if type(entry[name]) is not kind:  # type(), not isinstance: bool is no int
+                    raise ValueError(f"rotation field {name!r} must be of type "
+                                     f"{kind.__name__}, got {entry[name]!r}")
+            key = entry["axis"], entry["num"], entry["den"]
         i = memo.get(key)
         if i is None:
             axis, num, den = key
@@ -465,11 +463,6 @@ def _read_rotations(entries, n: int, field: str) -> Trace:
         i, r = next((i, r) for i, r in enumerate(read.rotations()) if r.axis.n != n)
         raise ValueError(f"{field} entry {i}: qubit count mismatch: {r.axis.n} vs {n}")
     return read
-
-
-def rotations_from_json(entries, n: int, field: str) -> tuple[PauliRotation, ...]:
-    """Rotations whose axes must act on n qubits; errors name `field`."""
-    return _read_rotations(entries, n, field).rotations()
 
 
 def canonical_from_json(obj: dict) -> tuple[CanonicalForm, Trace]:
@@ -492,8 +485,8 @@ def canonical_from_json(obj: dict) -> tuple[CanonicalForm, Trace]:
     n = obj["n"]
     if type(n) is not int or n < 1:  # type(), not isinstance: bool is no int
         raise ValueError(f"field 'n' must be an integer >= 1, got {n!r}")
-    pi8 = () if layered else rotations_from_json(obj["pi8"], n, "field 'pi8'")
-    trace = _read_rotations(obj["clifford_trace"], n, "field 'clifford_trace'")
+    pi8 = () if layered else rotations_from_json(obj["pi8"], n, "field 'pi8'").rotations()
+    trace = rotations_from_json(obj["clifford_trace"], n, "field 'clifford_trace'")
     labels = obj["measurement_bases"]
     if not isinstance(labels, list) or len(labels) != n or not all(
         isinstance(b, str) for b in labels
@@ -504,20 +497,14 @@ def canonical_from_json(obj: dict) -> tuple[CanonicalForm, Trace]:
         if p.n != n:
             raise ValueError(f"field 'measurement_bases' entry {i}: "
                              f"qubit count mismatch: {p.n} vs {n}")
-    # tableau_from_trace by index, each distinct entry checked once (widths above)
-    if not all(r.is_clifford for r in trace.distinct):
-        raise ValueError("only Clifford rotations may be moved across")
-    xs, zs = _identity_rows(n)
-    for i in trace.order:
-        _cross(xs, zs, trace.distinct[i])
-    tableau = _tableau(n, xs, zs)
+    tableau = tableau_from_trace(n, trace)  # widths were checked as it was read
     if bases != tableau.z_images:
         raise ValueError("measurement bases inconsistent with Clifford trace")
     if layered:  # errors name the layer and the entry within it
         layers = obj["layers"]
         if not isinstance(layers, list):
             raise ValueError(f"field 'layers' must be a list of layers, got {layers!r}")
-        groups = [rotations_from_json(layer, n, f"field 'layers' layer {i}")
+        groups = [rotations_from_json(layer, n, f"field 'layers' layer {i}").rotations()
                   for i, layer in enumerate(layers)]
         pi8 = tuple(itertools.chain.from_iterable(groups))
     version = obj["schema_version"]

@@ -429,8 +429,7 @@ def verify_canonical_form(
     unitary U against the pi/8 prefix W followed by V, the unitary of
     the circuit's Clifford gates in order.  (2) The tableau: each
     generator g's image T(g) must pass `_images_hold`, that is, equal
-    V^dag g V, sign included.  The form holds no Clifford trace, so none
-    is replayed here.  The fidelity is reported.
+    V^dag g V, sign included.  The fidelity is reported.
     """
     _check_tol(tol)
     if gc.n != cf.n:

@@ -132,6 +132,25 @@ def rotation_circuits(draw, max_qubits=12, max_rotations=60):
     return RotationCircuit(n, rotations)
 
 
+@st.composite
+def repeating_traces(draw, max_qubits=8):
+    """(n, Trace) whose entries repeat its distinct Clifford rotations."""
+    rc = draw(rotation_circuits(max_qubits=max_qubits, max_rotations=12))
+    distinct = tuple(r for r in rc.rotations if r.is_clifford)
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), max_size=60)) if distinct else []
+    return rc.n, Trace(distinct, tuple(order))
+
+
+def per_entry_scan_error(n, rotations):
+    """The error of a scan of the entries in order, each checked Clifford
+    first and then width."""
+    for r in rotations:
+        if not r.is_clifford:
+            return "only Clifford rotations may be moved across"
+        if r.axis.n != n:
+            return f"qubit count mismatch: {r.axis.n} vs {n}"
+
+
 class TestRunningTableauMatchesSweep:
     """Both tableau kernels against the per-axis sweep: the gate rules that
     `canonicalize` runs on gate circuits, and the running tableau of
@@ -177,23 +196,52 @@ class TestRunningTableauKernel:
             tuple(sweep_through_trace(trace, PauliString.single(rc.n, q, "Z"))
                   for q in range(rc.n)),
         )
-        assert tableau_from_trace(rc.n, trace) == expected
+        assert tableau_from_trace(rc.n, as_trace(trace)) == expected
 
     def test_trace_entries_must_be_clifford_on_n_qubits(self):
         z = PauliString.from_label("ZI")
         with pytest.raises(ValueError, match="only Clifford rotations"):
-            tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(z, 1, 8)])
+            tableau_from_trace(2, as_trace([PauliRotation(z, 1, 4), PauliRotation(z, 1, 8)]))
         with pytest.raises(ValueError, match="qubit count mismatch: 3 vs 2"):
-            tableau_from_trace(2, [PauliRotation(PauliString.from_label("ZZZ"), 1, 4)])
+            tableau_from_trace(2, as_trace([PauliRotation(PauliString.from_label("ZZZ"), 1, 4)]))
 
     def test_trace_entries_fail_at_the_first_bad_entry(self):
         z, zzz = PauliString.from_label("ZI"), PauliString.from_label("ZZZ")
         with pytest.raises(ValueError, match="only Clifford rotations"):
-            tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(z, 1, 8),
-                                   PauliRotation(zzz, 1, 4)])
+            tableau_from_trace(2, as_trace([PauliRotation(z, 1, 4), PauliRotation(z, 1, 8),
+                                            PauliRotation(zzz, 1, 4)]))
         with pytest.raises(ValueError, match="qubit count mismatch: 3 vs 2"):
-            tableau_from_trace(2, [PauliRotation(z, 1, 4), PauliRotation(zzz, 1, 4),
-                                   PauliRotation(z, 1, 8)])
+            tableau_from_trace(2, as_trace([PauliRotation(z, 1, 4), PauliRotation(zzz, 1, 4),
+                                            PauliRotation(z, 1, 8)]))
+
+    @given(repeating_traces())
+    @settings(max_examples=60, deadline=None)
+    def test_tableau_from_trace_replays_each_entry(self, drawn):
+        # by index, a repeated rotation crossing once per entry
+        n, trace = drawn
+        expected = push_cliffords(RotationCircuit(n, trace.rotations())).tableau
+        assert tableau_from_trace(n, trace) == expected
+
+    @given(repeating_traces(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_trace_entries_fail_as_a_per_entry_scan(self, drawn, data):
+        # one or two bad rotations (a pi/8, a wrong width, or both), each at a
+        # random place among the distinct ones and first met at a random
+        # entry, possibly repeated later
+        n, trace = drawn
+        distinct, order = list(trace.distinct), list(trace.order)
+        for _ in range(data.draw(st.integers(1, 2))):
+            width = data.draw(st.integers(n, n + 2))
+            den = 8 if width == n else data.draw(st.sampled_from([4, 8]))
+            place = data.draw(st.integers(0, len(distinct)))
+            distinct.insert(place, PauliRotation(PauliString.single(width, 0, "Z"), 1, den))
+            order = [i + (i >= place) for i in order]
+            for _ in range(data.draw(st.integers(1, 3))):
+                order.insert(data.draw(st.integers(0, len(order))), place)
+        bad = Trace(tuple(distinct), tuple(order))
+        with pytest.raises(ValueError) as caught:
+            tableau_from_trace(n, bad)
+        assert str(caught.value) == per_entry_scan_error(n, bad.rotations())
 
     @given(st.integers(1, 70), st.data())
     @settings(max_examples=100, deadline=None)
@@ -228,7 +276,7 @@ class TestRunningTableauKernel:
     def test_reader_replays_the_trace_by_index(self, gc):
         # the dictionary expansion repeats its distinct rotations
         cf, trace = canonical_from_json(transpiled(gc))
-        assert cf.tableau == tableau_from_trace(gc.n, trace.rotations())
+        assert cf.tableau == tableau_from_trace(gc.n, as_trace(trace.rotations()))
 
     def test_reader_refuses_a_pi8_trace_entry(self):
         obj = transpiled(GateCircuit(2, (Gate("s", (0,)), Gate("h", (1,)), Gate("t", (1,)))))
@@ -582,12 +630,24 @@ class TestJson:
         # "num": 1 entry is still refused (True == 1 and hashes alike)
         entry = {"axis": "+Z", "num": 1, "den": 8}
         first, second, other = rotations_from_json(
-            [entry, dict(entry), {**entry, "num": -1}], 1, "field 'pi8'")
+            [entry, dict(entry), {**entry, "num": -1}], 1, "field 'pi8'").rotations()
         assert second is first
         assert other is not first and other.num == -1
         with pytest.raises(ValueError, match="rotation field 'num' must be of "
                                              "type int, got True"):
             rotations_from_json([entry, {**entry, "num": True}], 1, "field 'pi8'")
+
+    @given(st.lists(st.tuples(st.sampled_from(["+ZI", "-ZI", "+XY", "-IY", "+ZZ"]),
+                              st.sampled_from([1, -1, 3]), st.sampled_from([2, 4, 8])),
+                    max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_reader_keeps_each_distinct_entry_once_in_order(self, keys):
+        entries = [{"axis": axis, "num": num, "den": den} for axis, num, den in keys]
+        read = rotations_from_json(entries, 2, "field 'pi8'")
+        firsts = list(dict.fromkeys(keys))
+        assert read.distinct == tuple(PauliRotation(PauliString.from_label(axis), num, den)
+                                      for axis, num, den in firsts)
+        assert read.order == tuple(map(firsts.index, keys))
 
     def test_mismatch_names_the_first_bad_entry(self):
         good, bad = {"axis": "+ZI", "num": 1, "den": 4}, {"axis": "+Z", "num": 1, "den": 4}
@@ -607,7 +667,8 @@ class TestJson:
         class Entry(dict):
             pass
 
-        (rot,) = rotations_from_json([Entry(axis="+Z", num=1, den=8)], 1, "field 'pi8'")
+        (rot,) = rotations_from_json([Entry(axis="+Z", num=1, den=8)], 1,
+                                     "field 'pi8'").rotations()
         assert rot == PauliRotation(PauliString.from_label("Z"), 1, 8)
 
     @pytest.mark.parametrize(

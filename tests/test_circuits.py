@@ -91,6 +91,13 @@ class TestParser:
             with pytest.raises(CircuitParseError, match=message):
                 parse_circuit(text)
 
+    def test_circuit_names_its_first_out_of_range_gate(self):
+        # each distinct gate is checked once, the first bad one named
+        h, far, farther = Gate("h", (0,)), Gate("cnot", (0, 2)), Gate("h", (3,))
+        with pytest.raises(ValueError) as caught:
+            GateCircuit(2, (h, far, farther, h, far, farther))
+        assert str(caught.value) == "gate cnot on (0, 2) out of range for n=2"
+
     # int() reads every one of these; only ASCII digits name a qubit
     @pytest.mark.parametrize(
         "index", ["1_0", "+3", "-1", "\u0663", "\uff13", "\u00b2", "1.0", "0x1"]
