@@ -83,7 +83,7 @@ class GateCircuit:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
-        for g in dict.fromkeys(self.gates):  # each distinct gate once, in order
+        for g in {id(g): g for g in self.gates}.values():  # each Gate object once, in order
             if any(q >= self.n for q in g.qubits):
                 raise ValueError(
                     f"gate {g.kind} on {g.qubits} out of range for n={self.n}"

@@ -46,13 +46,13 @@ is (Stim's sparse sampling, Gidney, arXiv:2103.02202).  Gaps and letters
 come from two child streams of the shard's SeedSequence, and each draw
 consumes whole 64-bit words, so the errors do not depend on how the
 draws are split.  A shard is drawn and classified in blocks of about
-_BLOCK_ERRORS errors (32768 shots a block for surface5 at p = 1%, 327
-at p = 1), so its working set is bounded at any p, and only the shots
-that drew an error are looked up.  At low noise most shots draw none
-(0.99^25 ~ 78% for surface5 at p = 1%); they all fall in the class of
-the zero word, which each shard classifies once against the decoder's
-own table, so even a hand-built table that maps the zero syndrome to a
-logical operator is counted exactly.
+_BLOCK_ERRORS errors (the whole 65536-shot shard for surface5 at p = 1%,
+1310 shots a block at p = 1), so its working set is bounded at any p,
+and only the shots that drew an error are looked up.  At low noise most
+shots draw none (0.99^25 ~ 78% for surface5 at p = 1%); they all fall in
+the class of the zero word, which each shard classifies once against
+the decoder's own table, so even a hand-built table that maps the zero
+syndrome to a logical operator is counted exactly.
 
 failure_counts classifies every error up to a weight in the same way,
 so the exact p_L of a campaign is a polynomial in p whose enumerated
@@ -96,8 +96,14 @@ from .pauli import (
 LOOKUP_GUARD_ERRORS = 1 << 22
 _SHARD_SHOTS = 65536
 # a shard is drawn and classified in blocks of about this many errors
-# (at most a shard, at least one shot), so 64 KiB a numpy array at any p
-_BLOCK_ERRORS = 8192
+# (at most a shard, at least one shot).  A block costs about 25 numpy
+# calls whatever its size, each one handoff of the interpreter lock in a
+# threaded campaign, and holds about 140 bytes an error, so at 2^15 a
+# shard's working set stays under 4 MiB at any p.  Every code up to
+# n = 49 at p <= 1% draws a shard as one block (surface5 expects 16 384
+# errors a shard, surface7 32 113); at p = 0.15 and p = 1 a surface5
+# block is 8738 and 1310 shots
+_BLOCK_ERRORS = 1 << 15
 
 SUCCESS = "success"
 LOGICAL_ERROR = "logical_error"
@@ -534,7 +540,8 @@ def _sample_errors(seeds, count: int, n: int, noise: NoiseModel):
     geometric gaps between errors, and the second draws each error's
     letter as floor(3u) for a uniform u (depolarizing); bitflip errors
     are X.  Both draws take whole 64-bit words, so the errors do not
-    depend on the block size, which holds about _BLOCK_ERRORS errors.
+    depend on the block size, which holds about _BLOCK_ERRORS = 2^15
+    errors.  Only the draw's unused tail is kept across a yield.
     """
     gaps, letters = (np.random.default_rng(s) for s in seeds.spawn(2))
     p, trials = noise.p, count * n
@@ -546,15 +553,21 @@ def _sample_errors(seeds, count: int, n: int, noise: NoiseModel):
         end = (start + block) * n
         while p > 0 and last < end:
             need = (end - last) * p
+            more = gaps.geometric(p, int(need + 4 * math.sqrt(need)) + 16)
             # a gap past the shard's end ends it: clipped there, gaps sum
-            # well inside int64 (geometric(1e-300) is 2^63 - 1)
-            step = np.minimum(gaps.geometric(p, int(need + 4 * math.sqrt(need)) + 16),
-                              trials + 1)
-            more = last + np.cumsum(step)
-            drawn, last = np.concatenate((drawn, more)), int(more[-1])
+            # well inside int64 (geometric(1e-300) is 2^63 - 1); the gaps
+            # become their running sum in place
+            np.minimum(more, trials + 1, out=more)
+            np.cumsum(more, out=more)
+            more += last
+            drawn = np.concatenate((drawn, more)) if len(drawn) else more
+            last = int(more[-1])
+            del more  # only drawn holds the draw across the yield
         cut = np.searchsorted(drawn, end)
-        shot, qubit = np.divmod(drawn[:cut] - start * n, n)
-        drawn = drawn[cut:]
+        drawn[:cut] -= start * n
+        shot, qubit = np.divmod(drawn[:cut], n)
+        # the rest is copied, so no view keeps the whole draw alive
+        drawn = drawn[cut:].copy()
         if noise.kind == "bitflip":
             letter = np.zeros_like(qubit)
         else:

@@ -97,6 +97,11 @@ class TestParser:
         with pytest.raises(ValueError) as caught:
             GateCircuit(2, (h, far, farther, h, far, farther))
         assert str(caught.value) == "gate cnot on (0, 2) out of range for n=2"
+        # equal bad gates that are distinct objects: still the first named
+        copies = (Gate("h", (0,)), Gate("h", (3,)), Gate("cnot", (0, 2)), Gate("h", (3,)))
+        with pytest.raises(ValueError) as caught:
+            GateCircuit(2, copies)
+        assert str(caught.value) == "gate h on (3,) out of range for n=2"
 
     # int() reads every one of these; only ASCII digits name a qubit
     @pytest.mark.parametrize(

@@ -1255,10 +1255,12 @@ class TestPackedDecodePath:
 
 class TestShardBlocks:
     """A shard draws and classifies its errors in blocks of about
-    codes._BLOCK_ERRORS errors (2184 surface5 shots at p = 0.15, 32768 at
-    p = 0.01); the counts must equal those of one draw of the shard."""
+    codes._BLOCK_ERRORS errors (1310 surface5 shots at p = 1, 8738 at
+    p = 0.15, the whole 65536-shot shard at p = 0.01); the counts must
+    equal those of one draw of the shard."""
 
-    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 2000, 2184, 2185, 32769, 65536])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 2000, 2184, 2185, 32769, 65536,
+                                       1310, 1311, 8738, 8739])
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     @pytest.mark.parametrize("p", [0.15, 0.01, 5e-324, 1.0])
     def test_blocks_match_one_draw(self, count, kind, p):
@@ -1279,6 +1281,13 @@ class TestShardBlocks:
         monkeypatch.setattr(codes, "_BLOCK_ERRORS", 7)
         args = (codes._decoder_arrays(dec), NoiseModel(kind, 1.0), 500, 8, 1)
         assert codes._run_shard(args) == _dense_shard_reference(dec, args)
+
+    @pytest.mark.parametrize("p, blocks", [(0.01, 1), (0.15, 8), (1.0, 51)])
+    def test_surface5_shard_blocks(self, p, blocks):
+        # a smaller bound would split the p = 1% shard again
+        noise = NoiseModel("depolarizing", p)
+        drawn = codes._sample_errors(np.random.SeedSequence([3, 2]), codes._SHARD_SHOTS, 25, noise)
+        assert sum(1 for _ in drawn) == blocks
 
     @staticmethod
     def _shard_peak(p):
